@@ -9,7 +9,7 @@ convergence rates.  A small CLI (``genprior``) drives reproducible
 experiments and sweeps.
 """
 
-from .numerics import RngStream, gaussian_matrix, matvec, matvec_adjoint
+from .numerics import RngStream, gaussian_matrix
 from .generator import (
     GeneratorNet,
     Layer,
@@ -42,7 +42,6 @@ from .projection import (
 from .solvers import (
     SolveTrace,
     SolverConfig,
-    SparseInnovation,
     csgm_baseline,
     dpr_baseline,
     eps_pgd,

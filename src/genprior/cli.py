@@ -8,10 +8,11 @@ Subcommands::
     genprior diagnose --config c.txt [--out DIR]   restricted-constant estimates
 
 Configs are flat ``key = value`` text files ('#' starts a comment).  Every
-key is validated against the schema below before any computation runs;
-unknown keys are rejected with the offending file and line.  Any key can be
-overridden on the command line with ``--set key=value``; ``--seed``,
-``--out`` and ``--workers`` are shorthands for the keys of the same name.
+key is declared once, with its default, as a field of ``ExperimentConfig``
+and is validated before any computation runs; unknown keys are rejected
+with the offending file and line.  Any key can be overridden on the command
+line with ``--set key=value``; ``--seed``, ``--out`` and ``--workers`` are
+shorthands for the keys of the same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
 Outputs are deterministic byte-for-byte given the config: CSV floats are
@@ -30,7 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -116,92 +117,61 @@ def _parse_eta(s):
     return float(s)
 
 
-# key -> (parser, default).  Defaults follow the reference experimental
-# protocol: eta 0.5 (0.9 for phase problems), 15 outer and 200 inner steps.
-_SCHEMA = {
-    "problem": (str, "linear"),
-    "latent_dim": (int, 20),
-    "hidden_dims": (_parse_int_list, (200,)),
-    "output_dim": (int, 784),
-    "activation": (str, "relu"),
-    "weight_scale": (float, 1.0),
-    "bias_scale": (float, 0.0),
-    "weight_seed": (int, 0),
-    "weights_path": (str, ""),
-    "weights_out": (str, "generator.gpw"),
-    "m": (int, 100),
-    "m_list": (_parse_int_list, ()),
-    "matrix_kind": (str, "gaussian"),
-    "solver": (str, ""),
-    "solvers": (_parse_str_list, ()),
-    "eta": (_parse_eta, None),
-    "outer_steps": (int, 15),
-    "inner_steps": (int, 200),
-    "inner_rate": (float, 0.01),
-    "restarts": (int, 1),
-    "proj_init": (str, "random"),
-    "seed": (int, 0),
-    "seeds": (_parse_int_list, ()),
-    "unit_norm_latent": (_parse_bool, False),
-    "noise_std": (float, 0.0),
-    "sparsity": (int, 5),
-    "spike_scale": (float, 5.0),
-    "basis": (str, "identity"),
-    "csgm_steps": (int, 3000),
-    "csgm_rate": (float, 0.01),
-    "dpr_steps": (int, 2500),
-    "dpr_rate": (float, 0.01),
-    "phase_init_strategy": (str, "best_of_samples"),
-    "phase_init_count": (int, 100),
-    "phase_delta0": (float, 0.1),
-    "num_pairs": (int, 500),
-    "image": (_parse_bool, True),
-    "out": (str, ""),
-    "workers": (int, 1),
-}
+def _key(default, parse=None, choices=None):
+    """A config key with a parser other than type(default), or a closed set
+    of allowed values."""
+    return field(default=default, metadata={"parse": parse, "choices": choices})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: str
-    latent_dim: int
-    hidden_dims: tuple
-    output_dim: int
-    activation: str
-    weight_scale: float
-    bias_scale: float
-    weight_seed: int
-    weights_path: str
-    weights_out: str
-    m: int
-    m_list: tuple
-    matrix_kind: str
-    solver: str
-    solvers: tuple
-    eta: object
-    outer_steps: int
-    inner_steps: int
-    inner_rate: float
-    restarts: int
-    proj_init: str
-    seed: int
-    seeds: tuple
-    unit_norm_latent: bool
-    noise_std: float
-    sparsity: int
-    spike_scale: float
-    basis: str
-    csgm_steps: int
-    csgm_rate: float
-    dpr_steps: int
-    dpr_rate: float
-    phase_init_strategy: str
-    phase_init_count: int
-    phase_delta0: float
-    num_pairs: int
-    image: bool
-    out: str
-    workers: int
+    """Every config key, its default and how its text value parses.
+
+    Defaults follow the reference experimental protocol: eta 0.5 (0.9 for
+    phase problems), 15 outer and 200 inner steps.  Keys without a
+    ``_key`` declaration parse with the type of their default.
+    """
+
+    problem: str = _key("linear", choices=PROBLEMS)
+    latent_dim: int = 20
+    hidden_dims: tuple = _key((200,), _parse_int_list)
+    output_dim: int = 784
+    activation: str = _key("relu", choices=("relu", "tanh", "identity"))
+    weight_scale: float = 1.0
+    bias_scale: float = 0.0
+    weight_seed: int = 0
+    weights_path: str = ""
+    weights_out: str = "generator.gpw"
+    m: int = 100
+    m_list: tuple = _key((), _parse_int_list)
+    matrix_kind: str = _key("gaussian", choices=("gaussian", "orthonormal"))
+    solver: str = ""
+    solvers: tuple = _key((), _parse_str_list)
+    eta: object = _key(None, _parse_eta)
+    outer_steps: int = 15
+    inner_steps: int = 200
+    inner_rate: float = 0.01
+    restarts: int = 1
+    proj_init: str = _key("random", choices=("zero", "random"))
+    seed: int = 0
+    seeds: tuple = _key((), _parse_int_list)
+    unit_norm_latent: bool = _key(False, _parse_bool)
+    noise_std: float = 0.0
+    sparsity: int = 5
+    spike_scale: float = 5.0
+    basis: str = _key("identity", choices=("identity", "random_ortho"))
+    csgm_steps: int = 3000
+    csgm_rate: float = 0.01
+    dpr_steps: int = 2500
+    dpr_rate: float = 0.01
+    phase_init_strategy: str = _key("best_of_samples",
+                                    choices=("best_of_samples", "oracle_perturb"))
+    phase_init_count: int = 100
+    phase_delta0: float = 0.1
+    num_pairs: int = 500
+    image: bool = _key(True, _parse_bool)
+    out: str = ""
+    workers: int = 1
 
     def solver_list(self):
         if self.solvers:
@@ -223,36 +193,36 @@ class ExperimentConfig:
         return self.m_list if self.m_list else (self.m,)
 
 
+_KEYS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _parse(key, raw):
+    f = _KEYS[key]
+    return (f.metadata.get("parse") or type(f.default))(raw)
+
+
 def _validate(cfg):
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
-    if cfg.activation not in ("relu", "tanh", "identity"):
-        raise ConfigError(f"unknown activation {cfg.activation!r}")
+    for f in fields(cfg):
+        choices = f.metadata.get("choices")
+        if choices and getattr(cfg, f.name) not in choices:
+            raise ConfigError(f"{f.name} must be one of {choices}, "
+                              f"got {getattr(cfg, f.name)!r}")
     if cfg.latent_dim < 1 or cfg.output_dim < 1:
         raise ConfigError("latent_dim and output_dim must be positive")
     if any(h < 1 for h in cfg.hidden_dims):
         raise ConfigError("hidden_dims entries must be positive")
     if cfg.m < 1 or any(m < 1 for m in cfg.m_list):
         raise ConfigError("measurement counts must be positive")
-    if cfg.matrix_kind not in ("gaussian", "orthonormal"):
-        raise ConfigError("matrix_kind must be 'gaussian' or 'orthonormal'")
     if cfg.outer_steps < 1 or cfg.inner_steps < 1 or cfg.restarts < 1:
         raise ConfigError("outer_steps, inner_steps and restarts must be >= 1")
     if cfg.inner_rate <= 0:
         raise ConfigError("inner_rate must be positive")
     if isinstance(cfg.eta, float) and cfg.eta <= 0:
         raise ConfigError("eta must be positive (or 'auto')")
-    if cfg.proj_init not in ("zero", "random"):
-        raise ConfigError("proj_init must be 'zero' or 'random'")
     if cfg.noise_std < 0:
         raise ConfigError("noise_std must be nonnegative")
     if cfg.sparsity < 0:
         raise ConfigError("sparsity must be nonnegative")
-    if cfg.basis not in ("identity", "random_ortho"):
-        raise ConfigError("basis must be 'identity' or 'random_ortho'")
-    if cfg.phase_init_strategy not in ("best_of_samples", "oracle_perturb"):
-        raise ConfigError("phase_init_strategy must be 'best_of_samples' or "
-                          "'oracle_perturb'")
     if cfg.num_pairs < 1:
         raise ConfigError("num_pairs must be >= 1")
     if cfg.workers < 1:
@@ -271,14 +241,13 @@ def _validate(cfg):
 
 def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
     """Assemble an ExperimentConfig from file, --set overrides and flags."""
-    values = {k: default for k, (_, default) in _SCHEMA.items()}
+    values = {}
     if path:
         for lineno, key, raw in _read_config_lines(path):
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser, _ = _SCHEMA[key]
             try:
-                values[key] = parser(raw)
+                values[key] = _parse(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     for item in overrides:
@@ -286,11 +255,10 @@ def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(raw.strip())
+            values[key] = _parse(key, raw.strip())
         except ValueError as exc:
             raise ConfigError(f"--set {key}: bad value: {exc}")
     if seed is not None:
@@ -299,10 +267,9 @@ def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
         values["out"] = str(out)
     if workers is not None:
         values["workers"] = int(workers)
-    if not values["out"]:
+    if not values.get("out"):
         values["out"] = os.environ.get("GENPRIOR_OUT", "out")
-    cfg = ExperimentConfig(**{f.name: values[f.name] for f in fields(ExperimentConfig)})
-    return _validate(cfg)
+    return _validate(ExperimentConfig(**values))
 
 
 def _read_config_lines(path):

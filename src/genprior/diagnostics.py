@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import forward
-from .numerics import as_matrix, as_vector
+from .numerics import _check_orthonormal, as_matrix, as_vector
 from .objectives import true_gradient, value
 
 __all__ = [
@@ -47,15 +47,12 @@ class SrecEstimate:
     """Sampled restricted eigenvalue bounds for A over range differences.
 
     gamma is the smallest observed ||A d||^2 / ||d||^2, rho the largest
-    observed ||A d|| / ||d||, over pairs d = x1 - x2 of range points; the
-    slack term of the restricted condition is folded into downstream
-    convergence-rate floors and kept at 0 here.
+    observed ||A d|| / ||d||, over pairs d = x1 - x2 of range points.
     """
 
     gamma: float
     rho: float
     pairs_used: int
-    slack: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -197,10 +194,8 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1, columns=None):
     ``columns`` when given) and maximizes |<u - u', v - v'>| / norms over
     all combinations of one range pair with one sparse pair.
     """
-    b = as_matrix(b, "B")
+    b = _check_orthonormal(b)
     n = b.shape[0]
-    if np.max(np.abs(b.T @ b - np.eye(n))) > 1e-8:
-        raise ValueError("basis is not orthonormal to tolerance 1e-8")
     num_samples = int(num_samples)
     if num_samples < 1:
         raise ValueError("need at least one sample")

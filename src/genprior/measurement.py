@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import as_matrix, as_vector
 
@@ -59,13 +58,19 @@ class Observation:
     z_star: np.ndarray | None = None
 
 
+def _sigmoid(u):
+    """Logistic function 1 / (1 + e^{-u}); exp overflow for u << 0 gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
 def apply_link(link, u):
     if link == "linear":
         return u
     if link == "sinusoid":
         return u + np.sin(u)
     if link == "sigmoid":
-        return expit(u)
+        return _sigmoid(u)
     if link == "magnitude":
         return np.abs(u)
     raise ValueError(f"unknown link {link!r}")

@@ -23,9 +23,10 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "gaussian_matrix",
-    "matvec",
-    "matvec_adjoint",
 ]
+
+# Largest |B.T B - I| entry accepted from an orthonormal basis.
+_ORTHO_TOL = 1e-8
 
 
 class RngStream:
@@ -107,23 +108,11 @@ def gaussian_matrix(m, n, variance, rng):
     return np.sqrt(variance) * rng.standard_normal((m, n))
 
 
-def matvec(a, x):
-    """Dense product A @ x with explicit dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"matvec dimension mismatch: A is {a.shape}, x has length {x.shape}"
-        )
-    return a @ x
-
-
-def matvec_adjoint(a, r):
-    """Dense product A.T @ r with explicit dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if a.ndim != 2 or r.ndim != 1 or a.shape[0] != r.shape[0]:
-        raise ValueError(
-            f"matvec_adjoint dimension mismatch: A is {a.shape}, r has length {r.shape}"
-        )
-    return a.T @ r
+def _check_orthonormal(b):
+    """Coerce to a finite square matrix with orthonormal columns."""
+    b = as_matrix(b, "B")
+    if b.shape[0] != b.shape[1]:
+        raise ValueError(f"basis must be square, got {b.shape}")
+    if np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) > _ORTHO_TOL:
+        raise ValueError(f"basis is not orthonormal to tolerance {_ORTHO_TOL:g}")
+    return b

@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
-from .measurement import MeasurementModel
+from .measurement import MeasurementModel, _sigmoid
 from .numerics import as_vector
 
 __all__ = [
@@ -151,7 +150,7 @@ def gradient(obj, x):
     if obj.kind == "squared":
         return a.T @ (u - obj.y)
     if obj.kind == "sim_sigmoid":
-        return a.T @ (expit(u) - obj.y) / obj.model.num_measurements
+        return a.T @ (_sigmoid(u) - obj.y) / obj.model.num_measurements
     if obj.kind == "sinusoid_l2":
         return a.T @ ((1.0 + np.cos(u)) * (u + np.sin(u) - obj.y))
     # phase_corrected

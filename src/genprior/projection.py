@@ -29,11 +29,7 @@ INIT_MODES = ("zero", "random", "warm")
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Inner-loop control for the projection oracle.
-
-    ``tolerance`` is the slack the caller is prepared to attribute to the
-    oracle; it is carried for reporting only and never enforced.
-    """
+    """Inner-loop control for the projection oracle."""
 
     inner_steps: int = 200
     inner_rate: float = 0.01
@@ -42,7 +38,6 @@ class ProjectionConfig:
     # gradient at z = 0, so a zero start can never leave the origin.
     init: str = "random"
     warm_z: np.ndarray | None = None
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.inner_steps < 1:
@@ -55,8 +50,6 @@ class ProjectionConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init == "warm" and self.warm_z is None:
             raise ValueError("init='warm' needs warm_z")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
 
 
 @dataclass(frozen=True)

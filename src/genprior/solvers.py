@@ -1,17 +1,20 @@
 """Projected-gradient solvers and latent-descent baselines.
 
-Four alternating solvers share the same skeleton: a gradient step on the
-data-fit loss followed by (approximate) projection back onto the feasible
-set, starting from zero:
+Every projected solver runs one loop, ``_projected_descent``: a gradient
+step on the data-fit loss, then an approximate projection back onto the
+feasible set, x <- P(x - eta * gradient(x)).  The solvers differ only in
+what they hand that loop:
 
-* ``pgd_linear``      linear measurements, squared loss;
+* ``pgd_linear``      the squared loss of linear measurements;
 * ``eps_pgd``         any smooth objective (the linear solver is its
                       squared-loss special case);
-* ``phase_pgd``       magnitude-only measurements with a per-iteration
-                      phase re-estimate p = sign(Ax) (sign(0) = +1);
-* ``myopic_eps_pgd``  target split into a range component and a component
-                      sparse in an ortho-basis; both blocks step with the
-                      same gradient before their respective projections.
+* ``phase_pgd``       the ``phase_corrected`` loss of magnitude-only
+                      measurements, a start point, and a hook that re-binds
+                      the phase p = sign(Ax) (sign(0) = +1) to each iterate;
+* ``myopic_eps_pgd``  a sparse block: the feasible set becomes Range(G) plus
+                      the vectors l-sparse in an ortho-basis B, and both
+                      blocks step with the same gradient before their
+                      respective projections.
 
 Two latent-space descent baselines, ``csgm_baseline`` (squared loss) and
 ``dpr_baseline`` (magnitude loss), optimize over z directly.
@@ -19,7 +22,9 @@ Two latent-space descent baselines, ``csgm_baseline`` (squared loss) and
 Every solver emits a :class:`SolveTrace` with one record per iterate
 (including the initial point) and is bitwise deterministic given its inputs
 and config.  The projection carries its latent warm start from one outer
-iteration to the next.
+iteration to the next.  A diverged step (non-finite gradient step, or a
+projection that found no finite range point) holds the iterate and records
+``proj_residual = NaN``.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ import numpy as np
 
 from .generator import forward, latent_gradient, sample_range
 from .measurement import MeasurementModel
-from .numerics import RngStream, as_matrix, as_vector
-from .objectives import Objective, gradient, value
+from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
+from .objectives import Objective, gradient, objective_for, rebind_phase, value
 from .projection import ProjectionConfig, project
 
 __all__ = [
     "SolverConfig",
     "SolveTrace",
-    "SparseInnovation",
     "pgd_linear",
     "eps_pgd",
     "phase_pgd",
@@ -134,33 +138,56 @@ def _warm(proj_cfg, z_prev):
     return replace(proj_cfg, init="warm", warm_z=z_prev)
 
 
-def _projected_descent(obj, net, cfg):
-    """Shared loop: x <- P_G(x - eta * gradient(x)), from x0 = 0."""
+def _projected_descent(obj, net, cfg, x0=None, rebind=None, sparse=None):
+    """The one outer loop: x <- P(x - eta * gradient(x)), from x0 (default 0).
+
+    P projects onto Range(G); with ``sparse = (B, l)`` the feasible set is
+    Range(G) + {l-sparse in B}, the iterate is split as x = u + v, and both
+    blocks step with the same gradient before u is projected and v is
+    hard-thresholded.  ``rebind(obj, x) -> (obj, phase_flips)`` re-binds the
+    objective to each new iterate.  A step whose gradient step or projection
+    is not finite holds the iterate and records proj_residual = NaN.
+    """
     n = net.output_dim
-    x = np.zeros(n)
+    u = np.zeros(n) if x0 is None else x0
+    v = None if sparse is None else np.zeros(n)
+    x = u if v is None else u + v
     z_prev = None
     rng = RngStream(cfg.seed)
     tb = _TraceBuilder(cfg.ground_truth)
-    tb.add(value(obj, x), x)
+    flips = np.nan if rebind is None else 0.0
+    tb.add(value(obj, x), x, phase_flips=flips)
+    u_hist, v_hist = [u], [v]
     inner = 0
     for _ in range(cfg.outer_steps):
-        w = x - cfg.step_size * gradient(obj, x)
-        if np.all(np.isfinite(w)):
-            res = project(net, w, _warm(cfg.projection, z_prev), rng)
-            x, z_prev = res.x_proj, res.z_hat
+        step = cfg.step_size * gradient(obj, x)
+        wu = u - step
+        wv = None if v is None else v - step
+        residual = np.nan  # stays NaN on a held (diverged) step
+        if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
+            res = project(net, wu, _warm(cfg.projection, z_prev), rng)
             inner += cfg.projection.restarts * cfg.projection.inner_steps
-            residual = res.residual
-        else:
-            residual = np.nan  # diverged step; hold the iterate, keep the trace finite
-        tb.add(value(obj, x), x, proj_residual=residual)
-    return x, tb.build(x, z_prev, inner)
+            if res.x_proj is not None:
+                u, z_prev, residual = res.x_proj, res.z_hat, res.residual
+                if v is not None:
+                    v = _thresh(wv, *sparse)
+                x = u if v is None else u + v
+        if rebind is not None:
+            obj, flips = rebind(obj, x)
+        tb.add(value(obj, x), x, proj_residual=residual, phase_flips=flips)
+        u_hist.append(u)
+        v_hist.append(v)
+    extras = {} if sparse is None else {"u": np.asarray(u_hist),
+                                        "v": np.asarray(v_hist)}
+    return tb.build(x, z_prev, inner, extras)
 
 
 def eps_pgd(obj, net, cfg):
     """Projected gradient descent on a smooth objective over Range(G)."""
     if obj.kind == "phase_corrected":
         raise ValueError("eps_pgd does not handle phase_corrected; use phase_pgd")
-    return _projected_descent(obj, net, cfg)
+    trace = _projected_descent(obj, net, cfg)
+    return trace.x_hat, trace
 
 
 def pgd_linear(y, a, net, cfg):
@@ -171,59 +198,42 @@ def pgd_linear(y, a, net, cfg):
     """
     obj = Objective(model=MeasurementModel(matrix=a, link="linear"),
                     y=y, kind="squared")
-    return _projected_descent(obj, net, cfg)
+    trace = _projected_descent(obj, net, cfg)
+    return trace.x_hat, trace
 
 
 def phase_pgd(y, a, net, cfg, x0, phase_override=None):
     """Alternating phase estimation and projected descent for y = |A x*|.
 
-    Each iteration estimates p = sign(Ax), takes the phase-corrected
-    gradient step w = x + eta * A.T (y*p - Ax) and projects.  The recorded
-    objective is ||y*p - Ax||^2 with the current phase estimate, i.e. the
-    phaseless misfit sum (y_i - |(Ax)_i|)^2.
+    Runs the projected-descent loop on the ``phase_corrected`` objective
+    ||y*p - Ax||^2, re-binding p = sign(Ax) to every new iterate, so the
+    gradient step is w = x + eta * A.T (y*p - Ax) and the recorded objective
+    is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
 
     ``phase_override`` pins the phase vector for every iteration (bypassing
     the sign re-estimate); with the true phase this reduces the algorithm
     to the linear solver on y*p.  Intended for tests and diagnostics.
     """
     y = as_vector(y, "y")
-    a = as_matrix(a, "A")
     if np.any(y < 0):
         raise ValueError("magnitude observations must be entrywise nonnegative")
-    x = as_vector(x0, "x0").copy()
-    if x.shape[0] != net.output_dim:
+    x0 = as_vector(x0, "x0").copy()
+    if x0.shape[0] != net.output_dim:
         raise ValueError("x0 length does not match generator output dim")
-    if phase_override is not None:
-        phase_override = as_vector(phase_override, "phase_override")
+    model = MeasurementModel(matrix=a, link="magnitude")
+    pinned = None if phase_override is None else as_vector(phase_override,
+                                                           "phase_override")
 
-    def current_phase(xv):
-        if phase_override is not None:
-            return phase_override
-        return sign_pm(a @ xv)
+    def phase_of(x):
+        return sign_pm(model.matrix @ x) if pinned is None else pinned
 
-    rng = RngStream(cfg.seed)
-    tb = _TraceBuilder(cfg.ground_truth)
-    z_prev = None
-    inner = 0
+    def rebind(obj, x):
+        p = phase_of(x)
+        return rebind_phase(obj, p), float(np.sum(p != obj.phase))
 
-    p = current_phase(x)
-    r = y * p - a @ x
-    tb.add(float(r @ r), x, phase_flips=0.0)
-    for _ in range(cfg.outer_steps):
-        w = x + cfg.step_size * (a.T @ (y * p - a @ x))
-        if np.all(np.isfinite(w)):
-            res = project(net, w, _warm(cfg.projection, z_prev), rng)
-            x, z_prev = res.x_proj, res.z_hat
-            inner += cfg.projection.restarts * cfg.projection.inner_steps
-            residual = res.residual
-        else:
-            residual = np.nan
-        p_new = current_phase(x)
-        flips = float(np.sum(p_new != p))
-        p = p_new
-        r = y * p - a @ x
-        tb.add(float(r @ r), x, proj_residual=residual, phase_flips=flips)
-    return x, tb.build(x, z_prev, inner)
+    obj = objective_for(model, y, phase=phase_of(x0))
+    trace = _projected_descent(obj, net, cfg, x0=x0, rebind=rebind)
+    return trace.x_hat, trace
 
 
 def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
@@ -256,30 +266,9 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
     raise ValueError(f"unknown phase_init strategy {strategy!r}")
 
 
-def _check_orthonormal(b, tol=1e-8):
-    b = as_matrix(b, "B")
-    if b.shape[0] != b.shape[1]:
-        raise ValueError(f"basis must be square, got {b.shape}")
-    gram = b.T @ b
-    if np.max(np.abs(gram - np.eye(b.shape[0]))) > tol:
-        raise ValueError("basis is not orthonormal to tolerance 1e-8")
-    return b
-
-
-def thresh_in_basis(w, b, l):
-    """Keep the l largest-magnitude coefficients of w in basis B.
-
-    Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
-    the lowest index), and returns B c.  l >= n returns w unchanged.
-    """
-    w = as_vector(w, "w")
-    b = _check_orthonormal(b)
+def _thresh(w, b, l):
+    """thresh_in_basis without the argument checks (solver inner loop)."""
     n = w.shape[0]
-    if b.shape[0] != n:
-        raise ValueError("basis size does not match vector length")
-    l = int(l)
-    if l < 0:
-        raise ValueError("sparsity level must be nonnegative")
     if l >= n:
         return w.copy()
     if l == 0:
@@ -291,27 +280,24 @@ def thresh_in_basis(w, b, l):
     return b @ kept
 
 
-@dataclass(frozen=True)
-class SparseInnovation:
-    """Sparse-in-basis component: v with ||B.T v||_0 <= sparsity."""
+def _check_basis(b, n, l):
+    b = _check_orthonormal(b)
+    if b.shape[0] != n:
+        raise ValueError(f"basis size {b.shape[0]} does not match length {n}")
+    l = int(l)
+    if l < 0:
+        raise ValueError("sparsity level must be nonnegative")
+    return b, l
 
-    v: np.ndarray
-    basis: np.ndarray
-    sparsity: int
 
-    def __post_init__(self):
-        v = as_vector(self.v, "v")
-        b = _check_orthonormal(self.basis, tol=1e-10)
-        if v.shape[0] != b.shape[0]:
-            raise ValueError("innovation length does not match basis size")
-        coeffs = b.T @ v
-        nnz = int(np.sum(np.abs(coeffs) > 1e-12))
-        if nnz > self.sparsity:
-            raise ValueError(
-                f"innovation has {nnz} nonzero coefficients, exceeds {self.sparsity}"
-            )
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "basis", b)
+def thresh_in_basis(w, b, l):
+    """Keep the l largest-magnitude coefficients of w in basis B.
+
+    Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
+    the lowest index), and returns B c.  l >= n returns w unchanged.
+    """
+    w = as_vector(w, "w")
+    return _thresh(w, *_check_basis(b, w.shape[0], l))
 
 
 def myopic_eps_pgd(obj, net, b, l, cfg):
@@ -323,38 +309,9 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     v_t - eta*grad in B.  Returns (x_hat, u_hat, v_hat, trace); the trace
     extras carry the per-iteration u and v blocks.
     """
-    b = _check_orthonormal(b)
-    n = net.output_dim
-    if b.shape[0] != n:
-        raise ValueError("basis size does not match generator output dim")
-    u = np.zeros(n)
-    v = np.zeros(n)
-    x = np.zeros(n)
-    z_prev = None
-    rng = RngStream(cfg.seed)
-    tb = _TraceBuilder(cfg.ground_truth)
-    tb.add(value(obj, x), x)
-    u_hist, v_hist = [u.copy()], [v.copy()]
-    inner = 0
-    for _ in range(cfg.outer_steps):
-        g = gradient(obj, x)
-        wu = u - cfg.step_size * g
-        wv = v - cfg.step_size * g
-        if np.all(np.isfinite(wu)) and np.all(np.isfinite(wv)):
-            res = project(net, wu, _warm(cfg.projection, z_prev), rng)
-            u, z_prev = res.x_proj, res.z_hat
-            inner += cfg.projection.restarts * cfg.projection.inner_steps
-            v = thresh_in_basis(wv, b, l)
-            x = u + v
-            residual = res.residual
-        else:
-            residual = np.nan  # diverged step; hold the blocks
-        tb.add(value(obj, x), x, proj_residual=residual)
-        u_hist.append(u.copy())
-        v_hist.append(v.copy())
-    trace = tb.build(x, z_prev, inner,
-                     extras={"u": np.asarray(u_hist), "v": np.asarray(v_hist)})
-    return x, u, v, trace
+    sparse = _check_basis(b, net.output_dim, l)
+    trace = _projected_descent(obj, net, cfg, sparse=sparse)
+    return trace.x_hat, trace.extras["u"][-1], trace.extras["v"][-1], trace
 
 
 def _latent_descent(net, steps, rate, rng, x_star, z0, cotangent_fn, loss_fn):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import genprior
 from genprior import MeasurementModel, RngStream, observe, observe_noisy
 
 
@@ -81,3 +87,14 @@ def test_negative_noise_std_rejected():
     model = MeasurementModel(matrix=np.eye(2), link="linear")
     with pytest.raises(ValueError):
         observe_noisy(model, np.ones(2), -0.1, RngStream(0))
+
+
+def test_import_does_not_load_scipy():
+    # The sigmoid link is plain numpy; importing the package must not pull
+    # in scipy (it used to dominate the import time).
+    src = str(Path(genprior.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, genprior; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

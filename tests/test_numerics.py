@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genprior import RngStream, gaussian_matrix, matvec, matvec_adjoint
+from genprior import RngStream, gaussian_matrix
 
 
 def test_zero_variance_gives_zero_matrix():
@@ -40,46 +40,3 @@ def test_derived_streams_are_stable_and_distinct():
     d1_again = RngStream(5).derive(1).standard_normal(8)
     assert np.array_equal(d1, d1_again)
     assert not np.array_equal(d1, d2)
-
-
-def test_matvec_identity_and_zero():
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), x), x)
-    assert np.array_equal(matvec(np.zeros((4, 3)), x), np.zeros(4))
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.ones(4))
-    with pytest.raises(ValueError):
-        matvec_adjoint(np.eye(3), np.ones(4))
-
-
-def test_adjoint_against_double_loop_oracle():
-    rng = RngStream(21)
-    a = rng.standard_normal((5, 4))
-    x = rng.standard_normal(4)
-    ata_x = matvec_adjoint(a, matvec(a, x))
-    # Brute-force A^T A x entry by entry.
-    expected = np.zeros(4)
-    for j in range(4):
-        for i in range(5):
-            inner = 0.0
-            for jj in range(4):
-                inner += a[i, jj] * x[jj]
-            expected[j] += a[i, j] * inner
-    assert np.max(np.abs(ata_x - expected)) < 1e-12
-
-
-def test_adjoint_inner_product_identity():
-    # <Ax, r> == <x, A^T r> over many random shapes and draws.
-    rng = RngStream(33)
-    for trial in range(25):
-        m = int(rng.integers(1, 12))
-        n = int(rng.integers(1, 12))
-        a = rng.standard_normal((m, n))
-        x = rng.standard_normal(n)
-        r = rng.standard_normal(m)
-        lhs = float(matvec(a, x) @ r)
-        rhs = float(x @ matvec_adjoint(a, r))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)

@@ -343,6 +343,8 @@ def test_myopic_zero_sparsity_reduces_to_eps_pgd(desk_net):
     assert np.max(np.abs(v)) == 0.0
     assert np.max(np.abs(x_eps - x_myo)) <= 1e-12
     assert np.max(np.abs(t_eps.objective - t_myo.objective)) <= 1e-12
+    with pytest.raises(ValueError, match="sparsity level"):
+        myopic_eps_pgd(obj, desk_net, np.eye(desk_net.output_dim), -1, cfg)
 
 
 def test_myopic_planted_support_recovery_single_seed():
@@ -469,15 +471,27 @@ def test_solver_config_validation():
         SolverConfig(step_size=0.0)
 
 
-def test_sparse_innovation_type_validates():
-    from genprior import SparseInnovation
-    v = np.zeros(6)
-    v[2], v[4] = 1.5, -2.0
-    inn = SparseInnovation(v=v, basis=np.eye(6), sparsity=2)
-    assert np.array_equal(inn.v, v)
-    with pytest.raises(ValueError):
-        SparseInnovation(v=v, basis=np.eye(6), sparsity=1)
-    skew = np.eye(6)
-    skew[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        SparseInnovation(v=v, basis=skew, sparsity=2)
+# --- divergence guard ---------------------------------------------------
+
+
+@pytest.mark.parametrize("solver", ["pgd_linear", "phase_pgd", "myopic_eps_pgd"])
+def test_diverged_projection_holds_iterate(desk_net, solver):
+    # eta = 1e300 keeps the gradient step finite, but every range point is
+    # ~1e300 away from it, so the projection finds no finite residual.  The
+    # solver must hold the iterate and mark the step, not fail.
+    _, x_star, a, y = planted_linear(desk_net, 64, seed=16)
+    cfg = desk_cfg(16, x_star, eta=1e300, outer=3, inner=5)
+    x0 = np.zeros(desk_net.output_dim)
+    if solver == "pgd_linear":
+        x_hat, trace = pgd_linear(y, a, desk_net, cfg)
+    elif solver == "phase_pgd":
+        x_hat, trace = phase_pgd(np.abs(y), a, desk_net, cfg, x0)
+    else:
+        obj = objective_for(MeasurementModel(matrix=a, link="linear"), y)
+        x_hat, _, _, trace = myopic_eps_pgd(obj, desk_net,
+                                            np.eye(desk_net.output_dim), 5, cfg)
+    assert np.all(np.isfinite(x_hat))
+    assert np.array_equal(x_hat, x0)
+    assert len(trace) == 4
+    assert np.all(np.isnan(trace.proj_residual[1:]))
+    assert np.all(trace.objective == trace.objective[0])

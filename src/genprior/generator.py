@@ -66,6 +66,11 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        # Read-only copies: one net is shared by every solve and sweep
+        # worker, and a copy leaves the caller's arrays writable.
+        w, b = w.copy(), b.copy()
+        w.setflags(write=False)
+        b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -127,6 +132,38 @@ def _apply_activation(name, u):
     return u
 
 
+def _forward_cached(net, z):
+    """The forward layer loop: G(z) and the output of every layer.
+
+    ``h @ W.T`` serves single latents and batches alike; for a single latent
+    it gives the same bits as ``W @ h``.  The cached layer outputs are the
+    inputs of the next layer, so caching them holds no extra memory.
+    """
+    acts = []
+    h = z
+    for layer in net.layers:
+        h = _apply_activation(layer.activation, h @ layer.weights.T + layer.bias)
+        acts.append(h)
+    return h, acts
+
+
+def _backward(net, acts, cotangent):
+    """The backward layer loop: the latent gradient of <cotangent, G(z)>,
+    given the layer outputs ``acts`` that ``_forward_cached`` cached at z.
+
+    The activation derivatives are read off the outputs: relu'(u) = [h > 0]
+    and tanh'(u) = 1 - h^2.
+    """
+    g = cotangent
+    for layer, h in zip(reversed(net.layers), reversed(acts)):
+        if layer.activation == "relu":
+            g = g * (h > 0.0)
+        elif layer.activation == "tanh":
+            g = g * (1.0 - h ** 2)
+        g = layer.weights.T @ g
+    return g
+
+
 def forward(net, z):
     """Evaluate the generator at ``z``.
 
@@ -141,10 +178,7 @@ def forward(net, z):
         raise ValueError(
             f"latent length {h.shape[-1]} does not match generator k={net.latent_dim}"
         )
-    for layer in net.layers:
-        h = h @ layer.weights.T + layer.bias
-        h = _apply_activation(layer.activation, h)
-    return h
+    return _forward_cached(net, h)[0]
 
 
 def latent_gradient(net, z, cotangent):
@@ -162,21 +196,7 @@ def latent_gradient(net, z, cotangent):
         raise ValueError(
             f"latent length {z.shape[0]} does not match generator k={net.latent_dim}"
         )
-    # Forward pass, keeping pre-activations for the backward sweep.
-    pre = []
-    h = z
-    for layer in net.layers:
-        u = layer.weights @ h + layer.bias
-        pre.append(u)
-        h = _apply_activation(layer.activation, u)
-    # Backward sweep.
-    for layer, u in zip(reversed(net.layers), reversed(pre)):
-        if layer.activation == "relu":
-            g = g * (u > 0.0)
-        elif layer.activation == "tanh":
-            g = g * (1.0 - np.tanh(u) ** 2)
-        g = layer.weights.T @ g
-    return g
+    return _backward(net, _forward_cached(net, z)[1], g)
 
 
 def sample_range(net, rng, unit_norm=False):
@@ -257,8 +277,7 @@ def load_weights(path):
         off += nw * 8
         b = np.frombuffer(data, dtype="<f8", count=out_dim, offset=off)
         off += out_dim * 8
-        layers.append(Layer(weights=w.copy(), bias=b.copy(),
-                            activation=_TAG_ACT[tag]))
+        layers.append(Layer(weights=w, bias=b, activation=_TAG_ACT[tag]))
     if off != len(data):
         raise ValueError(f"{path}: {len(data) - off} trailing bytes after last layer")
     return GeneratorNet(layers=tuple(layers))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import forward, latent_gradient
+from .generator import _backward, _forward_cached, forward
 from .numerics import as_vector
 
 __all__ = [
@@ -71,7 +71,8 @@ def project(net, x, cfg, rng):
     supplied warm latent); every further restart starts from an
     independent N(0, I_k) draw.  Ties in residual resolve to the lowest
     restart index, then to the earliest iterate, so the result is
-    deterministic given (rng state, cfg).
+    deterministic given (rng state, cfg).  Raises ``ValueError`` when no
+    iterate of any restart lies at a finite distance from ``x``.
     """
     x = as_vector(x, "x")
     if x.shape[0] != net.output_dim:
@@ -83,26 +84,30 @@ def project(net, x, cfg, rng):
     best_res = np.inf
     best_z = None
     best_gx = None
-    for restart in range(cfg.restarts):
-        if restart == 0 and cfg.init == "zero":
-            z = np.zeros(k)
-        elif restart == 0 and cfg.init == "warm":
-            z = as_vector(cfg.warm_z, "warm_z").copy()
-        else:
-            z = rng.standard_normal(k)
-        gx = forward(net, z)
-        res = _residual(x, gx)
-        if res < best_res:
-            best_res, best_z, best_gx = res, z.copy(), gx
-        for _ in range(cfg.inner_steps):
-            grad_z = latent_gradient(net, z, 2.0 * (gx - x))
-            z = z - cfg.inner_rate * grad_z
-            gx = forward(net, z)
-            if not np.all(np.isfinite(gx)):
-                break  # diverged; the best seen so far stands
-            res = _residual(x, gx)
-            if res < best_res:
-                best_res, best_z, best_gx = res, z.copy(), gx
+    # A diverging restart overflows (then meets inf - inf) before the
+    # finiteness check below drops it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for restart in range(cfg.restarts):
+            if restart == 0 and cfg.init == "zero":
+                z = np.zeros(k)
+            elif restart == 0 and cfg.init == "warm":
+                z = as_vector(cfg.warm_z, "warm_z").copy()
+            else:
+                z = rng.standard_normal(k)
+            for step in range(cfg.inner_steps + 1):
+                if step:
+                    z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
+                gx, acts = _forward_cached(net, z)
+                if not np.all(np.isfinite(gx)):
+                    break  # diverged; the best seen so far stands
+                res = _residual(x, gx)
+                if res < best_res:
+                    best_res, best_z, best_gx = res, z.copy(), gx
+    if best_z is None:
+        raise ValueError(
+            "projection found no range point at a finite distance from x "
+            "(x too large, or inner_rate diverges)"
+        )
     return ProjectionResult(z_hat=best_z, x_proj=best_gx, residual=best_res)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .generator import forward, latent_gradient, sample_range
+from .generator import _backward, _forward_cached, sample_range
 from .measurement import MeasurementModel
 from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
 from .objectives import Objective, gradient, objective_for, rebind_phase, value
@@ -165,9 +165,12 @@ def _projected_descent(obj, net, cfg, x0=None, rebind=None, sparse=None):
         wv = None if v is None else v - step
         residual = np.nan  # stays NaN on a held (diverged) step
         if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
-            res = project(net, wu, _warm(cfg.projection, z_prev), rng)
             inner += cfg.projection.restarts * cfg.projection.inner_steps
-            if res.x_proj is not None:
+            try:
+                res = project(net, wu, _warm(cfg.projection, z_prev), rng)
+            except ValueError:
+                pass  # no finite range point: hold the iterate
+            else:
                 u, z_prev, residual = res.x_proj, res.z_hat, res.residual
                 if v is not None:
                     v = _thresh(wv, *sparse)
@@ -314,24 +317,31 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     return trace.x_hat, trace.extras["u"][-1], trace.extras["v"][-1], trace
 
 
-def _latent_descent(net, steps, rate, rng, x_star, z0, cotangent_fn, loss_fn):
-    """Plain gradient descent over z; cotangent_fn maps G(z) to the signal-
-    space gradient of the loss, which backpropagates through the net."""
+def _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot):
+    """Plain gradient descent over z; loss_and_cot maps G(z) to the loss and
+    its signal-space gradient, which backpropagates through the net."""
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
     z = rng.standard_normal(net.latent_dim) if z0 is None else as_vector(z0, "z0").copy()
-    gx = forward(net, z)
+    gx, acts = _forward_cached(net, z)
+    loss, cot = loss_and_cot(gx)
     tb = _TraceBuilder(x_star)
-    tb.add(loss_fn(gx), gx)
-    for _ in range(int(steps)):
-        gz = latent_gradient(net, z, cotangent_fn(gx))
-        z_next = z - rate * gz
-        gx_next = forward(net, z_next)
-        if np.all(np.isfinite(gx_next)) and np.isfinite(loss_fn(gx_next)):
-            z, gx = z_next, gx_next
-        # else: diverged; freeze at the last finite iterate so the trace
-        # stays finite and non-convergence shows up in the data.
-        tb.add(loss_fn(gx), gx)
+    tb.add(loss, gx)
+    # A diverging step overflows (then meets inf - inf) before the
+    # finiteness checks below hold it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(steps)):
+            z_next = z - rate * _backward(net, acts, cot)
+            gx_next, acts_next = _forward_cached(net, z_next)
+            if np.all(np.isfinite(gx_next)):
+                loss_next, cot_next = loss_and_cot(gx_next)
+                if np.isfinite(loss_next):
+                    z, gx, acts = z_next, gx_next, acts_next
+                    loss, cot = loss_next, cot_next
+            # A diverged step is not taken: the iterate freezes at the last
+            # finite one, so the trace stays finite and non-convergence
+            # shows up in the data.
+            tb.add(loss, gx)
     return gx, tb.build(gx, z, int(steps))
 
 
@@ -340,14 +350,12 @@ def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     a = as_matrix(a, "A")
     y = as_vector(y, "y")
 
-    def cot(gx):
-        return a.T @ (2.0 * (a @ gx - y))
+    def loss_and_cot(gx):
+        u = a @ gx
+        r = y - u
+        return float(r @ r), a.T @ (2.0 * (u - y))
 
-    def loss(gx):
-        r = y - a @ gx
-        return float(r @ r)
-
-    return _latent_descent(net, steps, rate, rng, x_star, z0, cot, loss)
+    return _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot)
 
 
 def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
@@ -360,12 +368,9 @@ def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     if np.any(y < 0):
         raise ValueError("magnitude observations must be entrywise nonnegative")
 
-    def cot(gx):
+    def loss_and_cot(gx):
         u = a @ gx
-        return a.T @ (2.0 * np.sign(u) * (np.abs(u) - y))
+        r = y - np.abs(u)
+        return float(r @ r), a.T @ (2.0 * np.sign(u) * (np.abs(u) - y))
 
-    def loss(gx):
-        r = y - np.abs(a @ gx)
-        return float(r @ r)
-
-    return _latent_descent(net, steps, rate, rng, x_star, z0, cot, loss)
+    return _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot)

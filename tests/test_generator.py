@@ -135,6 +135,19 @@ def test_random_generator_zero_weight_scale_composes_biases():
     assert np.max(np.abs(out_a - expected)) < 1e-15
 
 
+def test_layer_arrays_read_only_copies():
+    w, b = np.ones((3, 2)), np.zeros(3)
+    net = GeneratorNet(layers=(Layer(weights=w, bias=b, activation="relu"),))
+    with pytest.raises(ValueError):
+        net.layers[0].weights[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        net.layers[0].bias[0] = 5.0
+    # The caller's arrays stay writable and are not shared with the layer.
+    w[0, 0] = 5.0
+    b[0] = 5.0
+    assert net.layers[0].weights[0, 0] == 1.0 and net.layers[0].bias[0] == 0.0
+
+
 def test_weight_file_round_trip_bitwise(tmp_path):
     net = random_generator(4, [7, 5], 9, "tanh", RngStream(42), bias_scale=0.3)
     path = tmp_path / "net.gpw"

@@ -116,6 +116,15 @@ def test_result_consistency_fields(desk_net):
     assert res.residual == pytest.approx(float(d @ d), rel=1e-12)
 
 
+def test_project_raises_when_no_finite_range_point(desk_net):
+    # Every range point is ~1e300 away: the squared distance overflows for
+    # every iterate of every restart, so there is nothing to return.
+    x = 1e300 * np.ones(desk_net.output_dim)
+    cfg = ProjectionConfig(inner_steps=5, inner_rate=0.05, restarts=2)
+    with pytest.raises(ValueError, match="no range point"):
+        project(desk_net, x, cfg, RngStream(64))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ProjectionConfig(inner_steps=0)

@@ -384,11 +384,17 @@ def resolve_eta(cfg, inst, net, seed):
     return 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta)
 
 
-def run_cell(cfg, net, m, seed, solver):
-    """One (m, seed, solver) run; returns the trace plus summary fields."""
-    inst = build_instance(cfg, net, m, seed)
+def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
+    """One (m, seed, solver) run; returns the trace plus summary fields.
+
+    A caller that already built the instance and resolved the step size
+    for this (m, seed) passes them as ``inst`` and ``eta``.
+    """
+    if inst is None:
+        inst = build_instance(cfg, net, m, seed)
+    if eta is None:
+        eta = resolve_eta(cfg, inst, net, seed)
     obs = inst.observation
-    eta = resolve_eta(cfg, inst, net, seed)
     scfg = _solver_config(cfg, eta, seed, obs.x_star)
     t0 = time.perf_counter()
     if solver == "pgd":
@@ -623,7 +629,8 @@ def cmd_diagnose(cfg):
     report["rho_sq_below_inv_eta"] = window.rho_sq_ok
     report["window_predicted_factor"] = window.predicted_factor
 
-    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0])
+    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], inst=inst,
+                    eta=eta)
     report["solver"] = cell["solver"]
     report["fitted_alpha"] = cell["alpha_fit"]
     report["final_per_pixel_error"] = cell["final_per_pixel_error"]

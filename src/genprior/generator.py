@@ -152,7 +152,9 @@ def _backward(net, acts, cotangent):
     given the layer outputs ``acts`` that ``_forward_cached`` cached at z.
 
     The activation derivatives are read off the outputs: relu'(u) = [h > 0]
-    and tanh'(u) = 1 - h^2.
+    and tanh'(u) = 1 - h^2.  ``g @ W`` serves single cotangents and (batch,
+    n) blocks alike; for a single cotangent it gives the same bits as
+    ``W.T @ g``.
     """
     g = cotangent
     for layer, h in zip(reversed(net.layers), reversed(acts)):
@@ -160,8 +162,20 @@ def _backward(net, acts, cotangent):
             g = g * (h > 0.0)
         elif layer.activation == "tanh":
             g = g * (1.0 - h ** 2)
-        g = layer.weights.T @ g
+        g = g @ layer.weights
     return g
+
+
+def _as_latent(net, z):
+    """``z`` as float64: a single latent (k,) or a batch (batch, k)."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"z must be 1-D or 2-D, got shape {z.shape}")
+    if z.shape[-1] != net.latent_dim:
+        raise ValueError(
+            f"latent length {z.shape[-1]} does not match generator k={net.latent_dim}"
+        )
+    return z
 
 
 def forward(net, z):
@@ -170,31 +184,24 @@ def forward(net, z):
     Accepts a single latent vector of shape (k,) or a batch of shape
     (batch, k); the output has matching leading shape.
     """
-    h = np.asarray(z, dtype=np.float64)
-    batched = h.ndim == 2
-    if not batched and h.ndim != 1:
-        raise ValueError(f"z must be 1-D or 2-D, got shape {h.shape}")
-    if h.shape[-1] != net.latent_dim:
-        raise ValueError(
-            f"latent length {h.shape[-1]} does not match generator k={net.latent_dim}"
-        )
-    return _forward_cached(net, h)[0]
+    return _forward_cached(net, _as_latent(net, z))[0]
 
 
 def latent_gradient(net, z, cotangent):
     """Reverse-mode gradient of <cotangent, G(z)> with respect to z.
 
+    Accepts a single latent (k,) with a cotangent (n,), or a batch (batch,
+    k) with a cotangent block (batch, n); each row is its own gradient.
     The relu derivative at exactly 0 is taken to be 0.
     """
-    z = as_vector(z, "z")
+    z = _as_latent(net, z)
     g = np.asarray(cotangent, dtype=np.float64)
-    if g.ndim != 1 or g.shape[0] != net.output_dim:
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z contains non-finite entries")
+    if g.shape != z.shape[:-1] + (net.output_dim,):
         raise ValueError(
-            f"cotangent length {g.shape} does not match output dim {net.output_dim}"
-        )
-    if z.shape[0] != net.latent_dim:
-        raise ValueError(
-            f"latent length {z.shape[0]} does not match generator k={net.latent_dim}"
+            f"cotangent shape {g.shape} does not match z shape {z.shape} "
+            f"and output dim {net.output_dim}"
         )
     return _backward(net, _forward_cached(net, z)[1], g)
 

@@ -59,9 +59,24 @@ class ProjectionResult:
     residual: float     # ||x - x_proj||^2
 
 
-def _residual(x, gx):
-    d = x - gx
-    return float(d @ d)
+def _start_block(cfg, k, rng):
+    """The (restarts, k) start block: row 0 from cfg.init, the other rows
+    from one N(0, I) draw (the same bits as one draw per restart)."""
+    z = np.empty((cfg.restarts, k))
+    if cfg.init == "zero":
+        z[0] = 0.0
+    elif cfg.init == "warm":
+        warm = as_vector(cfg.warm_z, "warm_z")
+        if warm.shape[0] != k:
+            raise ValueError(
+                f"warm_z length {warm.shape[0]} does not match generator k={k}"
+            )
+        z[0] = warm
+    else:
+        z[0] = rng.standard_normal(k)
+    if cfg.restarts > 1:
+        z[1:] = rng.standard_normal((cfg.restarts - 1, k))
+    return z
 
 
 def project(net, x, cfg, rng):
@@ -69,8 +84,11 @@ def project(net, x, cfg, rng):
 
     Restart 0 starts from cfg.init (zero, a fresh random draw, or the
     supplied warm latent); every further restart starts from an
-    independent N(0, I_k) draw.  Ties in residual resolve to the lowest
-    restart index, then to the earliest iterate, so the result is
+    independent N(0, I_k) draw.  The restarts step together as one
+    (restarts, k) block, one forward and one backward layer sweep per
+    step; each row keeps its own best iterate, and a row whose output
+    goes non-finite drops out for good.  Ties in residual resolve to the
+    lowest restart index, then to the earliest iterate, so the result is
     deterministic given (rng state, cfg).  Raises ``ValueError`` when no
     iterate of any restart lies at a finite distance from ``x``.
     """
@@ -79,36 +97,56 @@ def project(net, x, cfg, rng):
         raise ValueError(
             f"x length {x.shape[0]} does not match generator n={net.output_dim}"
         )
-    k = net.latent_dim
+    z = _start_block(cfg, net.latent_dim, rng)
+    if cfg.restarts == 1:
+        # One restart steps as a vector: 1-D layer ops cost less than
+        # (1, k) ones and give the same bits.
+        z = z[0]
 
-    best_res = np.inf
-    best_z = None
-    best_gx = None
-    # A diverging restart overflows (then meets inf - inf) before the
+    # A row's best stays at inf until it first improves; such rows are
+    # never returned, so their zero iterates are placeholders.
+    best_res = np.full(z.shape[:-1], np.inf)
+    best_z, best_gx = z, np.zeros(z.shape[:-1] + (net.output_dim,))
+    alive = None  # None while every row is finite
+    # A diverging row overflows (then meets inf - inf) before the
     # finiteness check below drops it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for restart in range(cfg.restarts):
-            if restart == 0 and cfg.init == "zero":
-                z = np.zeros(k)
-            elif restart == 0 and cfg.init == "warm":
-                z = as_vector(cfg.warm_z, "warm_z").copy()
-            else:
-                z = rng.standard_normal(k)
-            for step in range(cfg.inner_steps + 1):
-                if step:
-                    z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
-                gx, acts = _forward_cached(net, z)
-                if not np.all(np.isfinite(gx)):
-                    break  # diverged; the best seen so far stands
-                res = _residual(x, gx)
-                if res < best_res:
-                    best_res, best_z, best_gx = res, z.copy(), gx
-    if best_z is None:
+        for step in range(cfg.inner_steps + 1):
+            if step:
+                z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
+            gx, acts = _forward_cached(net, z)
+            d = x - gx
+            res = np.vecdot(d, d)
+            improved = res < best_res
+            if alive is not None:
+                improved = improved & alive
+            # count_nonzero is the cheapest test on a short mask.
+            n_improved = np.count_nonzero(improved)
+            if n_improved == cfg.restarts:
+                # z and gx are new arrays every step: hold references.
+                best_res, best_z, best_gx = res, z, gx
+                continue
+            if np.count_nonzero(np.isfinite(res)) < cfg.restarts:
+                # A non-finite output row is dead from here on; a finite
+                # output can still overflow the residual and live on.
+                finite = np.isfinite(gx).all(axis=-1)
+                alive = finite if alive is None else alive & finite
+                if not alive.any():
+                    break
+            if n_improved:
+                best_res = np.where(improved, res, best_res)
+                best_z = np.where(improved[:, None], z, best_z)
+                best_gx = np.where(improved[:, None], gx, best_gx)
+    best_res, best_z, best_gx = (np.atleast_1d(best_res), np.atleast_2d(best_z),
+                                 np.atleast_2d(best_gx))
+    r = int(np.argmin(best_res))  # the lowest restart wins a tie
+    if not np.isfinite(best_res[r]):
         raise ValueError(
             "projection found no range point at a finite distance from x "
             "(x too large, or inner_rate diverges)"
         )
-    return ProjectionResult(z_hat=best_z, x_proj=best_gx, residual=best_res)
+    return ProjectionResult(z_hat=best_z[r], x_proj=best_gx[r],
+                            residual=float(best_res[r]))
 
 
 def brute_force_project(net, x, grid_bounds, grid_points_per_dim):

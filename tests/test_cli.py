@@ -184,11 +184,15 @@ def test_sweep_rows_and_medians(lin_config, tmp_path):
     assert (out / "timings.txt").exists()
 
 
-def test_sweep_single_cell_matches_solve(lin_config, tmp_path):
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_sweep_single_cell_matches_solve(lin_config, tmp_path, restarts):
     out_solve = tmp_path / "solve"
     out_sweep = tmp_path / "sweep"
-    assert run_cli("solve", "--config", str(lin_config), "--out", str(out_solve)) == 0
-    assert run_cli("sweep", "--config", str(lin_config), "--out", str(out_sweep)) == 0
+    r = ["--set", f"restarts={restarts}"]
+    assert run_cli("solve", "--config", str(lin_config), "--out", str(out_solve),
+                   *r) == 0
+    assert run_cli("sweep", "--config", str(lin_config), "--out", str(out_sweep),
+                   *r) == 0
     summary = (out_solve / "summary.txt").read_text()
     err = summary.split("final_per_pixel_error=")[1].split()[0]
     obj = summary.split("final_objective=")[1].split()[0]
@@ -197,10 +201,12 @@ def test_sweep_single_cell_matches_solve(lin_config, tmp_path):
     assert row[3] == err and row[4] == obj
 
 
-def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path):
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
     out1, out2 = tmp_path / "w1", tmp_path / "w4"
     args = ["--set", "m_list=20,60", "--set", "seeds=0,1",
-            "--set", "solvers=pgd", "--set", "inner_steps=50"]
+            "--set", "solvers=pgd", "--set", "inner_steps=50",
+            "--set", f"restarts={restarts}"]
     assert run_cli("sweep", "--config", str(lin_config), "--out", str(out1),
                    "--workers", "1", *args) == 0
     assert run_cli("sweep", "--config", str(lin_config), "--out", str(out2),
@@ -229,6 +235,26 @@ def test_diagnose_orthonormal_identity_reports_unit_constants(tmp_path):
     assert float(report["gamma_hat"]) == pytest.approx(1.0, abs=1e-10)
     assert float(report["rho_hat"]) == pytest.approx(1.0, abs=1e-10)
     assert report["eta_in_window"] == "True"
+
+
+def test_diagnose_estimates_curvature_once_per_stream(lin_config, tmp_path,
+                                                      monkeypatch):
+    # eta=auto runs one estimate for the step size and one for the report;
+    # the solve reuses the step size instead of estimating it again.
+    import genprior.cli as cli
+
+    calls = []
+    estimate = cli.diag.rsc_rss_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.diag, "rsc_rss_estimate", counted)
+    assert run_cli("diagnose", "--config", str(lin_config), "--out",
+                   str(tmp_path / "d"), "--set", "eta=auto",
+                   "--set", "num_pairs=50", "--set", "outer_steps=2") == 0
+    assert calls == [50, 50]
 
 
 def test_diagnose_reproducible(lin_config, tmp_path):

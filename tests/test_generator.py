@@ -65,6 +65,21 @@ def test_latent_gradient_identity_and_zero_cotangent():
     )
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_latent_gradient_batch_rows_match_single(activation):
+    net = random_net(12, k=4, hidden=(9,), n=7, activation=activation)
+    z = RngStream(1).standard_normal((5, 4))
+    g = RngStream(2).standard_normal((5, 7))
+    batch = latent_gradient(net, z, g)
+    assert batch.shape == (5, 4)
+    for zi, gi, bi in zip(z, g, batch):
+        assert np.allclose(bi, latent_gradient(net, zi, gi), rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError, match="cotangent shape"):
+        latent_gradient(net, z, g[0])
+    with pytest.raises(ValueError, match="cotangent shape"):
+        latent_gradient(net, z[0], g)
+
+
 def _fd_latent_gradient(net, z, g, h=1e-5):
     grad = np.zeros_like(z)
     for j in range(z.shape[0]):

@@ -4,6 +4,8 @@ The references below are the projection and latent-descent loops written
 with the public ``forward`` and ``latent_gradient`` only: every step runs the
 forward pass twice (once inside ``latent_gradient``) and the baselines
 recompute ``A G(z)`` for the cotangent, the acceptance check and the trace.
+A single projection restart steps as a vector; several restarts step
+together as one (restarts, k) block, through the batched public functions.
 The package's loops cache layer outputs and losses instead; the results
 must agree to the bit.  The layer math the two share is checked against
 finite differences in test_generator.py.
@@ -29,31 +31,67 @@ TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
                  "phase_flips")
 
 
+def start_latent(cfg, k, rng):
+    if cfg.init == "zero":
+        return np.zeros(k)
+    if cfg.init == "warm":
+        return as_vector(cfg.warm_z, "warm_z").copy()
+    return rng.standard_normal(k)
+
+
 def two_pass_project(net, x, cfg, rng):
-    k = net.latent_dim
-    best_res, best_z, best_gx = np.inf, None, None
-    for restart in range(cfg.restarts):
-        if restart == 0 and cfg.init == "zero":
-            z = np.zeros(k)
-        elif restart == 0 and cfg.init == "warm":
-            z = as_vector(cfg.warm_z, "warm_z").copy()
-        else:
-            z = rng.standard_normal(k)
+    """One restart, stepped as a vector."""
+    assert cfg.restarts == 1
+    z = start_latent(cfg, net.latent_dim, rng)
+    gx = forward(net, z)
+    d = x - gx
+    best_res, best_z, best_gx = float(d @ d), z.copy(), gx
+    for _ in range(cfg.inner_steps):
+        z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
         gx = forward(net, z)
+        if not np.all(np.isfinite(gx)):
+            break
         d = x - gx
         res = float(d @ d)
         if res < best_res:
             best_res, best_z, best_gx = res, z.copy(), gx
-        for _ in range(cfg.inner_steps):
+    return best_z, best_gx, best_res
+
+
+def block_rows_project(net, x, cfg, rng):
+    """All restarts stepped as one (restarts, k) block; each row's best
+    (residual, z, G(z)) in restart order.  A row whose output goes
+    non-finite is dead from then on and stands in as zeros, so that the
+    public gradient accepts the block."""
+    k = net.latent_dim
+    starts = [start_latent(cfg, k, rng)]
+    starts += [rng.standard_normal(k) for _ in range(cfg.restarts - 1)]
+    z = np.array(starts)
+    alive = np.ones(cfg.restarts, dtype=bool)
+    best = [(np.inf, None, None)] * cfg.restarts
+    gx = forward(net, z)
+    for step in range(cfg.inner_steps + 1):
+        if step:
+            z = np.where(alive[:, None], z, 0.0)
             z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
             gx = forward(net, z)
-            if not np.all(np.isfinite(gx)):
-                break
-            d = x - gx
+        for r in np.flatnonzero(alive):
+            if not np.all(np.isfinite(gx[r])):
+                alive[r] = False
+                continue
+            d = x - gx[r]
             res = float(d @ d)
-            if res < best_res:
-                best_res, best_z, best_gx = res, z.copy(), gx
-    return best_z, best_gx, best_res
+            if res < best[r][0]:
+                best[r] = (res, z[r].copy(), gx[r].copy())
+        if not alive.any():
+            break
+    return best
+
+
+def block_project(net, x, cfg, rng):
+    # min() keeps the first of equal residuals: the lowest restart wins.
+    res, z, gx = min(block_rows_project(net, x, cfg, rng), key=lambda b: b[0])
+    return z, gx, res
 
 
 def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
@@ -96,12 +134,31 @@ def test_project_matches_two_pass_reference(activation, restarts, rate):
         x = RngStream(500 + i).standard_normal(net.output_dim)
         cfg = ProjectionConfig(inner_steps=60, inner_rate=rate, restarts=restarts)
         res = project(net, x, cfg, RngStream(600 + i))
+        reference = two_pass_project if restarts == 1 else block_project
         with np.errstate(over="ignore", invalid="ignore"):
-            z_ref, gx_ref, res_ref = two_pass_project(net, x, cfg,
-                                                      RngStream(600 + i))
+            z_ref, gx_ref, res_ref = reference(net, x, cfg, RngStream(600 + i))
         assert np.array_equal(res.z_hat, z_ref)
         assert np.array_equal(res.x_proj, gx_ref)
         assert res.residual == res_ref
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_block_rows_match_serial_restarts(activation):
+    # GEMM and GEMV sum in different orders, so a block row may drift from
+    # its serial descent in the last bits, and no further.
+    net = random_net(32, k=4, hidden=(16,), n=24, activation=activation)
+    x = RngStream(700).standard_normal(net.output_dim)
+    cfg = ProjectionConfig(inner_steps=60, inner_rate=0.05, restarts=4)
+    rng = RngStream(701)
+    starts = [rng.standard_normal(net.latent_dim) for _ in range(cfg.restarts)]
+    rows = block_rows_project(net, x, cfg, RngStream(701))
+    for start, (res, z, gx) in zip(starts, rows):
+        serial = project(net, x, ProjectionConfig(
+            inner_steps=60, inner_rate=0.05, init="warm", warm_z=start),
+            RngStream(0))
+        assert res == pytest.approx(serial.residual, rel=1e-9)
+        for got, want in ((z, serial.z_hat), (gx, serial.x_proj)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", ["csgm", "dpr"])

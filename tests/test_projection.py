@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from genprior import (
+    GeneratorNet,
+    Layer,
     ProjectionConfig,
     RngStream,
     brute_force_project,
@@ -123,6 +125,33 @@ def test_project_raises_when_no_finite_range_point(desk_net):
     cfg = ProjectionConfig(inner_steps=5, inner_rate=0.05, restarts=2)
     with pytest.raises(ValueError, match="no range point"):
         project(desk_net, x, cfg, RngStream(64))
+
+
+def test_dead_restart_never_counts_again():
+    # G(z) = 1e300 relu(z).  Restart 0 starts at z = 1e9, where G overflows,
+    # so it is dead from step 0; its gradient step lands at z = -inf, where
+    # G = 0 is finite again.  Restart 1 starts below 0 and holds G = 0 at a
+    # finite latent, which must win the tie.
+    net = GeneratorNet(layers=(
+        Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
+        Layer(weights=[[1e300]], bias=[0.0], activation="identity"),
+    ))
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, restarts=2,
+                           init="warm", warm_z=np.array([1e9]))
+    start = RngStream(0).standard_normal((1, 1))[0]
+    assert start[0] < 0.0
+    res = project(net, np.array([1.0]), cfg, RngStream(0))
+    assert np.array_equal(res.z_hat, start)
+    assert res.residual == 1.0
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_project_rejects_warm_z_of_wrong_length(length):
+    net = random_net(1)  # k = 3
+    cfg = ProjectionConfig(inner_steps=5, inner_rate=0.01, init="warm",
+                           warm_z=np.ones(length))
+    with pytest.raises(ValueError, match=f"warm_z length {length} .* k=3"):
+        project(net, np.zeros(net.output_dim), cfg, RngStream(3))
 
 
 def test_config_validation():

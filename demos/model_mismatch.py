@@ -31,8 +31,8 @@ def main():
     x_star = x_range + v_star
 
     a = gp.gaussian_matrix(M, SIGNAL, 1.0 / M, root.derive(1, M))
-    obj = gp.objective_for(gp.MeasurementModel(matrix=a, link="linear"),
-                           a @ x_star)
+    obj = gp.Objective(gp.MeasurementModel(matrix=a, link="linear"),
+                       a @ x_star)
     cfg = gp.SolverConfig(
         outer_steps=T, step_size=ETA,
         projection=gp.ProjectionConfig(inner_steps=T_IN, inner_rate=ETA_IN),

@@ -21,7 +21,7 @@ T, T_IN, ETA_IN = 25, 200, 0.05
 
 def solve(link, eta, net, x_star, a):
     model = gp.MeasurementModel(matrix=a, link=link)
-    obj = gp.objective_for(model, gp.observe(model, x_star))
+    obj = gp.Objective(model, gp.observe(model, x_star))
     cfg = gp.SolverConfig(
         outer_steps=T, step_size=eta,
         projection=gp.ProjectionConfig(inner_steps=T_IN, inner_rate=ETA_IN),
@@ -47,7 +47,7 @@ def main():
     # sigmoid link: curvature-matched step from the restricted smoothness
     # estimate of the loss over range points.
     model = gp.MeasurementModel(matrix=a, link="sigmoid")
-    obj = gp.objective_for(model, gp.observe(model, x_star))
+    obj = gp.Objective(model, gp.observe(model, x_star))
     est = gp.rsc_rss_estimate(obj, net, 100, gp.RngStream(SEED, spawn_key=(903,)))
     eta = 1.0 / est.beta
     _, tr_sig = solve("sigmoid", eta, net, x_star, a)

@@ -52,7 +52,7 @@ def main():
     print(f"fitted factor over F > 1e-8: {fit.alpha_fit:.3f} "
           f"(final per-pixel error {trace.final_per_pixel_error:.2e})")
 
-    obj = gp.objective_for(gp.MeasurementModel(matrix=a, link="linear"), y)
+    obj = gp.Objective(gp.MeasurementModel(matrix=a, link="linear"), y)
     est = gp.rsc_rss_estimate(obj, net, 200, gp.RngStream(SEED, spawn_key=(911,)))
     bound, active = gp.contraction_bound_general(est)
     print(f"\ncurvature constants of the loss over range pairs: "

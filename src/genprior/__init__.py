@@ -16,7 +16,6 @@ from .generator import (
     RangeSample,
     estimate_diameter,
     forward,
-    identity_generator,
     latent_gradient,
     load_weights,
     random_generator,
@@ -28,15 +27,12 @@ from .objectives import (
     GRADIENT_SCALE,
     Objective,
     gradient,
-    objective_for,
     rebind_phase,
-    true_gradient,
     value,
 )
 from .projection import (
     ProjectionConfig,
     ProjectionResult,
-    brute_force_project,
     project,
 )
 from .solvers import (
@@ -62,9 +58,7 @@ from .diagnostics import (
     convergence_rate,
     empirical_srec,
     incoherence_estimate,
-    recon_error,
     rsc_rss_estimate,
-    sign_invariant_dist,
     step_size_window_check,
 )
 

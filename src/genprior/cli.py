@@ -46,7 +46,7 @@ from .generator import (
 )
 from .measurement import MeasurementModel, Observation, observe, observe_noisy
 from .numerics import RngStream, gaussian_matrix
-from .objectives import GRADIENT_SCALE, objective_for
+from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import (
     SolverConfig,
@@ -369,8 +369,8 @@ def _diagnostic_objective(model, y):
     """Objective for curvature probes; magnitude links get a unit phase
     (the quadratic curvature of ||y*p - Ax||^2 does not depend on p)."""
     if model.link == "magnitude":
-        return objective_for(model, y, phase=np.ones(model.num_measurements))
-    return objective_for(model, y)
+        return Objective(model, y, phase=np.ones(model.num_measurements))
+    return Objective(model, y)
 
 
 def resolve_eta(cfg, inst, net, seed):
@@ -400,7 +400,7 @@ def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
     if solver == "pgd":
         _, trace = pgd_linear(obs.y, obs.model.matrix, net, scfg)
     elif solver == "eps_pgd":
-        obj = objective_for(obs.model, obs.y)
+        obj = Objective(obs.model, obs.y)
         _, trace = eps_pgd(obj, net, scfg)
     elif solver == "phase_pgd":
         init_rng = RngStream(seed, spawn_key=(904,))
@@ -413,7 +413,7 @@ def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
                             strategy="best_of_samples", count=cfg.phase_init_count)
         _, trace = phase_pgd(obs.y, obs.model.matrix, net, scfg, x0)
     elif solver == "myopic":
-        obj = objective_for(obs.model, obs.y)
+        obj = Objective(obs.model, obs.y)
         _, _, _, trace = myopic_eps_pgd(obj, net, inst.basis, cfg.sparsity, scfg)
     elif solver == "csgm":
         _, trace = csgm_baseline(obs.y, obs.model.matrix, net, cfg.csgm_steps,

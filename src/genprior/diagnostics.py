@@ -8,9 +8,9 @@ therefore optimistic: adding pairs can only shrink the lower constants and
 grow the upper ones.
 
 Curvature estimates pair the reported loss value with its exact gradient
-(``true_gradient``), not with the solvers' rescaled step direction, so
-quadratic losses come out with their textbook constants (e.g. both
-constants equal 2 for ||y - Ax||^2 under orthonormal A).
+(the solvers' step direction divided by ``GRADIENT_SCALE``), so quadratic
+losses come out with their textbook constants (e.g. both constants equal 2
+for ||y - Ax||^2 under orthonormal A).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import forward
-from .numerics import _check_orthonormal, as_matrix, as_vector
-from .objectives import true_gradient, value
+from .numerics import _check_orthonormal, as_matrix
+from .objectives import GRADIENT_SCALE, _adjoint, _loss_terms
 
 __all__ = [
     "SrecEstimate",
@@ -32,8 +32,6 @@ __all__ = [
     "rsc_rss_estimate",
     "convergence_rate",
     "incoherence_estimate",
-    "sign_invariant_dist",
-    "recon_error",
     "step_size_window_check",
     "contraction_bound_general",
     "contraction_bound_mismatch",
@@ -138,22 +136,30 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
 
     For each sampled pair (x, x') of range points computes
     q = 2 [F(x') - F(x) - <grad F(x), x' - x>] / ||x' - x||^2 and returns
-    (min q, max q).
+    (min q, max q).  All pairs are evaluated as one block; each pair's
+    quotient has the bits of evaluating it on its own.
     """
     num_pairs = int(num_pairs)
     if num_pairs < 1:
         raise ValueError("need at least one pair")
     xs, xps = _range_pairs(net, num_pairs, rng)
-    qs = []
-    for x, xp in zip(xs, xps):
-        d = xp - x
-        nd2 = float(d @ d)
-        if nd2 <= _DEGENERATE**2:
-            continue
-        bregman = value(obj, xp) - value(obj, x) - float(true_gradient(obj, x) @ d)
-        qs.append(2.0 * bregman / nd2)
-    if not qs:
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xps))):
+        raise ValueError("range points contain non-finite entries")
+    a, kind = obj.model.matrix, obj.kind
+    # Stacked matrix-vector products: one GEMV per pair, so every row has
+    # the bits of the per-pair product (a plain GEMM does not).
+    f, c = _loss_terms(kind, np.matmul(a, xs[..., None])[..., 0], obj.y, obj.phase)
+    fp, _ = _loss_terms(kind, np.matmul(a, xps[..., None])[..., 0], obj.y, obj.phase)
+    d = xps - xs
+    del xs, xps  # free the largest block before the gradients come in
+    nd2 = np.vecdot(d, d)
+    keep = nd2 > _DEGENERATE**2
+    if not np.any(keep):
         raise ValueError("all sampled pairs are degenerate")
+    grad = _adjoint(kind, a, c)
+    grad /= GRADIENT_SCALE[kind]
+    bregman = fp - f - np.vecdot(grad, d)
+    qs = 2.0 * bregman[keep] / nd2[keep]
     return RscRssEstimate(alpha=float(np.min(qs)), beta=float(np.max(qs)),
                           samples=len(qs))
 
@@ -222,25 +228,6 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1, columns=None):
     du = du / np.linalg.norm(du, axis=1, keepdims=True)
     dv = dv / np.linalg.norm(dv, axis=1, keepdims=True)
     return float(min(np.max(np.abs(du @ dv.T)), 1.0))
-
-
-def sign_invariant_dist(x1, x2):
-    """min(||x1 - x2||, ||x1 + x2||): the error metric modulo global sign."""
-    x1 = as_vector(x1, "x1")
-    x2 = as_vector(x2, "x2")
-    if x1.shape != x2.shape:
-        raise ValueError(f"length mismatch: {x1.shape} vs {x2.shape}")
-    return min(float(np.linalg.norm(x1 - x2)), float(np.linalg.norm(x1 + x2)))
-
-
-def recon_error(x_hat, x_star):
-    """Per-pixel squared reconstruction error ||x_hat - x_star||^2 / n."""
-    x_hat = as_vector(x_hat, "x_hat")
-    x_star = as_vector(x_star, "x_star")
-    if x_hat.shape != x_star.shape:
-        raise ValueError(f"length mismatch: {x_hat.shape} vs {x_star.shape}")
-    d = x_hat - x_star
-    return float(d @ d) / x_hat.shape[0]
 
 
 def step_size_window_check(srec, eta):

@@ -38,7 +38,6 @@ __all__ = [
     "latent_gradient",
     "sample_range",
     "random_generator",
-    "identity_generator",
     "save_weights",
     "load_weights",
     "estimate_diameter",
@@ -238,13 +237,6 @@ def random_generator(k, hidden_dims, n, activation, rng, weight_scale=1.0,
     return GeneratorNet(layers=tuple(layers))
 
 
-def identity_generator(n):
-    """The generator G(z) = z on R^n; handy in tests and sanity checks."""
-    return GeneratorNet(layers=(
-        Layer(weights=np.eye(n), bias=np.zeros(n), activation="identity"),
-    ))
-
-
 def save_weights(net, path):
     """Write the generator to `path` in the documented binary format."""
     with open(path, "wb") as fh:
@@ -290,17 +282,13 @@ def load_weights(path):
     return GeneratorNet(layers=tuple(layers))
 
 
-def estimate_diameter(net, num_samples, rng, unit_norm=False):
+def estimate_diameter(net, num_samples, rng):
     """Max pairwise distance among sampled range points (lower bound on the
     true range diameter)."""
     num_samples = int(num_samples)
     if num_samples < 2:
         raise ValueError("need at least two samples to estimate a diameter")
-    zs = rng.standard_normal((num_samples, net.latent_dim))
-    if unit_norm:
-        norms = np.linalg.norm(zs, axis=1, keepdims=True)
-        zs = zs / np.where(norms > 0, norms, 1.0)
-    xs = forward(net, zs)
+    xs = forward(net, rng.standard_normal((num_samples, net.latent_dim)))
     # Pairwise squared distances via the Gram expansion.
     sq = np.sum(xs**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T)

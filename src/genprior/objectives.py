@@ -1,21 +1,28 @@
 """Loss functions with analytic gradients, one per forward model.
 
-Reported values and gradients follow the conventions below.  F denotes the
-reported ``value``; the gradient is the exact gradient of ``scale * F``
-where ``scale`` comes from :data:`GRADIENT_SCALE`:
+Every loss is a function of the measurements u = Ax and is written once,
+in ``_loss_terms``, which returns the loss F and its cotangent c.  F
+denotes the reported ``value``; the gradient is the exact gradient of
+``scale * F`` where ``scale`` comes from :data:`GRADIENT_SCALE`, and equals
+A.T c, divided by m for the averaged sigmoid loss:
 
     kind             value F                                 gradient            scale
     squared          ||y - Ax||^2                            A.T (Ax - y)        1/2
     sim_sigmoid      (1/m) sum softplus(a_i.x) - y_i a_i.x   (1/m) A.T (sigmoid(Ax) - y)   1
     sinusoid_l2      ||y - (Ax + sin Ax)||^2                 A.T [(1+cos Ax) * (Ax + sin Ax - y)]  1/2
     phase_corrected  ||y*p - Ax||^2                          A.T (Ax - y*p)      1/2
+    magnitude        ||y - |Ax|||^2                          A.T [sign(Ax) * (|Ax| - y)]  1/2
+
+``magnitude`` is the phaseless misfit of the DPR baseline and of the phase
+initializer; it is no objective kind.  Its subgradient of |u| at u = 0 is
+0 (numpy's sign), where ``phase_corrected`` with p = sign(Ax) would take +1.
 
 Dropping the factor 2 from the squared-family gradients makes the plain
 descent step ``x - eta * gradient(x)`` equal to ``x + eta A.T (y - Ax)``,
 so the published step sizes (eta = 0.5 linear, 0.9 phase) apply verbatim;
 the constant is absorbed into eta.  Anything that needs the mathematically
 paired gradient of F itself (finite-difference checks, curvature
-estimates) divides by ``scale``.
+estimates, the latent baselines) divides by ``scale``.
 
 softplus is evaluated as log(1 + e^u) in the overflow-safe form
 max(u, 0) + log1p(e^{-|u|}) via ``numpy.logaddexp``.
@@ -31,18 +38,13 @@ from .measurement import MeasurementModel, _sigmoid
 from .numerics import as_vector
 
 __all__ = [
-    "KINDS",
     "GRADIENT_SCALE",
     "KIND_FOR_LINK",
     "Objective",
-    "objective_for",
     "value",
     "gradient",
-    "true_gradient",
     "rebind_phase",
 ]
-
-KINDS = ("squared", "sim_sigmoid", "sinusoid_l2", "phase_corrected")
 
 # gradient == grad of (scale * value); see module docstring.
 GRADIENT_SCALE = {
@@ -62,26 +64,18 @@ KIND_FOR_LINK = {
 
 @dataclass(frozen=True)
 class Objective:
-    """A loss F bound to a measurement model and observations y.
+    """The loss of a measurement model's link, bound to observations y.
 
-    ``phase`` is the current +-1 phase vector, required exactly when
-    kind == "phase_corrected".
+    ``phase`` is the current +-1 phase vector, required exactly when the
+    kind is "phase_corrected" (the magnitude link).
     """
 
     model: MeasurementModel
     y: np.ndarray
-    kind: str
     phase: np.ndarray | None = None
 
     def __post_init__(self):
         y = as_vector(self.y, "y")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if KIND_FOR_LINK[self.model.link] != self.kind:
-            raise ValueError(
-                f"objective kind {self.kind!r} is incompatible with link "
-                f"{self.model.link!r}"
-            )
         if y.shape[0] != self.model.num_measurements:
             raise ValueError(
                 f"y length {y.shape[0]} does not match model m="
@@ -101,19 +95,41 @@ class Objective:
         object.__setattr__(self, "y", y)
 
     @property
-    def scale(self):
-        return GRADIENT_SCALE[self.kind]
-
-    def value(self, x):
-        return value(self, x)
-
-    def gradient(self, x):
-        return gradient(self, x)
+    def kind(self):
+        return KIND_FOR_LINK[self.model.link]
 
 
-def objective_for(model, y, phase=None):
-    """Build the objective kind matching the model's link."""
-    return Objective(model=model, y=y, kind=KIND_FOR_LINK[model.link], phase=phase)
+def _loss_terms(kind, u, y, phase=None):
+    """(F, c) for measurement rows u of shape (m,) or (batch, m): the loss
+    of each row and its cotangent, shaped like u.
+
+    c is the derivative of scale * F with respect to u, times m for the
+    averaged ``sim_sigmoid`` loss; ``_adjoint`` turns it into a gradient.
+    """
+    if kind == "squared":
+        d = u - y
+        return np.vecdot(d, d), d
+    if kind == "sim_sigmoid":
+        return (np.mean(np.logaddexp(0.0, u) - y * u, axis=-1),
+                _sigmoid(u) - y)
+    if kind == "sinusoid_l2":
+        d = u + np.sin(u) - y
+        return np.vecdot(d, d), (1.0 + np.cos(u)) * d
+    if kind == "phase_corrected":
+        d = u - y * phase
+        return np.vecdot(d, d), d
+    if kind == "magnitude":
+        d = np.abs(u) - y
+        return np.vecdot(d, d), np.sign(u) * d
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _adjoint(kind, a, c):
+    """The gradient A.T c of each cotangent row (divided by m for the
+    averaged sigmoid loss); a stacked product, so every row has the bits
+    of its own A.T @ c."""
+    g = np.matmul(a.T, c[..., None])[..., 0]
+    return g / a.shape[0] if kind == "sim_sigmoid" else g
 
 
 def _measurements(obj, x):
@@ -127,39 +143,15 @@ def _measurements(obj, x):
 
 def value(obj, x):
     """Scalar loss F(x); see the module docstring for each kind's formula."""
-    u = _measurements(obj, x)
-    if obj.kind == "squared":
-        r = obj.y - u
-        return float(r @ r)
-    if obj.kind == "sim_sigmoid":
-        softplus = np.logaddexp(0.0, u)
-        return float(np.mean(softplus - obj.y * u))
-    if obj.kind == "sinusoid_l2":
-        r = obj.y - (u + np.sin(u))
-        return float(r @ r)
-    # phase_corrected
-    r = obj.y * obj.phase - u
-    return float(r @ r)
+    f, _ = _loss_terms(obj.kind, _measurements(obj, x), obj.y, obj.phase)
+    return float(f)
 
 
 def gradient(obj, x):
     """Gradient of scale*F; the step x - eta*gradient matches the solvers'
     published update rules."""
-    u = _measurements(obj, x)
-    a = obj.model.matrix
-    if obj.kind == "squared":
-        return a.T @ (u - obj.y)
-    if obj.kind == "sim_sigmoid":
-        return a.T @ (_sigmoid(u) - obj.y) / obj.model.num_measurements
-    if obj.kind == "sinusoid_l2":
-        return a.T @ ((1.0 + np.cos(u)) * (u + np.sin(u) - obj.y))
-    # phase_corrected
-    return a.T @ (u - obj.y * obj.phase)
-
-
-def true_gradient(obj, x):
-    """Exact gradient of the reported value F (gradient / scale)."""
-    return gradient(obj, x) / GRADIENT_SCALE[obj.kind]
+    _, c = _loss_terms(obj.kind, _measurements(obj, x), obj.y, obj.phase)
+    return _adjoint(obj.kind, obj.model.matrix, c)
 
 
 def rebind_phase(obj, p_new):

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import _backward, _forward_cached, forward
+from .generator import _backward, _forward_cached
 from .numerics import as_vector
 
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "project",
-    "brute_force_project",
 ]
 
 INIT_MODES = ("zero", "random", "warm")
@@ -86,11 +85,12 @@ def project(net, x, cfg, rng):
     supplied warm latent); every further restart starts from an
     independent N(0, I_k) draw.  The restarts step together as one
     (restarts, k) block, one forward and one backward layer sweep per
-    step; each row keeps its own best iterate, and a row whose output
-    goes non-finite drops out for good.  Ties in residual resolve to the
-    lowest restart index, then to the earliest iterate, so the result is
-    deterministic given (rng state, cfg).  Raises ``ValueError`` when no
-    iterate of any restart lies at a finite distance from ``x``.
+    step; each row keeps its own best iterate, and a row whose latent or
+    output goes non-finite drops out for good, so ``z_hat`` is always
+    finite.  Ties in residual resolve to the lowest restart index, then to
+    the earliest iterate, so the result is deterministic given (rng state,
+    cfg).  Raises ``ValueError`` when no iterate of any restart lies at a
+    finite distance from ``x``.
     """
     x = as_vector(x, "x")
     if x.shape[0] != net.output_dim:
@@ -122,18 +122,23 @@ def project(net, x, cfg, rng):
                 improved = improved & alive
             # count_nonzero is the cheapest test on a short mask.
             n_improved = np.count_nonzero(improved)
-            if n_improved == cfg.restarts:
-                # z and gx are new arrays every step: hold references.
-                best_res, best_z, best_gx = res, z, gx
-                continue
-            if np.count_nonzero(np.isfinite(res)) < cfg.restarts:
-                # A non-finite output row is dead from here on; a finite
-                # output can still overflow the residual and live on.
-                finite = np.isfinite(gx).all(axis=-1)
+            if not np.isfinite(z).all() or (
+                    n_improved < cfg.restarts
+                    and np.count_nonzero(np.isfinite(res)) < cfg.restarts):
+                # A row whose latent or output is non-finite is dead from
+                # here on (relu and tanh can map a latent that overflowed
+                # back to a finite output); a finite output can still
+                # overflow the residual and live on.
+                finite = np.isfinite(z).all(axis=-1) & np.isfinite(gx).all(axis=-1)
                 alive = finite if alive is None else alive & finite
                 if not alive.any():
                     break
-            if n_improved:
+                improved = improved & alive
+                n_improved = np.count_nonzero(improved)
+            if n_improved == cfg.restarts:
+                # z and gx are new arrays every step: hold references.
+                best_res, best_z, best_gx = res, z, gx
+            elif n_improved:
                 best_res = np.where(improved, res, best_res)
                 best_z = np.where(improved[:, None], z, best_z)
                 best_gx = np.where(improved[:, None], gx, best_gx)
@@ -147,26 +152,3 @@ def project(net, x, cfg, rng):
         )
     return ProjectionResult(z_hat=best_z[r], x_proj=best_gx[r],
                             residual=float(best_res[r]))
-
-
-def brute_force_project(net, x, grid_bounds, grid_points_per_dim):
-    """Exhaustive lattice search over the latent box; test oracle.
-
-    Guarded to k <= 3: the lattice has points_per_dim**k nodes.  Returns
-    the lattice minimizer (first hit wins on exact ties).
-    """
-    x = as_vector(x, "x")
-    k = net.latent_dim
-    if k > 3:
-        raise ValueError(f"brute force projection is limited to k <= 3, got k={k}")
-    lo, hi = float(grid_bounds[0]), float(grid_bounds[1])
-    pts = int(grid_points_per_dim)
-    if pts < 2:
-        raise ValueError("need at least 2 grid points per dimension")
-    axes = [np.linspace(lo, hi, pts)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    zs = np.stack([m.ravel() for m in mesh], axis=1)  # (pts**k, k)
-    xs = forward(net, zs)
-    res = np.sum((xs - x[None, :]) ** 2, axis=1)
-    idx = int(np.argmin(res))
-    return ProjectionResult(z_hat=zs[idx], x_proj=xs[idx], residual=float(res[idx]))

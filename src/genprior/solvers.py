@@ -36,7 +36,7 @@ import numpy as np
 from .generator import _backward, _forward_cached, sample_range
 from .measurement import MeasurementModel
 from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
-from .objectives import Objective, gradient, objective_for, rebind_phase, value
+from .objectives import Objective, _loss_terms, gradient, rebind_phase, value
 from .projection import ProjectionConfig, project
 
 __all__ = [
@@ -199,8 +199,7 @@ def pgd_linear(y, a, net, cfg):
     The squared-loss special case of :func:`eps_pgd`: the gradient step
     expands to w = x + eta * A.T (y - A x).
     """
-    obj = Objective(model=MeasurementModel(matrix=a, link="linear"),
-                    y=y, kind="squared")
+    obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
     trace = _projected_descent(obj, net, cfg)
     return trace.x_hat, trace
 
@@ -234,19 +233,20 @@ def phase_pgd(y, a, net, cfg, x0, phase_override=None):
         p = phase_of(x)
         return rebind_phase(obj, p), float(np.sum(p != obj.phase))
 
-    obj = objective_for(model, y, phase=phase_of(x0))
+    obj = Objective(model, y, phase=phase_of(x0))
     trace = _projected_descent(obj, net, cfg, x0=x0, rebind=rebind)
     return trace.x_hat, trace
 
 
 def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
-               delta0=None, x_star=None, unit_norm=True):
+               delta0=None, x_star=None):
     """Initial point for phase retrieval.
 
-    ``best_of_samples`` draws ``count`` range points and keeps the one with
-    the lowest phaseless misfit ||y - |Ax|||^2.  ``oracle_perturb`` returns
-    x* + delta0*||x*||*u for a uniformly random unit direction u; it needs
-    the ground truth and exists for controlled local-convergence studies.
+    ``best_of_samples`` draws ``count`` range points from unit-norm latents
+    and keeps the one with the lowest phaseless misfit ||y - |Ax|||^2.
+    ``oracle_perturb`` returns x* + delta0*||x*||*u for a uniformly random
+    unit direction u; it needs the ground truth and exists for controlled
+    local-convergence studies.
     """
     y = as_vector(y, "y")
     a = as_matrix(a, "A")
@@ -260,9 +260,8 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
     if strategy == "best_of_samples":
         best_x, best_loss = None, np.inf
         for _ in range(int(count)):
-            s = sample_range(net, rng, unit_norm=unit_norm)
-            r = y - np.abs(a @ s.x)
-            loss = float(r @ r)
+            s = sample_range(net, rng, unit_norm=True)
+            loss, _ = _loss_terms("magnitude", a @ s.x, y)
             if loss < best_loss:
                 best_x, best_loss = s.x, loss
         return best_x
@@ -317,27 +316,30 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     return trace.x_hat, trace.extras["u"][-1], trace.extras["v"][-1], trace
 
 
-def _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot):
-    """Plain gradient descent over z; loss_and_cot maps G(z) to the loss and
-    its signal-space gradient, which backpropagates through the net."""
+def _latent_descent(net, steps, rate, rng, x_star, z0, kind, a, y):
+    """Plain gradient descent over z on the loss ``kind`` of u = A G(z).
+
+    Both baseline losses have scale 1/2, so 2 A.T c is the exact signal-space
+    gradient; it backpropagates through the net.
+    """
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
     z = rng.standard_normal(net.latent_dim) if z0 is None else as_vector(z0, "z0").copy()
     gx, acts = _forward_cached(net, z)
-    loss, cot = loss_and_cot(gx)
+    loss, c = _loss_terms(kind, a @ gx, y)
     tb = _TraceBuilder(x_star)
     tb.add(loss, gx)
     # A diverging step overflows (then meets inf - inf) before the
     # finiteness checks below hold it.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(int(steps)):
-            z_next = z - rate * _backward(net, acts, cot)
+            z_next = z - rate * _backward(net, acts, a.T @ (2.0 * c))
             gx_next, acts_next = _forward_cached(net, z_next)
             if np.all(np.isfinite(gx_next)):
-                loss_next, cot_next = loss_and_cot(gx_next)
+                loss_next, c_next = _loss_terms(kind, a @ gx_next, y)
                 if np.isfinite(loss_next):
                     z, gx, acts = z_next, gx_next, acts_next
-                    loss, cot = loss_next, cot_next
+                    loss, c = loss_next, c_next
             # A diverged step is not taken: the iterate freezes at the last
             # finite one, so the trace stays finite and non-convergence
             # shows up in the data.
@@ -347,15 +349,8 @@ def _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot):
 
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     """Plain latent-space gradient descent on ||y - A G(z)||^2."""
-    a = as_matrix(a, "A")
-    y = as_vector(y, "y")
-
-    def loss_and_cot(gx):
-        u = a @ gx
-        r = y - u
-        return float(r @ r), a.T @ (2.0 * (u - y))
-
-    return _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot)
+    return _latent_descent(net, steps, rate, rng, x_star, z0, "squared",
+                           as_matrix(a, "A"), as_vector(y, "y"))
 
 
 def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
@@ -367,10 +362,4 @@ def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     y = as_vector(y, "y")
     if np.any(y < 0):
         raise ValueError("magnitude observations must be entrywise nonnegative")
-
-    def loss_and_cot(gx):
-        u = a @ gx
-        r = y - np.abs(u)
-        return float(r @ r), a.T @ (2.0 * np.sign(u) * (np.abs(u) - y))
-
-    return _latent_descent(net, steps, rate, rng, x_star, z0, loss_and_cot)
+    return _latent_descent(net, steps, rate, rng, x_star, z0, "magnitude", a, y)

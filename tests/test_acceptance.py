@@ -22,7 +22,6 @@ from genprior import (
     ProjectionConfig,
     RngStream,
     SolverConfig,
-    brute_force_project,
     convergence_rate,
     csgm_baseline,
     empirical_srec,
@@ -31,7 +30,6 @@ from genprior import (
     gaussian_matrix,
     gradient,
     myopic_eps_pgd,
-    objective_for,
     observe,
     pgd_linear,
     phase_init,
@@ -43,6 +41,7 @@ from genprior import (
     value,
 )
 from genprior.cli import main as cli_main
+from conftest import brute_force_project
 
 DESK = dict(k=8, hidden=(64,), n=128, m=64)
 SWEEP_TOY = dict(k=8, hidden=(32, 32), n=128)
@@ -86,7 +85,7 @@ def test_criterion_1_gradient_correctness():
             model = MeasurementModel(matrix=a, link=link)
             y = observe(model, rng.standard_normal(20))
             phase = sign_pm(rng.standard_normal(30)) if kind == "phase_corrected" else None
-            obj = Objective(model=model, y=y, kind=kind, phase=phase)
+            obj = Objective(model=model, y=y, phase=phase)
             x = rng.standard_normal(20)
             analytic = gradient(obj, x)
             scale = GRADIENT_SCALE[kind]
@@ -279,7 +278,7 @@ def test_criterion_7_myopic():
     net = desk_net()
     _, x_star, a = planted(net, DESK["m"], 0)
     obj = Objective(model=MeasurementModel(matrix=a, link="linear"),
-                    y=a @ x_star, kind="squared")
+                    y=a @ x_star)
     cfg = SolverConfig(outer_steps=10, step_size=0.7,
                        projection=ProjectionConfig(inner_steps=200, inner_rate=0.05),
                        seed=0, ground_truth=x_star)
@@ -304,8 +303,7 @@ def test_criterion_7_myopic():
         v_star[support] = scale * np.where(srng.standard_normal(l) >= 0, 1.0, -1.0)
         x_true = xg + v_star
         a2 = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
-        obj2 = objective_for(MeasurementModel(matrix=a2, link="linear"),
-                             a2 @ x_true)
+        obj2 = Objective(MeasurementModel(matrix=a2, link="linear"), a2 @ x_true)
         cfg2 = SolverConfig(outer_steps=50, step_size=0.6,
                             projection=ProjectionConfig(inner_steps=200,
                                                         inner_rate=0.05),

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from genprior import identity_generator, load_weights, save_weights
+from genprior import load_weights, save_weights
 from genprior.cli import ConfigError, load_config, main
+from conftest import identity_generator
 
 LIN_CONFIG = """\
 # desk-scale planted linear recovery

@@ -7,14 +7,13 @@ from genprior import (
     RngStream,
     estimate_diameter,
     forward,
-    identity_generator,
     latent_gradient,
     load_weights,
     random_generator,
     sample_range,
     save_weights,
 )
-from conftest import random_net
+from conftest import identity_generator, random_net
 
 
 def test_identity_network_forward():
@@ -199,11 +198,13 @@ def test_estimate_diameter_constant_generator_is_zero():
     assert estimate_diameter(net, 50, RngStream(1)) == 0.0
 
 
-def test_estimate_diameter_unit_sphere():
-    # Identity generator with unit-norm z: diameter of the sphere is 2.
+def test_estimate_diameter_is_largest_pairwise_distance():
+    # Identity generator: the range points are the latent draws themselves.
     net = identity_generator(4)
-    d = estimate_diameter(net, 200, RngStream(3), unit_norm=True)
-    assert 1.5 < d <= 2.0 + 1e-12
+    d = estimate_diameter(net, 200, RngStream(3))
+    zs = RngStream(3).standard_normal((200, 4))
+    exact = max(np.linalg.norm(zi - zj) for zi in zs for zj in zs)
+    assert d == pytest.approx(exact, rel=1e-12)
 
 
 def test_estimate_diameter_monotone_in_samples():

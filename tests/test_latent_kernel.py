@@ -49,7 +49,7 @@ def two_pass_project(net, x, cfg, rng):
     for _ in range(cfg.inner_steps):
         z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
         gx = forward(net, z)
-        if not np.all(np.isfinite(gx)):
+        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(z))):
             break
         d = x - gx
         res = float(d @ d)
@@ -60,9 +60,9 @@ def two_pass_project(net, x, cfg, rng):
 
 def block_rows_project(net, x, cfg, rng):
     """All restarts stepped as one (restarts, k) block; each row's best
-    (residual, z, G(z)) in restart order.  A row whose output goes
-    non-finite is dead from then on and stands in as zeros, so that the
-    public gradient accepts the block."""
+    (residual, z, G(z)) in restart order.  A row whose latent or output
+    goes non-finite is dead from then on and stands in as zeros, so that
+    the public gradient accepts the block."""
     k = net.latent_dim
     starts = [start_latent(cfg, k, rng)]
     starts += [rng.standard_normal(k) for _ in range(cfg.restarts - 1)]
@@ -76,7 +76,7 @@ def block_rows_project(net, x, cfg, rng):
             z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
             gx = forward(net, z)
         for r in np.flatnonzero(alive):
-            if not np.all(np.isfinite(gx[r])):
+            if not (np.all(np.isfinite(gx[r])) and np.all(np.isfinite(z[r]))):
                 alive[r] = False
                 continue
             d = x - gx[r]

@@ -19,7 +19,6 @@ from genprior import (
     observe,
     rebind_phase,
     sign_pm,
-    true_gradient,
     value,
 )
 
@@ -39,7 +38,7 @@ def make_objective(kind, m, n, rng):
     phase = None
     if kind == "phase_corrected":
         phase = sign_pm(rng.standard_normal(m))
-    return Objective(model=model, y=y, kind=kind, phase=phase)
+    return Objective(model=model, y=y, phase=phase)
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -58,7 +57,7 @@ def test_squared_zero_at_exact_fit():
     a = rng.standard_normal((6, 4))
     x = rng.standard_normal(4)
     model = MeasurementModel(matrix=a, link="linear")
-    obj = Objective(model=model, y=a @ x, kind="squared")
+    obj = Objective(model=model, y=a @ x)
     assert value(obj, x) == 0.0
     assert np.max(np.abs(gradient(obj, x))) < 1e-12
 
@@ -67,13 +66,13 @@ def test_sim_sigmoid_closed_form_at_origin():
     # y = 0.5 everywhere and x = 0: mean(softplus(0) - 0.5*0) = log 2.
     model = MeasurementModel(matrix=RngStream(2).standard_normal((5, 3)),
                              link="sigmoid")
-    obj = Objective(model=model, y=np.full(5, 0.5), kind="sim_sigmoid")
+    obj = Objective(model=model, y=np.full(5, 0.5))
     assert abs(value(obj, np.zeros(3)) - np.log(2.0)) < 1e-15
 
 
 def test_sim_sigmoid_zero_gradient_when_centered():
     model = MeasurementModel(matrix=np.zeros((4, 3)), link="sigmoid")
-    obj = Objective(model=model, y=np.full(4, 0.5), kind="sim_sigmoid")
+    obj = Objective(model=model, y=np.full(4, 0.5))
     assert np.max(np.abs(gradient(obj, np.ones(3)))) == 0.0
 
 
@@ -83,18 +82,23 @@ def test_phase_corrected_zero_at_truth():
     x_star = rng.standard_normal(5)
     y = np.abs(a @ x_star)
     obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
-                    y=y, kind="phase_corrected", phase=sign_pm(a @ x_star))
+                    y=y, phase=sign_pm(a @ x_star))
     assert value(obj, x_star) < 1e-24
 
 
 def test_kind_link_compatibility_enforced():
-    model = MeasurementModel(matrix=np.eye(3), link="linear")
-    with pytest.raises(ValueError):
-        Objective(model=model, y=np.ones(3), kind="sim_sigmoid")
+    # The kind follows the link, so no objective can pair a link with the
+    # loss of another.
+    for kind, link in KIND_LINK.items():
+        model = MeasurementModel(matrix=np.eye(3), link=link)
+        phase = np.ones(3) if kind == "phase_corrected" else None
+        assert Objective(model=model, y=np.ones(3), phase=phase).kind == kind
+    with pytest.raises(TypeError):
+        Objective(model=MeasurementModel(matrix=np.eye(3), link="linear"),
+                  y=np.ones(3), kind="sim_sigmoid")
     with pytest.raises(ValueError):
         Objective(model=MeasurementModel(matrix=np.eye(3), link="magnitude"),
-                  y=np.ones(3), kind="phase_corrected",
-                  phase=np.array([1.0, 0.5, -1.0]))
+                  y=np.ones(3), phase=np.array([1.0, 0.5, -1.0]))
 
 
 @pytest.mark.parametrize("kind", list(KIND_LINK))
@@ -107,15 +111,6 @@ def test_gradient_matches_finite_differences(kind):
         fd = fd_gradient(obj, x)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(analytic - fd) / denom <= 1e-5
-
-
-def test_true_gradient_rescaling():
-    rng = RngStream(44)
-    obj = make_objective("squared", 6, 4, rng)
-    x = rng.standard_normal(4)
-    assert np.array_equal(true_gradient(obj, x), 2.0 * gradient(obj, x))
-    obj2 = make_objective("sim_sigmoid", 6, 4, rng)
-    assert np.array_equal(true_gradient(obj2, x), gradient(obj2, x))
 
 
 def test_rebind_same_phase_is_identity():
@@ -133,7 +128,7 @@ def test_rebind_true_phase_zeroes_loss_at_truth():
     x_star = rng.standard_normal(5)
     y = np.abs(a @ x_star)
     obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
-                    y=y, kind="phase_corrected", phase=np.ones(9))
+                    y=y, phase=np.ones(9))
     re = rebind_phase(obj, sign_pm(a @ x_star))
     assert value(re, x_star) < 1e-24
 
@@ -189,6 +184,6 @@ def test_linear_truth_is_gradient_fixed_point():
     a = rng.standard_normal((7, 4))
     x_star = rng.standard_normal(4)
     obj = Objective(model=MeasurementModel(matrix=a, link="linear"),
-                    y=a @ x_star, kind="squared")
+                    y=a @ x_star)
     step = x_star - 0.5 * gradient(obj, x_star)
     assert np.max(np.abs(step - x_star)) < 1e-12

@@ -6,14 +6,12 @@ from genprior import (
     Layer,
     ProjectionConfig,
     RngStream,
-    brute_force_project,
     forward,
-    identity_generator,
     project,
     random_generator,
     sample_range,
 )
-from conftest import random_net
+from conftest import brute_force_project, identity_generator, random_net
 
 
 def test_warm_start_on_range_point_is_exact():
@@ -143,6 +141,42 @@ def test_dead_restart_never_counts_again():
     res = project(net, np.array([1.0]), cfg, RngStream(0))
     assert np.array_equal(res.z_hat, start)
     assert res.residual == 1.0
+
+
+def relu_unit_net():
+    """G(z) = relu(z) on R: one relu unit with an identity output."""
+    return GeneratorNet(layers=(
+        Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
+        Layer(weights=[[1.0]], bias=[0.0], activation="identity"),
+    ))
+
+
+def test_overflowed_latent_is_never_returned():
+    # From z = 1e308 the first step lands at z = -inf, where relu maps back
+    # to G = 0 at residual 1.  The start itself lies at an infinite distance,
+    # so no iterate with a finite latent is left to return.
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, init="warm",
+                           warm_z=np.array([1e308]))
+    with pytest.raises(ValueError, match="no range point"):
+        project(relu_unit_net(), np.array([1.0]), cfg, RngStream(0))
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_overflowed_latent_row_is_dead(restarts):
+    # Restart 0 starts at z = 1 (residual 1 to x = 0); its first step
+    # overflows to z = -inf, where G = 0 would fit x exactly.  That row is
+    # dead instead: alone it returns its start, and beside restart 1 (a
+    # negative start, also at G = 0) the finite latent of restart 1 wins.
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1e308, restarts=restarts,
+                           init="warm", warm_z=np.array([1.0]))
+    res = project(relu_unit_net(), np.array([0.0]), cfg, RngStream(0))
+    assert np.all(np.isfinite(res.z_hat))
+    if restarts == 1:
+        assert res.z_hat[0] == 1.0 and res.residual == 1.0
+    else:
+        start = RngStream(0).standard_normal((1, 1))[0]
+        assert start[0] < 0.0
+        assert np.array_equal(res.z_hat, start) and res.residual == 0.0
 
 
 @pytest.mark.parametrize("length", [2, 4])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genprior import (
     GeneratorNet,
+    Layer,
     ProjectionConfig,
     RngStream,
     load_weights,
@@ -110,12 +111,15 @@ def test_mutated_depth_names_the_problem(tmp_dir):
 @given(net=nets(), restarts=st.integers(1, 4), steps=st.integers(1, 12),
        rate_exp=st.integers(-4, 6), x_exp=st.sampled_from([0, 3, 150, 300]),
        init=st.sampled_from(["zero", "random", "warm"]),
-       seed=st.integers(0, 2**16))
+       warm_exp=st.sampled_from([0, 307]), seed=st.integers(0, 2**16))
 def test_project_raises_or_returns_finite_repeatable(net, restarts, steps,
-                                                     rate_exp, x_exp, init, seed):
+                                                     rate_exp, x_exp, init,
+                                                     warm_exp, seed):
+    # A warm latent near the float64 limit overflows on its first step.
     x = 10.0**x_exp * RngStream(seed, spawn_key=(1,)).standard_normal(
         net.output_dim)
-    warm = RngStream(seed, spawn_key=(2,)).standard_normal(net.latent_dim)
+    warm = 10.0**warm_exp * RngStream(seed, spawn_key=(2,)).standard_normal(
+        net.latent_dim)
     cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
                            restarts=restarts, init=init,
                            warm_z=warm if init == "warm" else None)
@@ -136,3 +140,30 @@ def test_project_raises_or_returns_finite_repeatable(net, restarts, steps,
     assert np.array_equal(first.z_hat, again.z_hat)
     assert np.array_equal(first.x_proj, again.x_proj)
     assert first.residual == again.residual
+
+
+@PROPERTY
+@given(k=DIMS, hidden=DIMS, n=DIMS, restarts=st.integers(1, 4),
+       steps=st.integers(1, 12), rate_exp=st.integers(-4, 6),
+       seed=st.integers(0, 2**16))
+def test_project_never_returns_an_overflowed_latent(k, hidden, n, restarts,
+                                                    steps, rate_exp, seed):
+    # A relu layer with nonnegative weights maps a latent that overflowed to
+    # -inf back to a finite output (its bias), closer to x than the huge
+    # start; that latent must not count.
+    rng = RngStream(seed, spawn_key=(3,))
+    net = GeneratorNet(layers=(
+        Layer(weights=np.abs(rng.standard_normal((hidden, k))),
+              bias=rng.standard_normal(hidden), activation="relu"),
+        Layer(weights=rng.standard_normal((n, hidden)),
+              bias=rng.standard_normal(n), activation="identity"),
+    ))
+    warm = 1e307 * np.abs(rng.standard_normal(k))
+    cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
+                           restarts=restarts, init="warm", warm_z=warm)
+    try:
+        res = project(net, rng.standard_normal(n), cfg, RngStream(seed))
+    except ValueError as exc:
+        assert "no range point" in str(exc)
+        return
+    assert np.all(np.isfinite(res.z_hat)) and np.all(np.isfinite(res.x_proj))

@@ -12,9 +12,7 @@ from genprior import (
     eps_pgd,
     forward,
     gaussian_matrix,
-    identity_generator,
     myopic_eps_pgd,
-    objective_for,
     observe,
     pgd_linear,
     phase_init,
@@ -23,7 +21,7 @@ from genprior import (
     sign_pm,
     thresh_in_basis,
 )
-from conftest import planted_linear
+from conftest import identity_generator, planted_linear
 
 
 def desk_cfg(seed, x_star=None, eta=0.7, outer=15, inner=200, rate=0.05,
@@ -87,8 +85,7 @@ def test_eps_pgd_squared_equals_pgd_linear(desk_net):
     _, x_star, a, y = planted_linear(desk_net, 64, seed=3)
     cfg = desk_cfg(3, x_star)
     x_lin, t_lin = pgd_linear(y, a, desk_net, cfg)
-    obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y,
-                    kind="squared")
+    obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y)
     x_eps, t_eps = eps_pgd(obj, desk_net, cfg)
     assert np.max(np.abs(x_lin - x_eps)) <= 1e-12
     assert np.max(np.abs(t_lin.objective - t_eps.objective)) <= 1e-12
@@ -97,7 +94,7 @@ def test_eps_pgd_squared_equals_pgd_linear(desk_net):
 def test_eps_pgd_rejects_phase_kind():
     a = np.eye(3)
     obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
-                    y=np.ones(3), kind="phase_corrected", phase=np.ones(3))
+                    y=np.ones(3), phase=np.ones(3))
     with pytest.raises(ValueError):
         eps_pgd(obj, identity_generator(3), desk_cfg(0))
 
@@ -112,7 +109,7 @@ def sigmoid_instance(seed, k=4, hidden=(32,), n=32):
     a = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
     model = MeasurementModel(matrix=a, link="sigmoid")
     y = observe(model, x_star)
-    return net, x_star, objective_for(model, y)
+    return net, x_star, Objective(model, y)
 
 
 def test_eps_pgd_sigmoid_planted_recovery():
@@ -139,7 +136,7 @@ def test_eps_pgd_sinusoid_objective_decreases():
     x_star = forward(net, z_star)
     a = gaussian_matrix(128, 32, 1.0 / 128, root.derive(1, 128))
     model = MeasurementModel(matrix=a, link="sinusoid")
-    obj = objective_for(model, observe(model, x_star))
+    obj = Objective(model, observe(model, x_star))
     cfg = SolverConfig(outer_steps=15, step_size=0.1,
                        projection=ProjectionConfig(inner_steps=200, inner_rate=0.05),
                        seed=0, ground_truth=x_star)
@@ -328,14 +325,13 @@ def mismatch_instance(seed, k=8, hidden=(64,), n=64, l=5, spike=10.0):
     v_star[support] = scale * np.where(srng.standard_normal(l) >= 0, 1.0, -1.0)
     x_star = xg + v_star
     a = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
-    obj = objective_for(MeasurementModel(matrix=a, link="linear"), a @ x_star)
+    obj = Objective(MeasurementModel(matrix=a, link="linear"), a @ x_star)
     return net, x_star, v_star, support, obj
 
 
 def test_myopic_zero_sparsity_reduces_to_eps_pgd(desk_net):
     _, x_star, a, y = planted_linear(desk_net, 64, seed=13)
-    obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y,
-                    kind="squared")
+    obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y)
     cfg = desk_cfg(13, x_star, outer=8)
     x_eps, t_eps = eps_pgd(obj, desk_net, cfg)
     x_myo, u, v, t_myo = myopic_eps_pgd(obj, desk_net,
@@ -377,8 +373,7 @@ def test_myopic_spurious_innovation_is_small(desk_net):
     norms = []
     for seed in range(5):
         _, x_star, a, y = planted_linear(desk_net, 64, seed=300 + seed)
-        obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y,
-                        kind="squared")
+        obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y)
         cfg = desk_cfg(seed, x_star, eta=0.6, outer=30)
         x_hat, _, v_hat, _ = myopic_eps_pgd(obj, desk_net,
                                             np.eye(desk_net.output_dim), 5, cfg)
@@ -487,7 +482,7 @@ def test_diverged_projection_holds_iterate(desk_net, solver):
     elif solver == "phase_pgd":
         x_hat, trace = phase_pgd(np.abs(y), a, desk_net, cfg, x0)
     else:
-        obj = objective_for(MeasurementModel(matrix=a, link="linear"), y)
+        obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
         x_hat, _, _, trace = myopic_eps_pgd(obj, desk_net,
                                             np.eye(desk_net.output_dim), 5, cfg)
     assert np.all(np.isfinite(x_hat))

@@ -15,12 +15,19 @@ line with ``--set key=value``; ``--seed``, ``--out`` and ``--workers`` are
 shorthands for the keys of the same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
-Outputs are deterministic byte-for-byte given the config: CSV floats are
-written with 17 significant digits, sweep rows in (m, seed, solver) order,
-and wall-clock timings go to a separate ``timings.txt`` sidecar so the
-result tables diff clean across reruns.  Reconstructions are written as
-plain-text PGM (P2) images when the signal length is a perfect square,
-min-max scaled to 0..255 with the scaling range recorded in the summary.
+A sweep runs each (m, solver) column as one lockstep group: instances,
+step sizes and phase starts are made one seed at a time, then the solver
+steps all the seeds of the column together (see ``solvers``).  ``--workers
+N`` runs the groups on N threads.
+
+Outputs are deterministic byte-for-byte given the config, and do not depend
+on the worker count or on how the cells are grouped: CSV floats are written
+with 17 significant digits, sweep rows in (m, seed, solver) order, and
+wall-clock timings go to a separate ``timings.txt`` sidecar (one line per
+cell, holding the wall of its group) so the result tables diff clean across
+reruns.  Reconstructions are written as plain-text PGM (P2) images when the
+signal length is a perfect square, min-max scaled to 0..255 with the
+scaling range recorded in the summary.
 """
 
 from __future__ import annotations
@@ -50,13 +57,13 @@ from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import (
     SolverConfig,
-    csgm_baseline,
-    dpr_baseline,
-    eps_pgd,
-    myopic_eps_pgd,
-    pgd_linear,
+    _Cell,
+    _check_basis,
+    _LatentCell,
+    _latent_descent,
+    _phase_cell,
+    _projected_descent,
     phase_init,
-    phase_pgd,
 )
 
 __all__ = ["main", "entrypoint", "ConfigError", "ExperimentConfig", "load_config"]
@@ -203,10 +210,16 @@ def _parse(key, raw):
 
 def _validate(cfg):
     for f in fields(cfg):
+        v = getattr(cfg, f.name)
         choices = f.metadata.get("choices")
-        if choices and getattr(cfg, f.name) not in choices:
-            raise ConfigError(f"{f.name} must be one of {choices}, "
-                              f"got {getattr(cfg, f.name)!r}")
+        if choices and v not in choices:
+            raise ConfigError(f"{f.name} must be one of {choices}, got {v!r}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{f.name} must be finite, got {v!r}")
+    for name in ("m_list", "seeds", "solvers"):
+        v = getattr(cfg, name)
+        if len(set(v)) < len(v):
+            raise ConfigError(f"{name} has duplicate entries: {v!r}")
     if cfg.latent_dim < 1 or cfg.output_dim < 1:
         raise ConfigError("latent_dim and output_dim must be positive")
     if any(h < 1 for h in cfg.hidden_dims):
@@ -225,6 +238,10 @@ def _validate(cfg):
         raise ConfigError("sparsity must be nonnegative")
     if cfg.num_pairs < 1:
         raise ConfigError("num_pairs must be >= 1")
+    if cfg.csgm_rate <= 0 or cfg.dpr_rate <= 0:
+        raise ConfigError("csgm_rate and dpr_rate must be positive")
+    if cfg.csgm_steps < 1 or cfg.dpr_steps < 1 or cfg.phase_init_count < 1:
+        raise ConfigError("csgm_steps, dpr_steps and phase_init_count must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     allowed = SOLVERS_FOR_PROBLEM[cfg.problem]
@@ -384,64 +401,89 @@ def resolve_eta(cfg, inst, net, seed):
     return 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta)
 
 
+def _phase_start(cfg, net, obs, seed):
+    """The phase_pgd start point of one instance."""
+    init_rng = RngStream(seed, spawn_key=(904,))
+    if cfg.phase_init_strategy == "oracle_perturb":
+        return phase_init(obs.y, obs.model.matrix, net, init_rng,
+                          strategy="oracle_perturb", delta0=cfg.phase_delta0,
+                          x_star=obs.x_star)
+    return phase_init(obs.y, obs.model.matrix, net, init_rng,
+                      strategy="best_of_samples", count=cfg.phase_init_count)
+
+
+def _solve_group(cfg, net, solver, seeds, insts, scfgs):
+    """The traces of one solver on the given instances, stepped in lockstep."""
+    obs = [inst.observation for inst in insts]
+    if solver in ("csgm", "dpr"):
+        steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
+                             if solver == "csgm" else
+                             (cfg.dpr_steps, cfg.dpr_rate, "magnitude"))
+        return _latent_descent(net, steps, rate, kind, [
+            _LatentCell(o.y, o.model.matrix, RngStream(seed, spawn_key=(905,)),
+                        x_star=o.x_star)
+            for o, seed in zip(obs, seeds)])
+    if solver == "phase_pgd":
+        return _projected_descent(net, [
+            _phase_cell(o.y, o.model.matrix, net, scfg,
+                        _phase_start(cfg, net, o, seed))
+            for o, seed, scfg in zip(obs, seeds, scfgs)])
+    if solver not in ("pgd", "eps_pgd", "myopic"):
+        raise ConfigError(f"unknown solver {solver!r}")
+    sparse = None
+    if solver == "myopic":
+        sparse = _check_basis(insts[0].basis, net.output_dim, cfg.sparsity)
+    return _projected_descent(net, [_Cell(Objective(o.model, o.y), scfg)
+                                    for o, scfg in zip(obs, scfgs)], sparse)
+
+
+def _run_group(cfg, net, m, seeds, solver, insts=None, etas=None):
+    """The cells of one (m, solver) sweep column, one per seed.
+
+    Instances, step sizes and phase starts are made one cell at a time;
+    then the solver steps every cell of the group in lockstep, with the
+    bits each cell has on its own.  Every cell's ``wall_time_s`` is the
+    group's wall.
+    """
+    if insts is None:
+        insts = [build_instance(cfg, net, m, seed) for seed in seeds]
+    if etas is None:
+        etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
+    scfgs = [_solver_config(cfg, eta, seed, inst.observation.x_star)
+             for inst, eta, seed in zip(insts, etas, seeds)]
+    t0 = time.perf_counter()
+    traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
+    wall = time.perf_counter() - t0
+    cells = []
+    for seed, eta, trace in zip(seeds, etas, traces):
+        try:
+            alpha_fit = diag.convergence_rate(trace, RATE_FLOOR).alpha_fit
+        except ValueError:
+            alpha_fit = float("nan")
+        cells.append({
+            "m": m,
+            "seed": seed,
+            "solver": solver,
+            "trace": trace,
+            "eta": eta,
+            "final_per_pixel_error": trace.final_per_pixel_error,
+            "final_objective": trace.final_objective,
+            "alpha_fit": alpha_fit,
+            "total_inner_updates": trace.inner_updates,
+            "wall_time_s": wall,
+        })
+    return cells
+
+
 def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
     """One (m, seed, solver) run; returns the trace plus summary fields.
 
     A caller that already built the instance and resolved the step size
     for this (m, seed) passes them as ``inst`` and ``eta``.
     """
-    if inst is None:
-        inst = build_instance(cfg, net, m, seed)
-    if eta is None:
-        eta = resolve_eta(cfg, inst, net, seed)
-    obs = inst.observation
-    scfg = _solver_config(cfg, eta, seed, obs.x_star)
-    t0 = time.perf_counter()
-    if solver == "pgd":
-        _, trace = pgd_linear(obs.y, obs.model.matrix, net, scfg)
-    elif solver == "eps_pgd":
-        obj = Objective(obs.model, obs.y)
-        _, trace = eps_pgd(obj, net, scfg)
-    elif solver == "phase_pgd":
-        init_rng = RngStream(seed, spawn_key=(904,))
-        if cfg.phase_init_strategy == "oracle_perturb":
-            x0 = phase_init(obs.y, obs.model.matrix, net, init_rng,
-                            strategy="oracle_perturb", delta0=cfg.phase_delta0,
-                            x_star=obs.x_star)
-        else:
-            x0 = phase_init(obs.y, obs.model.matrix, net, init_rng,
-                            strategy="best_of_samples", count=cfg.phase_init_count)
-        _, trace = phase_pgd(obs.y, obs.model.matrix, net, scfg, x0)
-    elif solver == "myopic":
-        obj = Objective(obs.model, obs.y)
-        _, _, _, trace = myopic_eps_pgd(obj, net, inst.basis, cfg.sparsity, scfg)
-    elif solver == "csgm":
-        _, trace = csgm_baseline(obs.y, obs.model.matrix, net, cfg.csgm_steps,
-                                 cfg.csgm_rate, RngStream(seed, spawn_key=(905,)),
-                                 x_star=obs.x_star)
-    elif solver == "dpr":
-        _, trace = dpr_baseline(obs.y, obs.model.matrix, net, cfg.dpr_steps,
-                                cfg.dpr_rate, RngStream(seed, spawn_key=(905,)),
-                                x_star=obs.x_star)
-    else:
-        raise ConfigError(f"unknown solver {solver!r}")
-    wall = time.perf_counter() - t0
-    try:
-        alpha_fit = diag.convergence_rate(trace, RATE_FLOOR).alpha_fit
-    except ValueError:
-        alpha_fit = float("nan")
-    return {
-        "m": m,
-        "seed": seed,
-        "solver": solver,
-        "trace": trace,
-        "eta": eta,
-        "final_per_pixel_error": trace.final_per_pixel_error,
-        "final_objective": trace.final_objective,
-        "alpha_fit": alpha_fit,
-        "total_inner_updates": trace.inner_updates,
-        "wall_time_s": wall,
-    }
+    return _run_group(cfg, net, m, (seed,), solver,
+                      None if inst is None else [inst],
+                      None if eta is None else [eta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,27 +592,28 @@ RESULT_COLUMNS = ("m", "seed", "solver", "final_per_pixel_error",
 def cmd_sweep(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
-    cells = [(m, seed, solver)
-             for m in cfg.m_values()
-             for seed in cfg.seed_list()
-             for solver in cfg.solver_list()]
+    solvers = cfg.solver_list()
+    groups = [(m, solver) for m in cfg.m_values() for solver in solvers]
+
+    def run(group):
+        # Keep each cell's summary, not its trace: the traces of a whole
+        # sweep would pile up in memory.
+        return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
+                for cell in _run_group(cfg, net, group[0], cfg.seed_list(), group[1])]
+
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda c: run_cell(cfg, net, c[0], c[1], c[2]), cells))
+            done = list(pool.map(run, groups))
     else:
-        results = [run_cell(cfg, net, m, seed, solver) for m, seed, solver in cells]
+        done = [run(group) for group in groups]
+    results = sorted((r for cells in done for r in cells), key=lambda r: (
+        r["m"], r["seed"], solvers.index(r["solver"])))
 
-    order = sorted(range(len(cells)), key=lambda i: (
-        cells[i][0], cells[i][1], cfg.solver_list().index(cells[i][2])))
-    rows = []
-    for i in order:
-        r = results[i]
-        rows.append([r[c] for c in RESULT_COLUMNS])
+    rows = [[r[c] for c in RESULT_COLUMNS] for r in results]
     # Per-(m, solver) medians of the error/objective columns, appended after
     # the per-cell rows with seed column 'median'.
     for m in cfg.m_values():
-        for solver in cfg.solver_list():
+        for solver in solvers:
             sel = [r for r in results if r["m"] == m and r["solver"] == solver]
             rows.append([
                 m, "median", solver,
@@ -582,12 +625,11 @@ def cmd_sweep(cfg):
     results_path = out / "results.csv"
     write_csv(results_path, RESULT_COLUMNS, rows)
     # Wall-clock lives in a text sidecar, not the CSV: result tables must
-    # diff clean across reruns of the same config.
+    # diff clean across reruns of the same config.  Each cell's line holds
+    # the wall of its (m, solver) group.
     timing_lines = ["m seed solver wall_time_s"]
-    timing_lines += [
-        f"{cells[i][0]} {cells[i][1]} {cells[i][2]} "
-        f"{results[i]['wall_time_s']:.6f}" for i in order
-    ]
+    timing_lines += [f"{r['m']} {r['seed']} {r['solver']} {r['wall_time_s']:.6f}"
+                     for r in results]
     (out / "timings.txt").write_text("\n".join(timing_lines) + "\n")
     print(f"wrote {results_path} ({len(rows)} rows)")
     return 0

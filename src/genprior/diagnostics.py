@@ -21,7 +21,7 @@ import numpy as np
 
 from .generator import forward
 from .numerics import _check_orthonormal, as_matrix
-from .objectives import GRADIENT_SCALE, _adjoint, _loss_terms
+from .objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 
 __all__ = [
     "SrecEstimate",
@@ -148,8 +148,8 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
     a, kind = obj.model.matrix, obj.kind
     # Stacked matrix-vector products: one GEMV per pair, so every row has
     # the bits of the per-pair product (a plain GEMM does not).
-    f, c = _loss_terms(kind, np.matmul(a, xs[..., None])[..., 0], obj.y, obj.phase)
-    fp, _ = _loss_terms(kind, np.matmul(a, xps[..., None])[..., 0], obj.y, obj.phase)
+    f, c = _loss_terms(kind, _apply(a, xs), obj.y, obj.phase)
+    fp, _ = _loss_terms(kind, _apply(a, xps), obj.y, obj.phase)
     d = xps - xs
     del xs, xps  # free the largest block before the gradients come in
     nd2 = np.vecdot(d, d)

@@ -124,12 +124,18 @@ def _loss_terms(kind, u, y, phase=None):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def _apply(a, x):
+    """A x for each row of x; ``a`` is one (m, n) matrix or a stack of them
+    with the leading axes of x.  A stacked matrix-vector product, so every
+    row has the bits of its own ``A @ x``."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 def _adjoint(kind, a, c):
     """The gradient A.T c of each cotangent row (divided by m for the
-    averaged sigmoid loss); a stacked product, so every row has the bits
-    of its own A.T @ c."""
-    g = np.matmul(a.T, c[..., None])[..., 0]
-    return g / a.shape[0] if kind == "sim_sigmoid" else g
+    averaged sigmoid loss), with every row's bits of its own A.T @ c."""
+    g = _apply(a.mT, c)
+    return g / a.shape[-2] if kind == "sim_sigmoid" else g
 
 
 def _measurements(obj, x):

@@ -6,6 +6,12 @@ trajectory (the last iterate can overshoot on nonconvex inner landscapes).
 The achieved squared distance is reported as ``residual`` so callers can
 audit how close to an exact projection the oracle got; there is no
 certified approximation guarantee for nonconvex generators.
+
+Block shapes: ``project`` steps one latent (k,) for a single restart and an
+(R, k) block for R restarts.  A lockstep group of S > 1 cells (the seeds of
+one sweep column) projects as one (S, R, k) block, (S, 1, k) for a single
+restart, never (S, k): the stacked layer products give every cell the bits
+of its own ``project`` call, where one 2-D product over the rows would not.
 """
 
 from __future__ import annotations
@@ -78,6 +84,78 @@ def _start_block(cfg, k, rng):
     return z
 
 
+def _project_cells(net, xs, cfgs, rngs):
+    """Project each ``xs[i]`` with its own config and stream, as one block.
+
+    The cells share ``inner_steps``, ``inner_rate`` and ``restarts``; each
+    draws its start block from its own stream, in the order ``project``
+    does.  One cell keeps the shapes of ``project``: (k,) for one restart,
+    (R, k) otherwise.  S > 1 cells step as one (S, R, k) block, (S, 1, k)
+    for one restart: stacked layer products, so every cell has the bits of
+    its own descent.  Returns one ``ProjectionResult`` per cell, or None
+    for a cell with no iterate at a finite distance from its x.
+    """
+    cfg = cfgs[0]
+    starts = [_start_block(c, net.latent_dim, rng) for c, rng in zip(cfgs, rngs)]
+    if len(xs) == 1:
+        # One cell keeps the shapes of project; one restart steps as a
+        # vector: 1-D layer ops cost less than (1, k) ones, same bits.
+        x, z = xs[0], starts[0][0] if cfg.restarts == 1 else starts[0]
+    else:
+        x, z = np.stack(xs)[:, None], np.stack(starts)
+
+    # A row's best stays at inf until it first improves; such rows are
+    # never returned, so their zero iterates are placeholders.
+    best_res = np.full(z.shape[:-1], np.inf)
+    best_z, best_gx = z, np.zeros(z.shape[:-1] + (net.output_dim,))
+    rows = best_res.size
+    alive = None  # None while every row is finite
+    # A diverging row overflows (then meets inf - inf) before the
+    # finiteness check below drops it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.inner_steps + 1):
+            if step:
+                z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
+            gx, acts = _forward_cached(net, z)
+            d = x - gx
+            res = np.vecdot(d, d)
+            improved = res < best_res
+            if alive is not None:
+                improved = improved & alive
+            # count_nonzero is the cheapest test on a short mask.
+            n_improved = np.count_nonzero(improved)
+            if not np.isfinite(z).all() or (
+                    n_improved < rows
+                    and np.count_nonzero(np.isfinite(res)) < rows):
+                # A row whose latent or output is non-finite is dead from
+                # here on (relu and tanh can map a latent that overflowed
+                # back to a finite output); a finite output can still
+                # overflow the residual and live on.
+                finite = np.isfinite(z).all(axis=-1) & np.isfinite(gx).all(axis=-1)
+                alive = finite if alive is None else alive & finite
+                if not alive.any():
+                    break
+                improved = improved & alive
+                n_improved = np.count_nonzero(improved)
+            if n_improved == rows:
+                # z and gx are new arrays every step: hold references.
+                best_res, best_z, best_gx = res, z, gx
+            elif n_improved:
+                best_res = np.where(improved, res, best_res)
+                best_z = np.where(improved[..., None], z, best_z)
+                best_gx = np.where(improved[..., None], gx, best_gx)
+    shape = (len(xs), cfg.restarts)
+    best_res = best_res.reshape(shape)
+    best_z = best_z.reshape(shape + (-1,))
+    best_gx = best_gx.reshape(shape + (-1,))
+    results = []
+    for i, r in enumerate(np.argmin(best_res, axis=1)):  # lowest restart wins a tie
+        results.append(ProjectionResult(z_hat=best_z[i, r], x_proj=best_gx[i, r],
+                                        residual=float(best_res[i, r]))
+                       if np.isfinite(best_res[i, r]) else None)
+    return results
+
+
 def project(net, x, cfg, rng):
     """Best range point found by ``cfg.restarts`` inner descents.
 
@@ -97,58 +175,10 @@ def project(net, x, cfg, rng):
         raise ValueError(
             f"x length {x.shape[0]} does not match generator n={net.output_dim}"
         )
-    z = _start_block(cfg, net.latent_dim, rng)
-    if cfg.restarts == 1:
-        # One restart steps as a vector: 1-D layer ops cost less than
-        # (1, k) ones and give the same bits.
-        z = z[0]
-
-    # A row's best stays at inf until it first improves; such rows are
-    # never returned, so their zero iterates are placeholders.
-    best_res = np.full(z.shape[:-1], np.inf)
-    best_z, best_gx = z, np.zeros(z.shape[:-1] + (net.output_dim,))
-    alive = None  # None while every row is finite
-    # A diverging row overflows (then meets inf - inf) before the
-    # finiteness check below drops it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.inner_steps + 1):
-            if step:
-                z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
-            gx, acts = _forward_cached(net, z)
-            d = x - gx
-            res = np.vecdot(d, d)
-            improved = res < best_res
-            if alive is not None:
-                improved = improved & alive
-            # count_nonzero is the cheapest test on a short mask.
-            n_improved = np.count_nonzero(improved)
-            if not np.isfinite(z).all() or (
-                    n_improved < cfg.restarts
-                    and np.count_nonzero(np.isfinite(res)) < cfg.restarts):
-                # A row whose latent or output is non-finite is dead from
-                # here on (relu and tanh can map a latent that overflowed
-                # back to a finite output); a finite output can still
-                # overflow the residual and live on.
-                finite = np.isfinite(z).all(axis=-1) & np.isfinite(gx).all(axis=-1)
-                alive = finite if alive is None else alive & finite
-                if not alive.any():
-                    break
-                improved = improved & alive
-                n_improved = np.count_nonzero(improved)
-            if n_improved == cfg.restarts:
-                # z and gx are new arrays every step: hold references.
-                best_res, best_z, best_gx = res, z, gx
-            elif n_improved:
-                best_res = np.where(improved, res, best_res)
-                best_z = np.where(improved[:, None], z, best_z)
-                best_gx = np.where(improved[:, None], gx, best_gx)
-    best_res, best_z, best_gx = (np.atleast_1d(best_res), np.atleast_2d(best_z),
-                                 np.atleast_2d(best_gx))
-    r = int(np.argmin(best_res))  # the lowest restart wins a tie
-    if not np.isfinite(best_res[r]):
+    (res,) = _project_cells(net, [x], [cfg], [rng])
+    if res is None:
         raise ValueError(
             "projection found no range point at a finite distance from x "
             "(x too large, or inner_rate diverges)"
         )
-    return ProjectionResult(z_hat=best_z[r], x_proj=best_gx[r],
-                            residual=float(best_res[r]))
+    return res

@@ -25,19 +25,37 @@ and config.  The projection carries its latent warm start from one outer
 iteration to the next.  A diverged step (non-finite gradient step, or a
 projection that found no finite range point) holds the iterate and records
 ``proj_residual = NaN``.
+
+Both loops step a lockstep group of cells (a sweep steps the seeds of each
+(m, solver) column together), and each public solver is the one-cell case.
+In ``_projected_descent`` every cell keeps its own gradient step, hold,
+re-binding, threshold and random stream, and the projections of one outer
+step run as one (S, R, k) block.  ``_latent_descent`` steps one latent (k,)
+for a single cell and an (S, 1, k) block against stacked (S, 1, m, n)
+sensing matrices for S > 1 cells, and holds a diverged cell alone.  Stacked
+matrix-vector products give every cell the bits of its own run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .generator import _backward, _forward_cached, sample_range
 from .measurement import MeasurementModel
 from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
-from .objectives import Objective, _loss_terms, gradient, rebind_phase, value
-from .projection import ProjectionConfig, project
+from .objectives import (
+    Objective,
+    _adjoint,
+    _apply,
+    _loss_terms,
+    gradient,
+    rebind_phase,
+    value,
+)
+from .projection import ProjectionConfig, _project_cells
 
 __all__ = [
     "SolverConfig",
@@ -99,32 +117,67 @@ class SolveTrace:
         return float(self.per_pixel_error[-1])
 
 
+_TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
+                  "phase_flips")
+
+
 class _TraceBuilder:
-    def __init__(self, x_star=None):
-        self.x_star = None if x_star is None else as_vector(x_star, "ground_truth")
-        self.cols = {k: [] for k in
-                     ("objective", "per_pixel_error", "sign_error",
-                      "proj_residual", "phase_flips")}
+    """Per-step records of one cell, or of a lockstep block of cells.
+
+    ``x_star`` holds the cells' ground truths as rows (NaN for a cell
+    without one), or is None when no cell has one.  ``add`` takes each
+    cell's objective and iterate (the iterates with any leading cell axes,
+    or (n,) for one cell) and, optionally, each cell's projection residual
+    and phase flips (one value for all cells, or one per cell); ``build``
+    makes one trace per cell.  The ``records`` steps go into one (records,
+    columns, cells) buffer: a latent baseline records thousands of steps,
+    and one small array per value would hold several times the memory.
+    """
+
+    def __init__(self, records, x_star=None):
+        self.x_star = None if x_star is None else np.atleast_2d(x_star)
+        self.records = records
+        self.rows = None
+        self.steps = 0
 
     def add(self, objective, x, proj_residual=np.nan, phase_flips=np.nan):
+        x = x.reshape(-1, x.shape[-1])
         if self.x_star is None:
-            ppe = np.nan
-            sgn = np.nan
+            ppe = sgn = np.nan
         else:
+            # Row-wise dot products have the bits of each row's own d @ d.
             d = x - self.x_star
             s = x + self.x_star
-            ppe = float(d @ d) / x.shape[0]
-            sgn = min(float(np.linalg.norm(d)), float(np.linalg.norm(s)))
-        self.cols["objective"].append(float(objective))
-        self.cols["per_pixel_error"].append(ppe)
-        self.cols["sign_error"].append(sgn)
-        self.cols["proj_residual"].append(float(proj_residual))
-        self.cols["phase_flips"].append(float(phase_flips))
+            dd = np.vecdot(d, d)
+            ppe = dd / x.shape[-1]
+            sgn = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
+        if self.rows is None:
+            self.rows = np.empty((self.records, len(_TRACE_COLUMNS), x.shape[0]))
+        row = self.rows[self.steps]
+        row[0] = np.ravel(objective)
+        row[1] = ppe
+        row[2] = sgn
+        row[3] = proj_residual
+        row[4] = phase_flips
+        self.steps += 1
 
-    def build(self, x_hat, z_hat, inner_updates, extras=None):
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in self.cols.items()}
-        return SolveTrace(x_hat=x_hat, z_hat=z_hat, inner_updates=inner_updates,
-                          extras=extras or {}, **arrays)
+    def build(self, x_hats, z_hats, inner_updates, extras=None):
+        """One SolveTrace per cell, from the cells' final iterates, latents,
+        inner-update counts and (optional) extras."""
+        return [SolveTrace(x_hat=x_hat, z_hat=z_hat, inner_updates=inner,
+                           extras=extras[i] if extras else {},
+                           **{k: self.rows[:, j, i].copy()
+                              for j, k in enumerate(_TRACE_COLUMNS)})
+                for i, (x_hat, z_hat, inner)
+                in enumerate(zip(x_hats, z_hats, inner_updates))]
+
+
+def _truth_block(truths, n):
+    """The cells' ground truths as one (cells, n) block for _TraceBuilder."""
+    if all(t is None for t in truths):
+        return None
+    return np.stack([np.full(n, np.nan) if t is None
+                     else as_vector(t, "ground_truth") for t in truths])
 
 
 def sign_pm(u):
@@ -138,58 +191,85 @@ def _warm(proj_cfg, z_prev):
     return replace(proj_cfg, init="warm", warm_z=z_prev)
 
 
-def _projected_descent(obj, net, cfg, x0=None, rebind=None, sparse=None):
-    """The one outer loop: x <- P(x - eta * gradient(x)), from x0 (default 0).
+class _Cell(NamedTuple):
+    """One solve of a projected-descent group: its objective and config, a
+    start point (None: 0) and a hook ``rebind(obj, x) -> (obj,
+    phase_flips)`` that re-binds the objective to each new iterate."""
 
-    P projects onto Range(G); with ``sparse = (B, l)`` the feasible set is
-    Range(G) + {l-sparse in B}, the iterate is split as x = u + v, and both
-    blocks step with the same gradient before u is projected and v is
-    hard-thresholded.  ``rebind(obj, x) -> (obj, phase_flips)`` re-binds the
-    objective to each new iterate.  A step whose gradient step or projection
-    is not finite holds the iterate and records proj_residual = NaN.
+    obj: Objective
+    cfg: SolverConfig
+    x0: np.ndarray | None = None
+    rebind: Callable | None = None
+
+
+def _projected_descent(net, cells, sparse=None):
+    """The one outer loop, x <- P(x - eta * gradient(x)), over a group of
+    cells in lockstep; returns one trace per cell.
+
+    The cells share ``outer_steps`` and the projection's inner settings.
+    Each cell starts from its x0 (default 0) and keeps its own gradient
+    step, hold, re-binding, threshold and RngStream; the projections of one
+    outer step run as one ``_project_cells`` block, so every cell has the
+    bits of running alone.  P projects onto Range(G); with ``sparse = (B,
+    l)`` the feasible set is Range(G) + {l-sparse in B}, each iterate is
+    split as x = u + v, and both blocks step with the same gradient before
+    u is projected and v is hard-thresholded.  A cell whose gradient step
+    or projection is not finite holds its iterate and records
+    proj_residual = NaN.
     """
     n = net.output_dim
-    u = np.zeros(n) if x0 is None else x0
-    v = None if sparse is None else np.zeros(n)
-    x = u if v is None else u + v
-    z_prev = None
-    rng = RngStream(cfg.seed)
-    tb = _TraceBuilder(cfg.ground_truth)
-    flips = np.nan if rebind is None else 0.0
-    tb.add(value(obj, x), x, phase_flips=flips)
-    u_hist, v_hist = [u], [v]
-    inner = 0
-    for _ in range(cfg.outer_steps):
-        step = cfg.step_size * gradient(obj, x)
-        wu = u - step
-        wv = None if v is None else v - step
-        residual = np.nan  # stays NaN on a held (diverged) step
-        if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
-            inner += cfg.projection.restarts * cfg.projection.inner_steps
-            try:
-                res = project(net, wu, _warm(cfg.projection, z_prev), rng)
-            except ValueError:
-                pass  # no finite range point: hold the iterate
-            else:
-                u, z_prev, residual = res.x_proj, res.z_hat, res.residual
-                if v is not None:
-                    v = _thresh(wv, *sparse)
-                x = u if v is None else u + v
-        if rebind is not None:
-            obj, flips = rebind(obj, x)
-        tb.add(value(obj, x), x, proj_residual=residual, phase_flips=flips)
-        u_hist.append(u)
-        v_hist.append(v)
-    extras = {} if sparse is None else {"u": np.asarray(u_hist),
-                                        "v": np.asarray(v_hist)}
-    return tb.build(x, z_prev, inner, extras)
+    outer, proj = cells[0].cfg.outer_steps, cells[0].cfg.projection
+    objs = [c.obj for c in cells]
+    us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
+    vs = [None if sparse is None else np.zeros(n) for _ in cells]
+    xs = [u if v is None else u + v for u, v in zip(us, vs)]
+    z_prev = [None] * len(cells)
+    rngs = [RngStream(c.cfg.seed) for c in cells]
+    tb = _TraceBuilder(outer + 1,
+                       _truth_block([c.cfg.ground_truth for c in cells], n))
+    flips = [np.nan if c.rebind is None else 0.0 for c in cells]
+    tb.add([value(o, x) for o, x in zip(objs, xs)], np.stack(xs),
+           proj_residual=[np.nan] * len(cells), phase_flips=flips)
+    hist = [[(u, v)] for u, v in zip(us, vs)]
+    inner = [0] * len(cells)
+    for _ in range(outer):
+        residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
+        moves = []  # (cell, w_u, w_v) of every finite gradient step
+        for i, c in enumerate(cells):
+            step = c.cfg.step_size * gradient(objs[i], xs[i])
+            wu = us[i] - step
+            wv = None if vs[i] is None else vs[i] - step
+            if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
+                inner[i] += proj.restarts * proj.inner_steps
+                moves.append((i, wu, wv))
+        results = _project_cells(
+            net, [wu for _, wu, _ in moves],
+            [_warm(cells[i].cfg.projection, z_prev[i]) for i, _, _ in moves],
+            [rngs[i] for i, _, _ in moves]) if moves else []
+        for (i, _, wv), res in zip(moves, results):
+            if res is None:
+                continue  # no finite range point: hold the iterate
+            us[i], z_prev[i], residual[i] = res.x_proj, res.z_hat, res.residual
+            if wv is not None:
+                vs[i] = _thresh(wv, *sparse)
+            xs[i] = us[i] if vs[i] is None else us[i] + vs[i]
+        for i, c in enumerate(cells):
+            if c.rebind is not None:
+                objs[i], flips[i] = c.rebind(objs[i], xs[i])
+            hist[i].append((us[i], vs[i]))
+        tb.add([value(o, x) for o, x in zip(objs, xs)], np.stack(xs),
+               proj_residual=residual, phase_flips=flips)
+    extras = None if sparse is None else [
+        {"u": np.asarray([u for u, _ in h]), "v": np.asarray([v for _, v in h])}
+        for h in hist]
+    return tb.build(xs, z_prev, inner, extras)
 
 
 def eps_pgd(obj, net, cfg):
     """Projected gradient descent on a smooth objective over Range(G)."""
     if obj.kind == "phase_corrected":
         raise ValueError("eps_pgd does not handle phase_corrected; use phase_pgd")
-    trace = _projected_descent(obj, net, cfg)
+    (trace,) = _projected_descent(net, [_Cell(obj, cfg)])
     return trace.x_hat, trace
 
 
@@ -200,22 +280,12 @@ def pgd_linear(y, a, net, cfg):
     expands to w = x + eta * A.T (y - A x).
     """
     obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
-    trace = _projected_descent(obj, net, cfg)
+    (trace,) = _projected_descent(net, [_Cell(obj, cfg)])
     return trace.x_hat, trace
 
 
-def phase_pgd(y, a, net, cfg, x0, phase_override=None):
-    """Alternating phase estimation and projected descent for y = |A x*|.
-
-    Runs the projected-descent loop on the ``phase_corrected`` objective
-    ||y*p - Ax||^2, re-binding p = sign(Ax) to every new iterate, so the
-    gradient step is w = x + eta * A.T (y*p - Ax) and the recorded objective
-    is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
-
-    ``phase_override`` pins the phase vector for every iteration (bypassing
-    the sign re-estimate); with the true phase this reduces the algorithm
-    to the linear solver on y*p.  Intended for tests and diagnostics.
-    """
+def _phase_cell(y, a, net, cfg, x0, phase_override=None):
+    """The cell of one ``phase_pgd`` solve; see there."""
     y = as_vector(y, "y")
     if np.any(y < 0):
         raise ValueError("magnitude observations must be entrywise nonnegative")
@@ -233,8 +303,23 @@ def phase_pgd(y, a, net, cfg, x0, phase_override=None):
         p = phase_of(x)
         return rebind_phase(obj, p), float(np.sum(p != obj.phase))
 
-    obj = Objective(model, y, phase=phase_of(x0))
-    trace = _projected_descent(obj, net, cfg, x0=x0, rebind=rebind)
+    return _Cell(Objective(model, y, phase=phase_of(x0)), cfg, x0, rebind)
+
+
+def phase_pgd(y, a, net, cfg, x0, phase_override=None):
+    """Alternating phase estimation and projected descent for y = |A x*|.
+
+    Runs the projected-descent loop on the ``phase_corrected`` objective
+    ||y*p - Ax||^2, re-binding p = sign(Ax) to every new iterate, so the
+    gradient step is w = x + eta * A.T (y*p - Ax) and the recorded objective
+    is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
+
+    ``phase_override`` pins the phase vector for every iteration (bypassing
+    the sign re-estimate); with the true phase this reduces the algorithm
+    to the linear solver on y*p.  Intended for tests and diagnostics.
+    """
+    cell = _phase_cell(y, a, net, cfg, x0, phase_override)
+    (trace,) = _projected_descent(net, [cell])
     return trace.x_hat, trace
 
 
@@ -312,45 +397,80 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     extras carry the per-iteration u and v blocks.
     """
     sparse = _check_basis(b, net.output_dim, l)
-    trace = _projected_descent(obj, net, cfg, sparse=sparse)
+    (trace,) = _projected_descent(net, [_Cell(obj, cfg)], sparse=sparse)
     return trace.x_hat, trace.extras["u"][-1], trace.extras["v"][-1], trace
 
 
-def _latent_descent(net, steps, rate, rng, x_star, z0, kind, a, y):
-    """Plain gradient descent over z on the loss ``kind`` of u = A G(z).
+class _LatentCell(NamedTuple):
+    """One latent-descent baseline solve: observations y = A x, its own
+    start stream, and optional ground truth and start latent."""
 
-    Both baseline losses have scale 1/2, so 2 A.T c is the exact signal-space
-    gradient; it backpropagates through the net.
+    y: np.ndarray
+    a: np.ndarray
+    rng: RngStream
+    x_star: np.ndarray | None = None
+    z0: np.ndarray | None = None
+
+
+def _latent_descent(net, steps, rate, kind, cells):
+    """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
+    lockstep over cells that share the measurement count; returns one trace
+    per cell.
+
+    One cell steps its latent as a vector (k,).  S > 1 cells step as one
+    (S, 1, k) block against their stacked (S, 1, m, n) sensing matrices:
+    stacked matrix-vector products, so every cell has the bits of its own
+    descent.  Both baseline losses have scale 1/2, so 2 A.T c is the exact
+    signal-space gradient; it backpropagates through the net.
     """
+    ys = [as_vector(cell.y, "y") for cell in cells]
+    mats = [as_matrix(cell.a, "A") for cell in cells]
+    if kind == "magnitude" and any(np.any(y < 0) for y in ys):
+        raise ValueError("magnitude observations must be entrywise nonnegative")
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
-    z = rng.standard_normal(net.latent_dim) if z0 is None else as_vector(z0, "z0").copy()
-    gx, acts = _forward_cached(net, z)
-    loss, c = _loss_terms(kind, a @ gx, y)
-    tb = _TraceBuilder(x_star)
-    tb.add(loss, gx)
-    # A diverging step overflows (then meets inf - inf) before the
-    # finiteness checks below hold it.
+    zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
+          else as_vector(cell.z0, "z0").copy() for cell in cells]
+    if len(cells) == 1:
+        z, a, y = zs[0], mats[0], ys[0]
+    else:
+        z, a, y = (np.stack(b)[:, None] for b in (zs, mats, ys))
+    tb = _TraceBuilder(int(steps) + 1, _truth_block(
+        [cell.x_star for cell in cells], net.output_dim))
+    # A diverging cell overflows (then meets inf - inf) before the
+    # finiteness checks below hold it; its start can overflow too.
     with np.errstate(over="ignore", invalid="ignore"):
+        gx, acts = _forward_cached(net, z)
+        loss, c = _loss_terms(kind, _apply(a, gx), y)
+        tb.add(loss, gx)
         for _ in range(int(steps)):
-            z_next = z - rate * _backward(net, acts, a.T @ (2.0 * c))
+            z_next = z - rate * _backward(net, acts, _adjoint(kind, a, 2.0 * c))
             gx_next, acts_next = _forward_cached(net, z_next)
-            if np.all(np.isfinite(gx_next)):
-                loss_next, c_next = _loss_terms(kind, a @ gx_next, y)
-                if np.isfinite(loss_next):
-                    z, gx, acts = z_next, gx_next, acts_next
-                    loss, c = loss_next, c_next
-            # A diverged step is not taken: the iterate freezes at the last
-            # finite one, so the trace stays finite and non-convergence
-            # shows up in the data.
+            loss_next, c_next = _loss_terms(kind, _apply(a, gx_next), y)
+            ok = np.isfinite(gx_next).all(axis=-1) & np.isfinite(loss_next)
+            # A diverged step is not taken: the cell's iterate freezes at
+            # its last finite one, so the trace stays finite and
+            # non-convergence shows up in the data.
+            if ok.all():
+                z, gx, acts, loss, c = z_next, gx_next, acts_next, loss_next, c_next
+            elif ok.any():
+                keep = ok[..., None]
+                z = np.where(keep, z_next, z)
+                gx = np.where(keep, gx_next, gx)
+                acts = [np.where(keep, h_next, h) for h_next, h in zip(acts_next, acts)]
+                loss = np.where(ok, loss_next, loss)
+                c = np.where(keep, c_next, c)
             tb.add(loss, gx)
-    return gx, tb.build(gx, z, int(steps))
+    n_cells = len(cells)
+    return tb.build(gx.reshape(n_cells, -1), z.reshape(n_cells, -1),
+                    [int(steps)] * n_cells)
 
 
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     """Plain latent-space gradient descent on ||y - A G(z)||^2."""
-    return _latent_descent(net, steps, rate, rng, x_star, z0, "squared",
-                           as_matrix(a, "A"), as_vector(y, "y"))
+    (trace,) = _latent_descent(net, steps, rate, "squared",
+                               [_LatentCell(y, a, rng, x_star, z0)])
+    return trace.x_hat, trace
 
 
 def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
@@ -358,8 +478,6 @@ def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
 
     The subgradient of |u| at 0 is taken as 0 (numpy sign convention).
     """
-    a = as_matrix(a, "A")
-    y = as_vector(y, "y")
-    if np.any(y < 0):
-        raise ValueError("magnitude observations must be entrywise nonnegative")
-    return _latent_descent(net, steps, rate, rng, x_star, z0, "magnitude", a, y)
+    (trace,) = _latent_descent(net, steps, rate, "magnitude",
+                               [_LatentCell(y, a, rng, x_star, z0)])
+    return trace.x_hat, trace

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from genprior import load_weights, save_weights
-from genprior.cli import ConfigError, load_config, main
+from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from conftest import identity_generator
 
 LIN_CONFIG = """\
@@ -82,6 +82,29 @@ def test_eta_defaults_per_problem(tmp_path):
     assert load_config(p).eta_value() == 0.5
     p.write_text("problem = phase\n")
     assert load_config(p).eta_value() == 0.9
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("eta", "nan"),
+    ("inner_rate", "nan"),
+    ("noise_std", "nan"),
+    ("weight_scale", "inf"),
+    ("csgm_rate", "-0.01"),
+    ("dpr_rate", "0"),
+    ("csgm_steps", "0"),
+    ("dpr_steps", "0"),
+    ("phase_init_count", "0"),
+    ("m_list", "20,20"),
+    ("seeds", "1,2,1"),
+    ("solvers", "pgd,csgm,pgd"),
+])
+def test_config_rejects_values_that_make_a_sweep_silently_wrong(lin_config, key,
+                                                                raw):
+    # Each of these used to load: nan step sizes held every step, a nan
+    # noise level meant no noise, a negative rate ran gradient ascent, and a
+    # repeated sweep entry wrote its rows twice.
+    with pytest.raises(ConfigError, match=key):
+        load_config(lin_config, overrides=[f"{key}={raw}"])
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -182,7 +205,17 @@ def test_sweep_rows_and_medians(lin_config, tmp_path):
     keys = [(int(r[0]), int(r[1]), r[2]) for r in cells]
     order = {"pgd": 0, "csgm": 1}
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], order[t[2]]))
-    assert (out / "timings.txt").exists()
+    # timings.txt: a header, then one line per cell in results.csv order,
+    # each holding the wall of its (m, solver) lockstep group.
+    timings = (out / "timings.txt").read_text().splitlines()
+    assert timings[0] == "m seed solver wall_time_s"
+    lines = [t.split() for t in timings[1:]]
+    assert [(int(m), int(seed), solver) for m, seed, solver, _ in lines] == keys
+    walls = {}
+    for m, _, solver, wall in lines:
+        walls.setdefault((m, solver), set()).add(wall)
+    assert len(walls) == 2 * 2
+    assert all(len(w) == 1 and float(next(iter(w))) > 0 for w in walls.values())
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -204,15 +237,61 @@ def test_sweep_single_cell_matches_solve(lin_config, tmp_path, restarts):
 
 @pytest.mark.parametrize("restarts", [1, 4])
 def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    args = ["--set", "m_list=20,60", "--set", "seeds=0,1",
-            "--set", "solvers=pgd", "--set", "inner_steps=50",
-            "--set", f"restarts={restarts}"]
-    assert run_cli("sweep", "--config", str(lin_config), "--out", str(out1),
-                   "--workers", "1", *args) == 0
-    assert run_cli("sweep", "--config", str(lin_config), "--out", str(out2),
-                   "--workers", "4", *args) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    # The pool runs whole lockstep groups: the projected solvers and both
+    # latent baselines.
+    for problem, solvers in (("linear", "pgd,csgm"), ("phase", "phase_pgd,dpr")):
+        out1, out2 = tmp_path / f"{problem}1", tmp_path / f"{problem}4"
+        args = ["--set", f"problem={problem}", "--set", "m_list=20,60",
+                "--set", "seeds=0,1", "--set", f"solvers={solvers}",
+                "--set", "inner_steps=50", "--set", "csgm_steps=200",
+                "--set", "dpr_steps=200", "--set", "phase_init_count=10",
+                "--set", f"restarts={restarts}"]
+        assert run_cli("sweep", "--config", str(lin_config), "--out", str(out1),
+                       "--workers", "1", *args) == 0
+        assert run_cli("sweep", "--config", str(lin_config), "--out", str(out2),
+                       "--workers", "4", *args) == 0
+        assert (out1 / "results.csv").read_bytes() == \
+            (out2 / "results.csv").read_bytes()
+
+
+LOCKSTEP_SEEDS = (5, 0, 3)
+
+
+@pytest.mark.parametrize("problem", sorted(SOLVERS_FOR_PROBLEM))
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_lockstep_sweep_rows_equal_one_cell_sweeps(tmp_path, problem, restarts):
+    # A sweep steps the seeds of each (m, solver) column as one lockstep
+    # group; every cell row must keep the bytes it has in a sweep of its
+    # own seed.  eta=auto gives each cell of a group its own step size.
+    args = ["--set", f"problem={problem}", "--set", "latent_dim=4",
+            "--set", "hidden_dims=16", "--set", "output_dim=36",
+            "--set", "weight_seed=7", "--set", "m_list=12,30",
+            "--set", f"solvers={','.join(SOLVERS_FOR_PROBLEM[problem])}",
+            "--set", "eta=auto", "--set", "num_pairs=20",
+            "--set", "outer_steps=4", "--set", "inner_steps=15",
+            "--set", "inner_rate=0.05", "--set", f"restarts={restarts}",
+            "--set", "csgm_steps=40", "--set", "dpr_steps=40",
+            "--set", "phase_init_count=5", "--set", "sparsity=2"]
+
+    def cell_rows(out):
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        return [ln for ln in lines if ln.split(",")[1] != "median"]
+
+    group = tmp_path / "group"
+    assert run_cli("sweep", "--out", str(group), "--set",
+                   f"seeds={','.join(map(str, LOCKSTEP_SEEDS))}", *args) == 0
+    alone = {}
+    for seed in LOCKSTEP_SEEDS:
+        out = tmp_path / f"seed{seed}"
+        assert run_cli("sweep", "--out", str(out), "--set", f"seeds={seed}",
+                       *args) == 0
+        for row in cell_rows(out):
+            alone[tuple(row.split(",")[:3])] = row
+    rows = cell_rows(group)
+    assert len(rows) == len(alone) == 2 * len(LOCKSTEP_SEEDS) * len(
+        SOLVERS_FOR_PROBLEM[problem])
+    for row in rows:
+        assert row == alone[tuple(row.split(",")[:3])]
 
 
 # --- diagnose -----------------------------------------------------------

@@ -200,9 +200,9 @@ def test_incoherence_toy_in_open_interval(desk_net):
 def trace_errors(x, x_star):
     """(per_pixel_error, sign_error) of a one-record trace at x; the trace
     is where the package computes its reconstruction metrics."""
-    tb = _TraceBuilder(x_star)
+    tb = _TraceBuilder(1, x_star)
     tb.add(0.0, x)
-    trace = tb.build(x, None, 0)
+    (trace,) = tb.build([x], [None], [0])
     return trace.per_pixel_error[0], trace.sign_error[0]
 
 

@@ -97,7 +97,7 @@ def block_project(net, x, cfg, rng):
 def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
     z = rng.standard_normal(net.latent_dim) if z0 is None else z0.copy()
     gx = forward(net, z)
-    tb = _TraceBuilder(x_star)
+    tb = _TraceBuilder(steps + 1, x_star)
     tb.add(loss_fn(gx), gx)
     for _ in range(steps):
         z_next = z - rate * latent_gradient(net, z, cot_fn(gx))
@@ -105,7 +105,8 @@ def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
         if np.all(np.isfinite(gx_next)) and np.isfinite(loss_fn(gx_next)):
             z, gx = z_next, gx_next
         tb.add(loss_fn(gx), gx)
-    return gx, tb.build(gx, z, steps)
+    (trace,) = tb.build([gx], [z], [steps])
+    return gx, trace
 
 
 def two_pass_baseline(kind, y, a, net, steps, rate, rng, x_star=None, z0=None):

@@ -1,0 +1,135 @@
+"""Lockstep groups against one cell at a time.
+
+A sweep steps the seeds of each (m, solver) column as one group: the
+baselines as one (S, 1, k) latent block, the projected solvers with one
+projection block per outer step.  Every cell of a group must have the bits
+of its own single-cell run, also when another cell of the group diverges
+and is held.
+"""
+
+import numpy as np
+import pytest
+
+from genprior import (
+    MeasurementModel,
+    Objective,
+    ProjectionConfig,
+    RngStream,
+    SolverConfig,
+    csgm_baseline,
+    dpr_baseline,
+    myopic_eps_pgd,
+    pgd_linear,
+    phase_pgd,
+)
+from genprior.solvers import (
+    _Cell,
+    _LatentCell,
+    _latent_descent,
+    _phase_cell,
+    _projected_descent,
+)
+from conftest import planted_linear
+
+TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
+                 "phase_flips")
+SEEDS = (40, 41, 42)
+
+
+def assert_same_run(trace, ref, x_ref):
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(trace, col), getattr(ref, col), equal_nan=True)
+    assert np.array_equal(trace.x_hat, x_ref)
+    if ref.z_hat is None:
+        assert trace.z_hat is None
+    else:
+        assert np.array_equal(trace.z_hat, ref.z_hat)
+    assert trace.inner_updates == ref.inner_updates
+
+
+def instances(net, m=48):
+    return [planted_linear(net, m, seed) for seed in SEEDS]
+
+
+def solver_cfg(seed, x_star, eta, restarts):
+    return SolverConfig(outer_steps=4, step_size=eta, seed=seed, ground_truth=x_star,
+                        projection=ProjectionConfig(inner_steps=20, inner_rate=0.05,
+                                                    restarts=restarts))
+
+
+@pytest.mark.parametrize("kind", ["squared", "magnitude"])
+def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind):
+    # The middle cell's observations are so large that its loss overflows
+    # from the start, so every one of its steps is held; the cells around
+    # it keep descending.
+    baseline = csgm_baseline if kind == "squared" else dpr_baseline
+    cells, refs = [], []
+    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
+        y = np.abs(y) if kind == "magnitude" else y
+        if i == 1:
+            y = 1e155 * y
+        cells.append(_LatentCell(y, a, RngStream(seed), x_star=x_star))
+        refs.append(baseline(y, a, desk_net, 60, 0.01, RngStream(seed),
+                             x_star=x_star))
+    traces = _latent_descent(desk_net, 60, 0.01, kind, cells)
+    moved = [np.count_nonzero(np.diff(t.per_pixel_error)) for t in traces]
+    assert moved[1] == 0 and np.all(np.isinf(traces[1].objective))
+    assert moved[0] == moved[2] == 60
+    for trace, (x_ref, ref) in zip(traces, refs):
+        assert_same_run(trace, ref, x_ref)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("solver", ["pgd_linear", "phase_pgd", "myopic_eps_pgd"])
+def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
+                                                          restarts):
+    # eta = 1e300 on the middle cell keeps its gradient step finite, but no
+    # range point lies at a finite distance from it: that cell's projection
+    # comes back empty inside the block, and the cell holds alone.
+    cells, refs, sparse = [], [], None
+    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
+        cfg = solver_cfg(seed, x_star, 1e300 if i == 1 else 0.7, restarts)
+        if solver == "pgd_linear":
+            cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
+                               cfg))
+            refs.append(pgd_linear(y, a, desk_net, cfg))
+        elif solver == "phase_pgd":
+            x0 = x_star + 0.1 * RngStream(seed, spawn_key=(3,)).standard_normal(
+                desk_net.output_dim)
+            cells.append(_phase_cell(np.abs(y), a, desk_net, cfg, x0))
+            refs.append(phase_pgd(np.abs(y), a, desk_net, cfg, x0))
+        else:
+            obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
+            basis = np.eye(desk_net.output_dim)
+            cells.append(_Cell(obj, cfg))
+            sparse = (basis, 5)
+            refs.append(myopic_eps_pgd(obj, desk_net, basis, 5, cfg)[3])
+    traces = _projected_descent(desk_net, cells, sparse)
+    assert np.all(np.isnan(traces[1].proj_residual))
+    assert not np.any(np.isnan(traces[0].proj_residual[1:]))
+    for trace, ref in zip(traces, refs):
+        if solver != "myopic_eps_pgd":
+            x_ref, ref = ref
+        else:
+            x_ref = ref.x_hat
+            for block in ("u", "v"):
+                assert np.array_equal(trace.extras[block], ref.extras[block])
+        assert_same_run(trace, ref, x_ref)
+
+
+def test_projected_group_skips_a_cell_whose_step_overflows(desk_net):
+    # eta = 1e308 overflows the middle cell's gradient step: it leaves the
+    # projection block (and counts no inner updates) while the other cells
+    # project as a block of two.
+    cells, refs = [], []
+    with np.errstate(over="ignore"):
+        for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS,
+                                                          instances(desk_net))):
+            cfg = solver_cfg(seed, x_star, 1e308 if i == 1 else 0.7, 2)
+            cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"),
+                                         y), cfg))
+            refs.append(pgd_linear(y, a, desk_net, cfg))
+        traces = _projected_descent(desk_net, cells)
+    assert traces[1].inner_updates == 0 and traces[1].z_hat is None
+    for trace, (x_ref, ref) in zip(traces, refs):
+        assert_same_run(trace, ref, x_ref)

@@ -1,6 +1,7 @@
 """Property tests of the boundary contract: bad weight files and any small
 projection problem either raise ValueError or give finite, repeatable
-results.  Examples are derandomized, so every run checks the same ones."""
+results, alone or as a cell of a lockstep block.  Examples are
+derandomized, so every run checks the same ones."""
 
 import struct
 
@@ -19,6 +20,7 @@ from genprior import (
     random_generator,
     save_weights,
 )
+from genprior.projection import _project_cells
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -108,38 +110,47 @@ def test_mutated_depth_names_the_problem(tmp_dir):
 
 
 @PROPERTY
-@given(net=nets(), restarts=st.integers(1, 4), steps=st.integers(1, 12),
-       rate_exp=st.integers(-4, 6), x_exp=st.sampled_from([0, 3, 150, 300]),
+@given(net=nets(), cells=st.integers(1, 4), restarts=st.integers(1, 4),
+       steps=st.integers(1, 12), rate_exp=st.integers(-4, 6),
+       x_exps=st.lists(st.sampled_from([0, 3, 150, 300]), min_size=4, max_size=4),
        init=st.sampled_from(["zero", "random", "warm"]),
        warm_exp=st.sampled_from([0, 307]), seed=st.integers(0, 2**16))
-def test_project_raises_or_returns_finite_repeatable(net, restarts, steps,
-                                                     rate_exp, x_exp, init,
+def test_project_raises_or_returns_finite_repeatable(net, cells, restarts, steps,
+                                                     rate_exp, x_exps, init,
                                                      warm_exp, seed):
-    # A warm latent near the float64 limit overflows on its first step.
-    x = 10.0**x_exp * RngStream(seed, spawn_key=(1,)).standard_normal(
-        net.output_dim)
-    warm = 10.0**warm_exp * RngStream(seed, spawn_key=(2,)).standard_normal(
-        net.latent_dim)
-    cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
-                           restarts=restarts, init=init,
-                           warm_z=warm if init == "warm" else None)
-    outcomes = []
-    for _ in range(2):
-        try:
-            outcomes.append(project(net, x, cfg, RngStream(seed)))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    first, again = outcomes
-    if isinstance(first, str):
-        assert first == again and "no range point" in first
-        return
-    assert np.all(np.isfinite(first.z_hat)) and np.all(np.isfinite(first.x_proj))
-    assert np.isfinite(first.residual)
-    d = x - first.x_proj
-    assert first.residual == float(d @ d)
-    assert np.array_equal(first.z_hat, again.z_hat)
-    assert np.array_equal(first.x_proj, again.x_proj)
-    assert first.residual == again.residual
+    # A warm latent near the float64 limit overflows on its first step.  A
+    # block of cells, each with its own x, warm latent and stream, must give
+    # every cell what project gives it alone.
+    xs, cfgs = [], []
+    for i in range(cells):
+        xs.append(10.0**x_exps[i] * RngStream(seed + i, spawn_key=(1,))
+                  .standard_normal(net.output_dim))
+        warm = 10.0**warm_exp * RngStream(seed + i, spawn_key=(2,)).standard_normal(
+            net.latent_dim)
+        cfgs.append(ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
+                                     restarts=restarts, init=init,
+                                     warm_z=warm if init == "warm" else None))
+    block = _project_cells(net, xs, cfgs, [RngStream(seed + i) for i in range(cells)])
+    for x, cfg, i, in_block in zip(xs, cfgs, range(cells), block):
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(project(net, x, cfg, RngStream(seed + i)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        first, again = outcomes
+        if isinstance(first, str):
+            assert first == again and "no range point" in first
+            assert in_block is None
+            continue
+        assert np.all(np.isfinite(first.z_hat)) and np.all(np.isfinite(first.x_proj))
+        assert np.isfinite(first.residual)
+        d = x - first.x_proj
+        assert first.residual == float(d @ d)
+        for res in (again, in_block):
+            assert np.array_equal(first.z_hat, res.z_hat)
+            assert np.array_equal(first.x_proj, res.x_proj)
+            assert first.residual == res.residual
 
 
 @PROPERTY

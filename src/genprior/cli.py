@@ -18,7 +18,9 @@ The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 A sweep runs each (m, solver) column as one lockstep group: instances,
 step sizes and phase starts are made one seed at a time, then the solver
 steps all the seeds of the column together (see ``solvers``).  ``--workers
-N`` runs the groups on N threads.
+N`` runs the groups on N threads, which take turns at the solver: a
+lockstep solve holds the interpreter lock nearly throughout, and two at once
+only slow each other down, so the threads overlap instance building alone.
 
 Outputs are deterministic byte-for-byte given the config, and do not depend
 on the worker count or on how the cells are grouped: CSV floats are written
@@ -33,9 +35,11 @@ scaling range recorded in the summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -437,13 +441,15 @@ def _solve_group(cfg, net, solver, seeds, insts, scfgs):
                                     for o, scfg in zip(obs, scfgs)], sparse)
 
 
-def _run_group(cfg, net, m, seeds, solver, insts=None, etas=None):
+def _run_group(cfg, net, m, seeds, solver, insts=None, etas=None,
+               solve_lock=contextlib.nullcontext()):
     """The cells of one (m, solver) sweep column, one per seed.
 
     Instances, step sizes and phase starts are made one cell at a time;
-    then the solver steps every cell of the group in lockstep, with the
-    bits each cell has on its own.  Every cell's ``wall_time_s`` is the
-    group's wall.
+    then, holding ``solve_lock``, the solver steps every cell of the group
+    in lockstep, with the bits each cell has on its own.  Every cell's
+    ``wall_time_s`` is the wall of the group's solve, without the wait for
+    the lock.
     """
     if insts is None:
         insts = [build_instance(cfg, net, m, seed) for seed in seeds]
@@ -451,9 +457,10 @@ def _run_group(cfg, net, m, seeds, solver, insts=None, etas=None):
         etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
     scfgs = [_solver_config(cfg, eta, seed, inst.observation.x_star)
              for inst, eta, seed in zip(insts, etas, seeds)]
-    t0 = time.perf_counter()
-    traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
-    wall = time.perf_counter() - t0
+    with solve_lock:
+        t0 = time.perf_counter()
+        traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
+        wall = time.perf_counter() - t0
     cells = []
     for seed, eta, trace in zip(seeds, etas, traces):
         try:
@@ -594,12 +601,16 @@ def cmd_sweep(cfg):
     net = build_generator(cfg)
     solvers = cfg.solver_list()
     groups = [(m, solver) for m in cfg.m_values() for solver in solvers]
+    # Two solves at once trade the interpreter lock on every numpy call: on
+    # 2 vCPUs that makes a sweep ~1.5x slower than one thread, and unsteady.
+    solve_lock = threading.Lock()
 
     def run(group):
         # Keep each cell's summary, not its trace: the traces of a whole
         # sweep would pile up in memory.
         return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
-                for cell in _run_group(cfg, net, group[0], cfg.seed_list(), group[1])]
+                for cell in _run_group(cfg, net, group[0], cfg.seed_list(), group[1],
+                                       solve_lock=solve_lock)]
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

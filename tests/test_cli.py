@@ -2,11 +2,13 @@
 determinism of outputs, and the wiring of each subcommand."""
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from genprior import load_weights, save_weights
+from genprior import cli, load_weights, save_weights
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from conftest import identity_generator
 
@@ -252,6 +254,33 @@ def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
                        "--workers", "4", *args) == 0
         assert (out1 / "results.csv").read_bytes() == \
             (out2 / "results.csv").read_bytes()
+
+
+def test_sweep_workers_take_turns_at_the_solver(lin_config, tmp_path, monkeypatch):
+    # Two lockstep solves at once trade the interpreter lock on every numpy
+    # call; the pool's threads overlap instance building only.
+    solve, guard = cli._solve_group, threading.Lock()
+    active, most = [0], [0]
+
+    def counted(*args):
+        with guard:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+        time.sleep(0.02)  # room for another thread to enter, were it let in
+        try:
+            return solve(*args)
+        finally:
+            with guard:
+                active[0] -= 1
+
+    monkeypatch.setattr(cli, "_solve_group", counted)
+    assert run_cli("sweep", "--config", str(lin_config), "--out", str(tmp_path),
+                   "--workers", "4", "--set", "m_list=20,40,60",
+                   "--set", "seeds=0,1", "--set", "solvers=pgd,csgm",
+                   "--set", "inner_steps=20", "--set", "csgm_steps=50") == 0
+    assert most == [1]
+    lines = (tmp_path / "timings.txt").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 2 * 2
 
 
 LOCKSTEP_SEEDS = (5, 0, 3)

@@ -15,33 +15,31 @@ line with ``--set key=value``; ``--seed``, ``--out`` and ``--workers`` are
 shorthands for the keys of the same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
-A sweep runs each (m, solver) column as one lockstep group: instances,
-step sizes and phase starts are made one seed at a time, then the solver
-steps all the seeds of the column together (see ``solvers``).  ``--workers
-N`` runs the groups on N threads, which take turns at the solver: a
-lockstep solve holds the interpreter lock nearly throughout, and two at once
-only slow each other down, so the threads overlap instance building alone.
+A sweep builds each (m, seed) instance and resolves its step size once,
+shares both with every solver, and runs each solver as one lockstep group
+over all its cells: phase starts are made one cell at a time, then the
+solver steps every cell together (see ``solvers``).  The groups run one
+after another: a lockstep solve holds the interpreter lock nearly
+throughout, so with the instances built up front a thread pool would have
+nothing left to overlap.  ``--workers`` is accepted and changes nothing.
 
 Outputs are deterministic byte-for-byte given the config, and do not depend
-on the worker count or on how the cells are grouped: CSV floats are written
-with 17 significant digits, sweep rows in (m, seed, solver) order, and
-wall-clock timings go to a separate ``timings.txt`` sidecar (one line per
-cell, holding the wall of its group) so the result tables diff clean across
-reruns.  Reconstructions are written as plain-text PGM (P2) images when the
-signal length is a perfect square, min-max scaled to 0..255 with the
-scaling range recorded in the summary.
+on how the cells are grouped: CSV floats are written with 17 significant
+digits, sweep rows in (m, seed, solver) order, and wall-clock timings go to
+a separate ``timings.txt`` sidecar (one line per cell, holding the wall of
+its solver's group) so the result tables diff clean across reruns.
+Reconstructions are written as plain-text PGM (P2) images when the signal
+length is a perfect square, min-max scaled to 0..255 with the scaling range
+recorded in the summary.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -182,7 +180,7 @@ class ExperimentConfig:
     num_pairs: int = 500
     image: bool = _key(True, _parse_bool)
     out: str = ""
-    workers: int = 1
+    workers: int = 1  # accepted and unused: a sweep runs its groups in turn
 
     def solver_list(self):
         if self.solvers:
@@ -441,28 +439,21 @@ def _solve_group(cfg, net, solver, seeds, insts, scfgs):
                                     for o, scfg in zip(obs, scfgs)], sparse)
 
 
-def _run_group(cfg, net, m, seeds, solver, insts=None, etas=None,
-               solve_lock=contextlib.nullcontext()):
-    """The cells of one (m, solver) sweep column, one per seed.
+def _run_group(cfg, net, ms, seeds, solver, insts, etas):
+    """The cells of one solver's lockstep group, one per (m, seed) pair,
+    given each cell's instance and step size.
 
-    Instances, step sizes and phase starts are made one cell at a time;
-    then, holding ``solve_lock``, the solver steps every cell of the group
-    in lockstep, with the bits each cell has on its own.  Every cell's
-    ``wall_time_s`` is the wall of the group's solve, without the wait for
-    the lock.
+    Phase starts are made one cell at a time; then the solver steps every
+    cell of the group in lockstep, with the bits each cell has on its own.
+    Every cell's ``wall_time_s`` is the wall of the group's solve.
     """
-    if insts is None:
-        insts = [build_instance(cfg, net, m, seed) for seed in seeds]
-    if etas is None:
-        etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
     scfgs = [_solver_config(cfg, eta, seed, inst.observation.x_star)
              for inst, eta, seed in zip(insts, etas, seeds)]
-    with solve_lock:
-        t0 = time.perf_counter()
-        traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
+    wall = time.perf_counter() - t0
     cells = []
-    for seed, eta, trace in zip(seeds, etas, traces):
+    for m, seed, eta, trace in zip(ms, seeds, etas, traces):
         try:
             alpha_fit = diag.convergence_rate(trace, RATE_FLOOR).alpha_fit
         except ValueError:
@@ -488,9 +479,11 @@ def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
     A caller that already built the instance and resolved the step size
     for this (m, seed) passes them as ``inst`` and ``eta``.
     """
-    return _run_group(cfg, net, m, (seed,), solver,
-                      None if inst is None else [inst],
-                      None if eta is None else [eta])[0]
+    if inst is None:
+        inst = build_instance(cfg, net, m, seed)
+    if eta is None:
+        eta = resolve_eta(cfg, inst, net, seed)
+    return _run_group(cfg, net, (m,), (seed,), solver, [inst], [eta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,25 +593,16 @@ def cmd_sweep(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
     solvers = cfg.solver_list()
-    groups = [(m, solver) for m in cfg.m_values() for solver in solvers]
-    # Two solves at once trade the interpreter lock on every numpy call: on
-    # 2 vCPUs that makes a sweep ~1.5x slower than one thread, and unsteady.
-    solve_lock = threading.Lock()
-
-    def run(group):
+    ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
+    insts = [build_instance(cfg, net, m, seed) for m, seed in zip(ms, seeds)]
+    etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
+    results = []
+    for solver in solvers:
         # Keep each cell's summary, not its trace: the traces of a whole
         # sweep would pile up in memory.
-        return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
-                for cell in _run_group(cfg, net, group[0], cfg.seed_list(), group[1],
-                                       solve_lock=solve_lock)]
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            done = list(pool.map(run, groups))
-    else:
-        done = [run(group) for group in groups]
-    results = sorted((r for cells in done for r in cells), key=lambda r: (
-        r["m"], r["seed"], solvers.index(r["solver"])))
+        results += [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
+                    for cell in _run_group(cfg, net, ms, seeds, solver, insts, etas)]
+    results.sort(key=lambda r: (r["m"], r["seed"], solvers.index(r["solver"])))
 
     rows = [[r[c] for c in RESULT_COLUMNS] for r in results]
     # Per-(m, solver) medians of the error/objective columns, appended after
@@ -637,7 +621,7 @@ def cmd_sweep(cfg):
     write_csv(results_path, RESULT_COLUMNS, rows)
     # Wall-clock lives in a text sidecar, not the CSV: result tables must
     # diff clean across reruns of the same config.  Each cell's line holds
-    # the wall of its (m, solver) group.
+    # the wall of its solver's group.
     timing_lines = ["m seed solver wall_time_s"]
     timing_lines += [f"{r['m']} {r['seed']} {r['solver']} {r['wall_time_s']:.6f}"
                      for r in results]

@@ -8,8 +8,8 @@ audit how close to an exact projection the oracle got; there is no
 certified approximation guarantee for nonconvex generators.
 
 Block shapes: ``project`` steps one latent (k,) for a single restart and an
-(R, k) block for R restarts.  A lockstep group of S > 1 cells (the seeds of
-one sweep column) projects as one (S, R, k) block, (S, 1, k) for a single
+(R, k) block for R restarts.  A lockstep group of S > 1 cells (the cells of
+one sweep solver) projects as one (S, R, k) block, (S, 1, k) for a single
 restart, never (S, k): the stacked layer products give every cell the bits
 of its own ``project`` call, where one 2-D product over the rows would not.
 """

@@ -26,14 +26,15 @@ iteration to the next.  A diverged step (non-finite gradient step, or a
 projection that found no finite range point) holds the iterate and records
 ``proj_residual = NaN``.
 
-Both loops step a lockstep group of cells (a sweep steps the seeds of each
-(m, solver) column together), and each public solver is the one-cell case.
-In ``_projected_descent`` every cell keeps its own gradient step, hold,
-re-binding, threshold and random stream, and the projections of one outer
-step run as one (S, R, k) block.  ``_latent_descent`` steps one latent (k,)
-for a single cell and an (S, 1, k) block against stacked (S, 1, m, n)
-sensing matrices for S > 1 cells, and holds a diverged cell alone.  Stacked
-matrix-vector products give every cell the bits of its own run.
+Both loops step a lockstep group of cells (a sweep steps every (m, seed)
+cell of a solver together), and each public solver is the one-cell case.
+In ``_projected_descent`` every cell keeps its own measurements, gradient
+step, hold, re-binding, threshold and random stream, and the projections
+of one outer step run as one (S, R, k) block.  ``_latent_descent`` steps
+one latent (k,) for a single cell and an (S, 1, k) block for S > 1 cells,
+measures each run of cells with equal m against its stacked (s, 1, m, n)
+sensing matrices, and holds a diverged cell alone.  Stacked matrix-vector
+products give every cell the bits of its own run.
 """
 
 from __future__ import annotations
@@ -129,15 +130,16 @@ class _TraceBuilder:
     cell's objective and iterate (the iterates with any leading cell axes,
     or (n,) for one cell) and, optionally, each cell's projection residual
     and phase flips (one value for all cells, or one per cell); ``build``
-    makes one trace per cell.  The ``records`` steps go into one (records,
-    columns, cells) buffer: a latent baseline records thousands of steps,
-    and one small array per value would hold several times the memory.
+    makes one trace per cell.  The ``records`` steps go into one (columns,
+    cells, records) buffer, and each trace column is a contiguous view of
+    it: a latent baseline records thousands of steps, and one small array
+    per value, or a copy per column, would hold several times the memory.
     """
 
     def __init__(self, records, x_star=None):
         self.x_star = None if x_star is None else np.atleast_2d(x_star)
         self.records = records
-        self.rows = None
+        self.cols = None
         self.steps = 0
 
     def add(self, objective, x, proj_residual=np.nan, phase_flips=np.nan):
@@ -151,14 +153,11 @@ class _TraceBuilder:
             dd = np.vecdot(d, d)
             ppe = dd / x.shape[-1]
             sgn = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
-        if self.rows is None:
-            self.rows = np.empty((self.records, len(_TRACE_COLUMNS), x.shape[0]))
-        row = self.rows[self.steps]
-        row[0] = np.ravel(objective)
-        row[1] = ppe
-        row[2] = sgn
-        row[3] = proj_residual
-        row[4] = phase_flips
+        if self.cols is None:
+            self.cols = np.empty((len(_TRACE_COLUMNS), x.shape[0], self.records))
+        for col, v in zip(self.cols, (np.ravel(objective), ppe, sgn,
+                                      proj_residual, phase_flips)):
+            col[:, self.steps] = v
         self.steps += 1
 
     def build(self, x_hats, z_hats, inner_updates, extras=None):
@@ -166,8 +165,7 @@ class _TraceBuilder:
         inner-update counts and (optional) extras."""
         return [SolveTrace(x_hat=x_hat, z_hat=z_hat, inner_updates=inner,
                            extras=extras[i] if extras else {},
-                           **{k: self.rows[:, j, i].copy()
-                              for j, k in enumerate(_TRACE_COLUMNS)})
+                           **dict(zip(_TRACE_COLUMNS, self.cols[:, i])))
                 for i, (x_hat, z_hat, inner)
                 in enumerate(zip(x_hats, z_hats, inner_updates))]
 
@@ -236,9 +234,11 @@ def _projected_descent(net, cells, sparse=None):
         residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
         moves = []  # (cell, w_u, w_v) of every finite gradient step
         for i, c in enumerate(cells):
-            step = c.cfg.step_size * gradient(objs[i], xs[i])
-            wu = us[i] - step
-            wv = None if vs[i] is None else vs[i] - step
+            # An overflowing step is held by the finiteness check below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = c.cfg.step_size * gradient(objs[i], xs[i])
+                wu = us[i] - step
+                wv = None if vs[i] is None else vs[i] - step
             if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
                 inner[i] += proj.restarts * proj.inner_steps
                 moves.append((i, wu, wv))
@@ -414,14 +414,16 @@ class _LatentCell(NamedTuple):
 
 def _latent_descent(net, steps, rate, kind, cells):
     """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
-    lockstep over cells that share the measurement count; returns one trace
-    per cell.
+    lockstep over a group of cells; returns one trace per cell.
 
     One cell steps its latent as a vector (k,).  S > 1 cells step as one
-    (S, 1, k) block against their stacked (S, 1, m, n) sensing matrices:
-    stacked matrix-vector products, so every cell has the bits of its own
-    descent.  Both baseline losses have scale 1/2, so 2 A.T c is the exact
-    signal-space gradient; it backpropagates through the net.
+    (S, 1, k) latent block, one pass through the net per step; the
+    measurement half (A G(z), the loss and A.T c) runs once per run of
+    consecutive cells with equal m, against that run's stacked (s, 1, m, n)
+    sensing matrices.  Stacked matrix-vector products, so every cell has
+    the bits of its own descent.  Both baseline losses have scale 1/2, so
+    2 A.T c is the exact signal-space gradient; it backpropagates through
+    the net.
     """
     ys = [as_vector(cell.y, "y") for cell in cells]
     mats = [as_matrix(cell.a, "A") for cell in cells]
@@ -432,34 +434,50 @@ def _latent_descent(net, steps, rate, kind, cells):
     zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
           else as_vector(cell.z0, "z0").copy() for cell in cells]
     if len(cells) == 1:
-        z, a, y = zs[0], mats[0], ys[0]
+        z, runs = zs[0], [(slice(None), mats[0], ys[0])]
     else:
-        z, a, y = (np.stack(b)[:, None] for b in (zs, mats, ys))
+        z = np.stack(zs)[:, None]
+        cuts = [0] + [i for i in range(1, len(cells))
+                      if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
+        runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
+                 np.stack(ys[lo:hi])[:, None]) for lo, hi in zip(cuts, cuts[1:])]
+
+    def measure(gx):
+        """Each cell's loss and signal-space gradient, one stacked product
+        per run of equal m."""
+        parts = []
+        for rows, a, y in runs:
+            loss, c = _loss_terms(kind, _apply(a, gx[rows]), y)
+            parts.append((loss, _adjoint(kind, a, 2.0 * c)))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
     tb = _TraceBuilder(int(steps) + 1, _truth_block(
         [cell.x_star for cell in cells], net.output_dim))
     # A diverging cell overflows (then meets inf - inf) before the
     # finiteness checks below hold it; its start can overflow too.
     with np.errstate(over="ignore", invalid="ignore"):
         gx, acts = _forward_cached(net, z)
-        loss, c = _loss_terms(kind, _apply(a, gx), y)
+        loss, g = measure(gx)
         tb.add(loss, gx)
         for _ in range(int(steps)):
-            z_next = z - rate * _backward(net, acts, _adjoint(kind, a, 2.0 * c))
+            z_next = z - rate * _backward(net, acts, g)
             gx_next, acts_next = _forward_cached(net, z_next)
-            loss_next, c_next = _loss_terms(kind, _apply(a, gx_next), y)
+            loss_next, g_next = measure(gx_next)
             ok = np.isfinite(gx_next).all(axis=-1) & np.isfinite(loss_next)
             # A diverged step is not taken: the cell's iterate freezes at
             # its last finite one, so the trace stays finite and
             # non-convergence shows up in the data.
             if ok.all():
-                z, gx, acts, loss, c = z_next, gx_next, acts_next, loss_next, c_next
+                z, gx, acts, loss, g = z_next, gx_next, acts_next, loss_next, g_next
             elif ok.any():
                 keep = ok[..., None]
                 z = np.where(keep, z_next, z)
                 gx = np.where(keep, gx_next, gx)
                 acts = [np.where(keep, h_next, h) for h_next, h in zip(acts_next, acts)]
                 loss = np.where(ok, loss_next, loss)
-                c = np.where(keep, c_next, c)
+                g = np.where(keep, g_next, g)
             tb.add(loss, gx)
     n_cells = len(cells)
     return tb.build(gx.reshape(n_cells, -1), z.reshape(n_cells, -1),

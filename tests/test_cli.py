@@ -208,16 +208,41 @@ def test_sweep_rows_and_medians(lin_config, tmp_path):
     order = {"pgd": 0, "csgm": 1}
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], order[t[2]]))
     # timings.txt: a header, then one line per cell in results.csv order,
-    # each holding the wall of its (m, solver) lockstep group.
+    # each holding the wall of its solver's lockstep group.
     timings = (out / "timings.txt").read_text().splitlines()
     assert timings[0] == "m seed solver wall_time_s"
     lines = [t.split() for t in timings[1:]]
     assert [(int(m), int(seed), solver) for m, seed, solver, _ in lines] == keys
     walls = {}
-    for m, _, solver, wall in lines:
-        walls.setdefault((m, solver), set()).add(wall)
-    assert len(walls) == 2 * 2
+    for _, _, solver, wall in lines:
+        walls.setdefault(solver, set()).add(wall)
+    assert len(walls) == 2
     assert all(len(w) == 1 and float(next(iter(w))) > 0 for w in walls.values())
+
+
+def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
+    # Every solver of a sweep shares the instances and step sizes: one build
+    # and one eta=auto curvature probe per (m, seed), not per solver.
+    built, probed = [], []
+    build, resolve = cli.build_instance, cli.resolve_eta
+
+    def counted_build(cfg, net, m, seed):
+        built.append((m, seed))
+        return build(cfg, net, m, seed)
+
+    def counted_resolve(cfg, inst, net, seed):
+        probed.append(seed)
+        return resolve(cfg, inst, net, seed)
+
+    monkeypatch.setattr(cli, "build_instance", counted_build)
+    monkeypatch.setattr(cli, "resolve_eta", counted_resolve)
+    assert run_cli("sweep", "--config", str(lin_config), "--out", str(tmp_path),
+                   "--set", "m_list=20,40", "--set", "seeds=0,1",
+                   "--set", "solvers=pgd,csgm", "--set", "eta=auto",
+                   "--set", "num_pairs=10", "--set", "inner_steps=10",
+                   "--set", "csgm_steps=20") == 0
+    assert sorted(built) == [(20, 0), (20, 1), (40, 0), (40, 1)]
+    assert sorted(probed) == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -239,8 +264,8 @@ def test_sweep_single_cell_matches_solve(lin_config, tmp_path, restarts):
 
 @pytest.mark.parametrize("restarts", [1, 4])
 def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
-    # The pool runs whole lockstep groups: the projected solvers and both
-    # latent baselines.
+    # --workers is accepted and must not change the bytes of the projected
+    # solvers or of either latent baseline.
     for problem, solvers in (("linear", "pgd,csgm"), ("phase", "phase_pgd,dpr")):
         out1, out2 = tmp_path / f"{problem}1", tmp_path / f"{problem}4"
         args = ["--set", f"problem={problem}", "--set", "m_list=20,60",
@@ -257,8 +282,9 @@ def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
 
 
 def test_sweep_workers_take_turns_at_the_solver(lin_config, tmp_path, monkeypatch):
-    # Two lockstep solves at once trade the interpreter lock on every numpy
-    # call; the pool's threads overlap instance building only.
+    # Guards against a concurrent pool coming back: two lockstep solves at
+    # once trade the interpreter lock on every numpy call, so a sweep runs
+    # its groups one after another, whatever --workers says.
     solve, guard = cli._solve_group, threading.Lock()
     active, most = [0], [0]
 

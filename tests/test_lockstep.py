@@ -1,9 +1,10 @@
 """Lockstep groups against one cell at a time.
 
-A sweep steps the seeds of each (m, solver) column as one group: the
-baselines as one (S, 1, k) latent block, the projected solvers with one
-projection block per outer step.  Every cell of a group must have the bits
-of its own single-cell run, also when another cell of the group diverges
+A sweep steps every (m, seed) cell of a solver as one group: the baselines
+as one (S, 1, k) latent block, measured once per run of cells with equal
+m, the projected solvers with one projection block per outer step.  Every
+cell of a group must have the bits of its own single-cell run, also when
+the cells have different m and when another cell of the group diverges
 and is held.
 """
 
@@ -34,6 +35,9 @@ from conftest import planted_linear
 TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
                  "phase_flips")
 SEEDS = (40, 41, 42)
+# The cells' measurement counts: one m for the group, one m per cell, and
+# a run of two equal m that holds the diverging middle cell.
+EQUAL_M, MIXED_M = (48, 48, 48), [(24, 48, 36), (36, 24, 24)]
 
 
 def assert_same_run(trace, ref, x_ref):
@@ -47,8 +51,16 @@ def assert_same_run(trace, ref, x_ref):
     assert trace.inner_updates == ref.inner_updates
 
 
-def instances(net, m=48):
-    return [planted_linear(net, m, seed) for seed in SEEDS]
+def instances(net, ms=EQUAL_M):
+    return [planted_linear(net, m, seed) for m, seed in zip(ms, SEEDS)]
+
+
+def group_params(name, values):
+    """``values`` at EQUAL_M under their plain ids, then at each MIXED_M."""
+    return pytest.mark.parametrize(f"{name},ms", [
+        *(pytest.param(v, EQUAL_M, id=str(v)) for v in values),
+        *(pytest.param(v, ms, id=f"{v}-m{'_'.join(map(str, ms))}")
+          for ms in MIXED_M for v in values)])
 
 
 def solver_cfg(seed, x_star, eta, restarts):
@@ -57,14 +69,15 @@ def solver_cfg(seed, x_star, eta, restarts):
                                                     restarts=restarts))
 
 
-@pytest.mark.parametrize("kind", ["squared", "magnitude"])
-def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind):
+@group_params("kind", ["squared", "magnitude"])
+def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
     # The middle cell's observations are so large that its loss overflows
     # from the start, so every one of its steps is held; the cells around
     # it keep descending.
     baseline = csgm_baseline if kind == "squared" else dpr_baseline
     cells, refs = [], []
-    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
+    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS,
+                                                      instances(desk_net, ms))):
         y = np.abs(y) if kind == "magnitude" else y
         if i == 1:
             y = 1e155 * y
@@ -77,17 +90,22 @@ def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind):
     assert moved[0] == moved[2] == 60
     for trace, (x_ref, ref) in zip(traces, refs):
         assert_same_run(trace, ref, x_ref)
+    # Each cell's columns are its own: writing one cell's trace leaves the
+    # others alone.
+    for col in TRACE_COLUMNS:
+        assert not np.shares_memory(getattr(traces[0], col), getattr(traces[2], col))
 
 
-@pytest.mark.parametrize("restarts", [1, 3])
+@group_params("restarts", [1, 3])
 @pytest.mark.parametrize("solver", ["pgd_linear", "phase_pgd", "myopic_eps_pgd"])
 def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
-                                                          restarts):
+                                                          restarts, ms):
     # eta = 1e300 on the middle cell keeps its gradient step finite, but no
     # range point lies at a finite distance from it: that cell's projection
     # comes back empty inside the block, and the cell holds alone.
     cells, refs, sparse = [], [], None
-    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
+    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS,
+                                                      instances(desk_net, ms))):
         cfg = solver_cfg(seed, x_star, 1e300 if i == 1 else 0.7, restarts)
         if solver == "pgd_linear":
             cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
@@ -122,14 +140,12 @@ def test_projected_group_skips_a_cell_whose_step_overflows(desk_net):
     # projection block (and counts no inner updates) while the other cells
     # project as a block of two.
     cells, refs = [], []
-    with np.errstate(over="ignore"):
-        for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS,
-                                                          instances(desk_net))):
-            cfg = solver_cfg(seed, x_star, 1e308 if i == 1 else 0.7, 2)
-            cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"),
-                                         y), cfg))
-            refs.append(pgd_linear(y, a, desk_net, cfg))
-        traces = _projected_descent(desk_net, cells)
+    for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
+        cfg = solver_cfg(seed, x_star, 1e308 if i == 1 else 0.7, 2)
+        cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
+                           cfg))
+        refs.append(pgd_linear(y, a, desk_net, cfg))
+    traces = _projected_descent(desk_net, cells)
     assert traces[1].inner_updates == 0 and traces[1].z_hat is None
     for trace, (x_ref, ref) in zip(traces, refs):
         assert_same_run(trace, ref, x_ref)

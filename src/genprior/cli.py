@@ -16,18 +16,21 @@ shorthands for the keys of the same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
 A sweep builds each (m, seed) instance and resolves its step size once,
-shares both with every solver, and runs each solver as one lockstep group
-over all its cells: phase starts are made one cell at a time, then the
-solver steps every cell together (see ``solvers``).  The groups run one
-after another: a lockstep solve holds the interpreter lock nearly
-throughout, so with the instances built up front a thread pool would have
-nothing left to overlap.  ``--workers`` is accepted and changes nothing.
+then deals the cells round-robin into one shard per usable CPU (at most one
+per cell).  Shard 0 runs in this process and the others in forked children
+(Linux only; elsewhere one shard), which inherit the instances and send back
+only their summary rows.  Within a shard each solver runs as one lockstep
+group over the shard's cells: phase starts are made one cell at a time,
+then the solver steps every cell together (see ``solvers``), and the groups
+run one after another, since a lockstep solve holds the interpreter lock
+nearly throughout.  ``--workers`` is accepted and changes nothing.
 
 Outputs are deterministic byte-for-byte given the config, and do not depend
-on how the cells are grouped: CSV floats are written with 17 significant
-digits, sweep rows in (m, seed, solver) order, and wall-clock timings go to
-a separate ``timings.txt`` sidecar (one line per cell, holding the wall of
-its solver's group) so the result tables diff clean across reruns.
+on how the cells are grouped or sharded: CSV floats are written with 17
+significant digits, sweep rows in (m, seed, solver) order, and wall-clock
+timings go to a separate ``timings.txt`` sidecar (one line per cell, holding
+the wall of its solver's group within its shard) so the result tables diff
+clean across reruns.
 Reconstructions are written as plain-text PGM (P2) images when the signal
 length is a perfect square, min-max scaled to 0..255 with the scaling range
 recorded in the summary.
@@ -38,6 +41,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -180,7 +185,7 @@ class ExperimentConfig:
     num_pairs: int = 500
     image: bool = _key(True, _parse_bool)
     out: str = ""
-    workers: int = 1  # accepted and unused: a sweep runs its groups in turn
+    workers: int = 1  # accepted and unused: a sweep shards over the usable CPUs
 
     def solver_list(self):
         if self.solvers:
@@ -589,6 +594,78 @@ RESULT_COLUMNS = ("m", "seed", "solver", "final_per_pixel_error",
                   "final_objective", "alpha_fit", "total_inner_updates")
 
 
+def _usable_cpus():
+    """The CPUs this process may run on; 1 where a sweep does not fork."""
+    if sys.platform != "linux":
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_shard(cfg, net, solvers, cells):
+    """The summary rows of every solver's lockstep group over one shard's
+    (m, seed, instance, eta) cells.  Each row keeps a cell's summary, not
+    its trace: the traces of a whole sweep would pile up in memory."""
+    ms, seeds, insts, etas = zip(*cells)
+    return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
+            for solver in solvers
+            for cell in _run_group(cfg, net, ms, seeds, solver, insts, etas)]
+
+
+def _run_forked(fn, shards):
+    """fn(shard) for every shard, concatenated in shard order.
+
+    Shard 0 runs in this process, the others each in a forked child that
+    inherits every input and sends its result (or its exception, re-raised
+    here) back through a pipe.  Every child is reaped before this returns,
+    and killed first when this process leaves on an exception.
+    """
+    children = []  # (pid, result pipe) of the children not yet reaped
+    try:
+        for shard in shards[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        out = (True, fn(shard))
+                    except Exception as exc:  # re-raised by the parent
+                        out = (False, exc)
+                    with open(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)  # never run the parent's cleanup
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = fn(shards[0])
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()  # before waiting: a full pipe blocks the child
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise ChildProcessError(
+                    f"sweep shard process {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
@@ -596,12 +673,12 @@ def cmd_sweep(cfg):
     ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
     insts = [build_instance(cfg, net, m, seed) for m, seed in zip(ms, seeds)]
     etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
-    results = []
-    for solver in solvers:
-        # Keep each cell's summary, not its trace: the traces of a whole
-        # sweep would pile up in memory.
-        results += [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
-                    for cell in _run_group(cfg, net, ms, seeds, solver, insts, etas)]
+    # Cells are independent, so any split keeps their bytes.  Dealing them
+    # round-robin balances the shards and keeps runs of equal m together.
+    cells = list(zip(ms, seeds, insts, etas))
+    p = min(_usable_cpus(), len(cells))
+    results = _run_forked(lambda shard: _sweep_shard(cfg, net, solvers, shard),
+                          [cells[i::p] for i in range(p)])
     results.sort(key=lambda r: (r["m"], r["seed"], solvers.index(r["solver"])))
 
     rows = [[r[c] for c in RESULT_COLUMNS] for r in results]

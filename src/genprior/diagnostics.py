@@ -123,7 +123,9 @@ def empirical_srec(a, net, num_pairs, rng):
     keep = norms > _DEGENERATE
     if not np.any(keep):
         raise ValueError("all sampled pairs are degenerate")
-    ratios = np.linalg.norm(d[keep] @ a.T, axis=1) / norms[keep]
+    # Stacked matrix-vector products: one GEMV per pair, whose bits do not
+    # depend on the BLAS thread count (a plain GEMM's do).
+    ratios = np.linalg.norm(_apply(a, d[keep]), axis=1) / norms[keep]
     return SrecEstimate(
         gamma=float(np.min(ratios**2)),
         rho=float(np.max(ratios)),
@@ -227,7 +229,8 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1, columns=None):
         raise ValueError("all sampled pairs are degenerate")
     du = du / np.linalg.norm(du, axis=1, keepdims=True)
     dv = dv / np.linalg.norm(dv, axis=1, keepdims=True)
-    return float(min(np.max(np.abs(du @ dv.T)), 1.0))
+    # One GEMV per sparse pair, as in empirical_srec.
+    return float(min(np.max(np.abs(_apply(du, dv))), 1.0))
 
 
 def step_size_window_check(srec, eta):

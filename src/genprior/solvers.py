@@ -134,35 +134,57 @@ class _TraceBuilder:
     cells, records) buffer, and each trace column is a contiguous view of
     it: a latent baseline records thousands of steps, and one small array
     per value, or a copy per column, would hold several times the memory.
+    The records of up to ``BLOCK`` steps wait in a step-major buffer, and
+    their error columns are computed once per block: eight ufunc calls on a
+    few rows per step cost more than their arithmetic.
     """
+
+    BLOCK = 64
 
     def __init__(self, records, x_star=None):
         self.x_star = None if x_star is None else np.atleast_2d(x_star)
         self.records = records
         self.cols = None
-        self.steps = 0
+        self.steps = self.done = 0
 
     def add(self, objective, x, proj_residual=np.nan, phase_flips=np.nan):
         x = x.reshape(-1, x.shape[-1])
-        if self.x_star is None:
-            ppe = sgn = np.nan
-        else:
+        if self.cols is None:
+            block = min(self.BLOCK, self.records)
+            self.cols = np.empty((len(_TRACE_COLUMNS), x.shape[0], self.records))
+            # The steps [done, steps) wait here, step-major.
+            self.rows = np.full((block, len(_TRACE_COLUMNS), x.shape[0]), np.nan)
+            self.xs = None if self.x_star is None else np.empty((block, *x.shape))
+        row = self.rows[self.steps - self.done]
+        row[0] = np.ravel(objective)
+        row[3] = proj_residual
+        row[4] = phase_flips
+        if self.xs is not None:
+            self.xs[self.steps - self.done] = x
+        self.steps += 1
+        if self.steps - self.done == len(self.rows):
+            self._flush()
+
+    def _flush(self):
+        """Move the buffered steps into the columns, with their errors."""
+        b = self.steps - self.done
+        rows = self.rows[:b]
+        if self.xs is not None:
             # Row-wise dot products have the bits of each row's own d @ d.
+            x = self.xs[:b]
             d = x - self.x_star
             s = x + self.x_star
             dd = np.vecdot(d, d)
-            ppe = dd / x.shape[-1]
-            sgn = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
-        if self.cols is None:
-            self.cols = np.empty((len(_TRACE_COLUMNS), x.shape[0], self.records))
-        for col, v in zip(self.cols, (np.ravel(objective), ppe, sgn,
-                                      proj_residual, phase_flips)):
-            col[:, self.steps] = v
-        self.steps += 1
+            rows[:, 1] = dd / x.shape[-1]
+            rows[:, 2] = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
+        self.cols[:, :, self.done:self.steps] = rows.transpose(1, 2, 0)
+        self.done = self.steps
 
     def build(self, x_hats, z_hats, inner_updates, extras=None):
         """One SolveTrace per cell, from the cells' final iterates, latents,
         inner-update counts and (optional) extras."""
+        if self.done < self.steps:
+            self._flush()
         return [SolveTrace(x_hat=x_hat, z_hat=z_hat, inner_updates=inner,
                            extras=extras[i] if extras else {},
                            **dict(zip(_TRACE_COLUMNS, self.cols[:, i])))

@@ -2,8 +2,11 @@
 determinism of outputs, and the wiring of each subcommand."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +41,24 @@ def lin_config(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(code, *args, **env):
+    """stdout of ``python -c code *args`` in a fresh interpreter that imports
+    this genprior, with the given extra environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+    return proc.stdout
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    # A sweep forks its shards with os.fork; importing multiprocessing or
+    # concurrent.futures would add to every command's start-up time.
+    code = ("import sys, genprior.cli; print([m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
+    assert run_python(code).strip() == "[]"
 
 
 # --- config parsing -----------------------------------------------------
@@ -189,7 +210,8 @@ def test_solve_does_not_touch_inputs_or_cwd(lin_config, tmp_path, monkeypatch):
 # --- sweep --------------------------------------------------------------
 
 
-def test_sweep_rows_and_medians(lin_config, tmp_path):
+def test_sweep_rows_and_medians(lin_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "s"
     code = run_cli("sweep", "--config", str(lin_config), "--out", str(out),
                    "--set", "m_list=20,60", "--set", "seeds=0,1,2",
@@ -208,15 +230,18 @@ def test_sweep_rows_and_medians(lin_config, tmp_path):
     order = {"pgd": 0, "csgm": 1}
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], order[t[2]]))
     # timings.txt: a header, then one line per cell in results.csv order,
-    # each holding the wall of its solver's lockstep group.
+    # each holding the wall of its solver's lockstep group within its shard.
+    # The (m, seed) cells are dealt round-robin over the two shards.
     timings = (out / "timings.txt").read_text().splitlines()
     assert timings[0] == "m seed solver wall_time_s"
     lines = [t.split() for t in timings[1:]]
     assert [(int(m), int(seed), solver) for m, seed, solver, _ in lines] == keys
+    shard = {(m, seed): i % 2 for i, (m, seed) in
+             enumerate((m, seed) for m in (20, 60) for seed in (0, 1, 2))}
     walls = {}
-    for _, _, solver, wall in lines:
-        walls.setdefault(solver, set()).add(wall)
-    assert len(walls) == 2
+    for m, seed, solver, wall in lines:
+        walls.setdefault((solver, shard[int(m), int(seed)]), set()).add(wall)
+    assert len(walls) == 2 * 2
     assert all(len(w) == 1 and float(next(iter(w))) > 0 for w in walls.values())
 
 
@@ -263,28 +288,33 @@ def test_sweep_single_cell_matches_solve(lin_config, tmp_path, restarts):
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
-def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, restarts):
-    # --workers is accepted and must not change the bytes of the projected
-    # solvers or of either latent baseline.
+def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, monkeypatch,
+                                           restarts):
+    # Neither --workers nor the number of shards a sweep deals its 4 cells
+    # into (one per usable CPU, at most one per cell) may change the bytes
+    # of the projected solvers or of either latent baseline.
     for problem, solvers in (("linear", "pgd,csgm"), ("phase", "phase_pgd,dpr")):
-        out1, out2 = tmp_path / f"{problem}1", tmp_path / f"{problem}4"
         args = ["--set", f"problem={problem}", "--set", "m_list=20,60",
                 "--set", "seeds=0,1", "--set", f"solvers={solvers}",
                 "--set", "inner_steps=50", "--set", "csgm_steps=200",
                 "--set", "dpr_steps=200", "--set", "phase_init_count=10",
                 "--set", f"restarts={restarts}"]
-        assert run_cli("sweep", "--config", str(lin_config), "--out", str(out1),
-                       "--workers", "1", *args) == 0
-        assert run_cli("sweep", "--config", str(lin_config), "--out", str(out2),
-                       "--workers", "4", *args) == 0
-        assert (out1 / "results.csv").read_bytes() == \
-            (out2 / "results.csv").read_bytes()
+        outputs = []
+        for cpus, workers in ((1, 1), (1, 4), (2, 1), (3, 1), (9, 1)):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{problem}-{cpus}-{workers}"
+            assert run_cli("sweep", "--config", str(lin_config), "--out", str(out),
+                           "--workers", str(workers), *args) == 0
+            outputs.append((out / "results.csv").read_bytes())
+        assert all(b == outputs[0] for b in outputs[1:])
 
 
 def test_sweep_workers_take_turns_at_the_solver(lin_config, tmp_path, monkeypatch):
-    # Guards against a concurrent pool coming back: two lockstep solves at
-    # once trade the interpreter lock on every numpy call, so a sweep runs
-    # its groups one after another, whatever --workers says.
+    # Guards against threads coming back within one process: two lockstep
+    # solves at once trade the interpreter lock on every numpy call, so each
+    # process of a sweep runs its groups one after another, whatever
+    # --workers says.  Calls made in forked shard processes are not seen
+    # here.
     solve, guard = cli._solve_group, threading.Lock()
     active, most = [0], [0]
 
@@ -307,6 +337,42 @@ def test_sweep_workers_take_turns_at_the_solver(lin_config, tmp_path, monkeypatc
     assert most == [1]
     lines = (tmp_path / "timings.txt").read_text().splitlines()
     assert len(lines) == 1 + 3 * 2 * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sweeps shard by fork")
+@pytest.mark.parametrize("plan, message", [
+    ({1: "raise"}, "error: no luck with seed 1"),
+    ({1: "exit"}, "exited with status 3 without a result"),
+    ({0: "raise", 1: "sleep"}, "error: no luck with seed 0"),
+])
+def test_sweep_shard_failure_leaves_no_process(lin_config, tmp_path, monkeypatch,
+                                               capsys, plan, message):
+    # Two shards: seed 0's cell runs in this process, seed 1's in a forked
+    # child.  A child's exception or death, or this process's own failure
+    # while the child still runs, fails the sweep with the CLI's exit code
+    # and message, and every child is reaped.
+    solve = cli._solve_group
+
+    def failing(cfg, net, solver, seeds, insts, scfgs):
+        how = plan.get(seeds[0])
+        if how == "exit":
+            os._exit(3)
+        if how == "sleep":
+            time.sleep(60)
+        if how == "raise":
+            raise ValueError(f"no luck with seed {seeds[0]}")
+        return solve(cfg, net, solver, seeds, insts, scfgs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_solve_group", failing)
+    t0 = time.perf_counter()
+    assert run_cli("sweep", "--config", str(lin_config), "--out", str(tmp_path),
+                   "--set", "m_list=20", "--set", "seeds=0,1",
+                   "--set", "inner_steps=10") == 1
+    assert time.perf_counter() - t0 < 30
+    assert message in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 LOCKSTEP_SEEDS = (5, 0, 3)
@@ -401,6 +467,35 @@ def test_diagnose_reproducible(lin_config, tmp_path):
                    *args) == 0
     assert (out1 / "diagnostics.csv").read_bytes() == \
         (out2 / "diagnostics.csv").read_bytes()
+
+
+DIAGNOSE_AND_INCOHERENCE = """
+import sys
+import numpy as np
+from genprior import RngStream, cli, diagnostics
+assert cli.main(["diagnose", "--set", "problem=linear", "--set", "eta=auto",
+                 "--set", "num_pairs=2000", "--set", "outer_steps=2",
+                 "--set", "inner_steps=10", "--seed", "201",
+                 "--out", sys.argv[1]]) == 0
+net = cli.build_generator(cli.load_config())
+mu = diagnostics.incoherence_estimate(net, np.eye(784), 200, RngStream(1),
+                                      sparsity=5)
+print(f"mu={mu!r}")
+"""
+
+
+def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The sample extremes come from one matrix-vector product per pair; a
+    # matrix-matrix product over all pairs sums in an order that follows
+    # the BLAS thread count (gamma_hat moved in its last digits).
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        stdout = run_python(DIAGNOSE_AND_INCOHERENCE, str(out),
+                            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(((out / "diagnostics.csv").read_bytes(),
+                        stdout.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
 
 
 def test_schema_defaults_follow_reference_protocol(tmp_path):

@@ -21,6 +21,7 @@ from genprior import (
     sign_pm,
     thresh_in_basis,
 )
+from genprior.solvers import _TraceBuilder
 from conftest import identity_generator, planted_linear
 
 
@@ -31,6 +32,38 @@ def desk_cfg(seed, x_star=None, eta=0.7, outer=15, inner=200, rate=0.05,
         projection=ProjectionConfig(inner_steps=inner, inner_rate=rate,
                                     restarts=restarts),
         seed=seed, ground_truth=x_star)
+
+
+@pytest.mark.parametrize("records", [1, 64, 150])
+def test_trace_builder_blocks_match_per_step_errors(records):
+    # The builder computes its error columns once per block of steps; every
+    # value must keep the bits of computing it from its own step's iterate.
+    # The second cell has no ground truth.
+    rng = RngStream(31)
+    x_star = rng.standard_normal((3, 7))
+    x_star[1] = np.nan
+    xs = rng.standard_normal((records, 3, 7))
+    objs = rng.standard_normal((records, 3))
+    tb = _TraceBuilder(records, x_star)
+    for t in range(records):
+        tb.add(objs[t], xs[t], proj_residual=[t, np.nan, -t], phase_flips=2.0)
+    traces = tb.build(list(xs[-1]), [None] * 3, [0] * 3)
+    for i, trace in enumerate(traces):
+        d, s = xs[:, i] - x_star[i], xs[:, i] + x_star[i]
+        ppe = [d[t] @ d[t] / 7 for t in range(records)]
+        sgn = [min(np.sqrt(d[t] @ d[t]), np.sqrt(s[t] @ s[t])) for t in range(records)]
+        np.testing.assert_array_equal(trace.objective, objs[:, i])
+        np.testing.assert_array_equal(trace.per_pixel_error, ppe)
+        np.testing.assert_array_equal(trace.sign_error, sgn)
+        np.testing.assert_array_equal(
+            trace.proj_residual, [[t, np.nan, -t][i] for t in range(records)])
+        np.testing.assert_array_equal(trace.phase_flips, np.full(records, 2.0))
+    tb = _TraceBuilder(records)
+    for t in range(records):
+        tb.add(objs[t, 0], xs[t, 0])
+    (trace,) = tb.build([xs[-1, 0]], [None], [0])
+    np.testing.assert_array_equal(trace.objective, objs[:, 0])
+    assert np.isnan(trace.per_pixel_error).all() and np.isnan(trace.sign_error).all()
 
 
 # --- pgd_linear ---------------------------------------------------------

@@ -27,7 +27,7 @@ from .objectives import (
     GRADIENT_SCALE,
     Objective,
     gradient,
-    rebind_phase,
+    sign_pm,
     value,
 )
 from .projection import (
@@ -45,7 +45,6 @@ from .solvers import (
     pgd_linear,
     phase_init,
     phase_pgd,
-    sign_pm,
     thresh_in_basis,
 )
 from .diagnostics import (

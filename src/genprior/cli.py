@@ -332,15 +332,9 @@ def build_basis(cfg, n):
     return q * np.sign(np.diag(r))  # fix signs so the draw is canonical
 
 
-@dataclass(frozen=True)
-class Instance:
-    observation: Observation
-    basis: np.ndarray | None = None
-    v_star: np.ndarray | None = None
-
-
 def build_instance(cfg, net, m, seed):
-    """Planted problem: x* = G(z*) (+ sparse spikes for mismatch).
+    """The Observation of a planted problem: x* = G(z*) (+ sparse spikes in
+    the ``build_basis`` basis for mismatch).
 
     The target depends only on the seed; the sensing matrix depends on
     (seed, m) so each sweep column sees fresh measurements of the same
@@ -351,8 +345,6 @@ def build_instance(cfg, net, m, seed):
     if cfg.unit_norm_latent:
         z_star = z_star / np.linalg.norm(z_star)
     x_base = forward(net, z_star)
-    basis = None
-    v_star = None
     x_star = x_base
     if cfg.problem == "mismatch":
         basis = build_basis(cfg, net.output_dim)
@@ -363,8 +355,7 @@ def build_instance(cfg, net, m, seed):
         coeffs[support] = scale * np.where(
             spike_rng.standard_normal(cfg.sparsity) >= 0, 1.0, -1.0
         )
-        v_star = basis @ coeffs
-        x_star = x_base + v_star
+        x_star = x_base + basis @ coeffs
     n = net.output_dim
     if cfg.matrix_kind == "orthonormal":
         if m > n:
@@ -378,8 +369,7 @@ def build_instance(cfg, net, m, seed):
         y = observe_noisy(model, x_star, cfg.noise_std, root.derive(3))
     else:
         y = observe(model, x_star)
-    obs = Observation(y=y, model=model, x_star=x_star, z_star=z_star)
-    return Instance(observation=obs, basis=basis, v_star=v_star)
+    return Observation(y=y, model=model, x_star=x_star, z_star=z_star)
 
 
 def _solver_config(cfg, eta, seed, x_star):
@@ -397,12 +387,12 @@ def _diagnostic_objective(model, y):
     return Objective(model, y)
 
 
-def resolve_eta(cfg, inst, net, seed):
+def resolve_eta(cfg, obs, net, seed):
     """Step size from config; 'auto' uses 1/beta of the solver's potential."""
     eta = cfg.eta_value()
     if eta != "auto":
         return float(eta)
-    obj = _diagnostic_objective(inst.observation.model, inst.observation.y)
+    obj = _diagnostic_objective(obs.model, obs.y)
     est = diag.rsc_rss_estimate(obj, net, cfg.num_pairs,
                                 RngStream(seed, spawn_key=(903,)))
     return 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta)
@@ -419,9 +409,8 @@ def _phase_start(cfg, net, obs, seed):
                       strategy="best_of_samples", count=cfg.phase_init_count)
 
 
-def _solve_group(cfg, net, solver, seeds, insts, scfgs):
+def _solve_group(cfg, net, solver, seeds, obs, scfgs):
     """The traces of one solver on the given instances, stepped in lockstep."""
-    obs = [inst.observation for inst in insts]
     if solver in ("csgm", "dpr"):
         steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
                              if solver == "csgm" else
@@ -439,12 +428,13 @@ def _solve_group(cfg, net, solver, seeds, insts, scfgs):
         raise ConfigError(f"unknown solver {solver!r}")
     sparse = None
     if solver == "myopic":
-        sparse = _check_basis(insts[0].basis, net.output_dim, cfg.sparsity)
+        sparse = _check_basis(build_basis(cfg, net.output_dim), net.output_dim,
+                              cfg.sparsity)
     return _projected_descent(net, [_Cell(Objective(o.model, o.y), scfg)
                                     for o, scfg in zip(obs, scfgs)], sparse)
 
 
-def _run_group(cfg, net, ms, seeds, solver, insts, etas):
+def _run_group(cfg, net, ms, seeds, solver, obs, etas):
     """The cells of one solver's lockstep group, one per (m, seed) pair,
     given each cell's instance and step size.
 
@@ -452,10 +442,10 @@ def _run_group(cfg, net, ms, seeds, solver, insts, etas):
     cell of the group in lockstep, with the bits each cell has on its own.
     Every cell's ``wall_time_s`` is the wall of the group's solve.
     """
-    scfgs = [_solver_config(cfg, eta, seed, inst.observation.x_star)
-             for inst, eta, seed in zip(insts, etas, seeds)]
+    scfgs = [_solver_config(cfg, eta, seed, o.x_star)
+             for o, eta, seed in zip(obs, etas, seeds)]
     t0 = time.perf_counter()
-    traces = _solve_group(cfg, net, solver, seeds, insts, scfgs)
+    traces = _solve_group(cfg, net, solver, seeds, obs, scfgs)
     wall = time.perf_counter() - t0
     cells = []
     for m, seed, eta, trace in zip(ms, seeds, etas, traces):
@@ -478,17 +468,17 @@ def _run_group(cfg, net, ms, seeds, solver, insts, etas):
     return cells
 
 
-def run_cell(cfg, net, m, seed, solver, inst=None, eta=None):
+def run_cell(cfg, net, m, seed, solver, obs=None, eta=None):
     """One (m, seed, solver) run; returns the trace plus summary fields.
 
     A caller that already built the instance and resolved the step size
-    for this (m, seed) passes them as ``inst`` and ``eta``.
+    for this (m, seed) passes them as ``obs`` and ``eta``.
     """
-    if inst is None:
-        inst = build_instance(cfg, net, m, seed)
+    if obs is None:
+        obs = build_instance(cfg, net, m, seed)
     if eta is None:
-        eta = resolve_eta(cfg, inst, net, seed)
-    return _run_group(cfg, net, (m,), (seed,), solver, [inst], [eta])[0]
+        eta = resolve_eta(cfg, obs, net, seed)
+    return _run_group(cfg, net, (m,), (seed,), solver, [obs], [eta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +595,10 @@ def _sweep_shard(cfg, net, solvers, cells):
     """The summary rows of every solver's lockstep group over one shard's
     (m, seed, instance, eta) cells.  Each row keeps a cell's summary, not
     its trace: the traces of a whole sweep would pile up in memory."""
-    ms, seeds, insts, etas = zip(*cells)
+    ms, seeds, obs, etas = zip(*cells)
     return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
             for solver in solvers
-            for cell in _run_group(cfg, net, ms, seeds, solver, insts, etas)]
+            for cell in _run_group(cfg, net, ms, seeds, solver, obs, etas)]
 
 
 def _run_forked(fn, shards):
@@ -671,11 +661,11 @@ def cmd_sweep(cfg):
     net = build_generator(cfg)
     solvers = cfg.solver_list()
     ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
-    insts = [build_instance(cfg, net, m, seed) for m, seed in zip(ms, seeds)]
-    etas = [resolve_eta(cfg, inst, net, seed) for inst, seed in zip(insts, seeds)]
+    obs = [build_instance(cfg, net, m, seed) for m, seed in zip(ms, seeds)]
+    etas = [resolve_eta(cfg, o, net, seed) for o, seed in zip(obs, seeds)]
     # Cells are independent, so any split keeps their bytes.  Dealing them
     # round-robin balances the shards and keeps runs of equal m together.
-    cells = list(zip(ms, seeds, insts, etas))
+    cells = list(zip(ms, seeds, obs, etas))
     p = min(_usable_cpus(), len(cells))
     results = _run_forked(lambda shard: _sweep_shard(cfg, net, solvers, shard),
                           [cells[i::p] for i in range(p)])
@@ -710,10 +700,9 @@ def cmd_sweep(cfg):
 def cmd_diagnose(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
-    inst = build_instance(cfg, net, cfg.m, cfg.seed)
-    obs = inst.observation
+    obs = build_instance(cfg, net, cfg.m, cfg.seed)
     rng = RngStream(cfg.seed, spawn_key=(907,))
-    eta = resolve_eta(cfg, inst, net, cfg.seed)
+    eta = resolve_eta(cfg, obs, net, cfg.seed)
 
     report = {}
     srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs, rng.derive(0))
@@ -730,7 +719,8 @@ def cmd_diagnose(cfg):
     report["predicted_gap_factor"] = bound
     report["predicted_gap_factor_source"] = active
 
-    basis = inst.basis if inst.basis is not None else np.eye(net.output_dim)
+    basis = (build_basis(cfg, net.output_dim) if cfg.problem == "mismatch"
+             else np.eye(net.output_dim))
     mu = diag.incoherence_estimate(net, basis, min(cfg.num_pairs, 200),
                                    rng.derive(2), sparsity=max(cfg.sparsity, 1))
     report["mu_hat"] = mu
@@ -743,7 +733,7 @@ def cmd_diagnose(cfg):
     report["rho_sq_below_inv_eta"] = window.rho_sq_ok
     report["window_predicted_factor"] = window.predicted_factor
 
-    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], inst=inst,
+    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], obs=obs,
                     eta=eta)
     report["solver"] = cell["solver"]
     report["fitted_alpha"] = cell["alpha_fit"]

@@ -97,11 +97,6 @@ class WindowReport:
         return self.in_window and self.rho_sq_ok
 
 
-def _range_points(net, count, rng):
-    zs = rng.standard_normal((count, net.latent_dim))
-    return forward(net, zs)
-
-
 def _range_pairs(net, count, rng):
     """count pairs of range points, drawn interleaved so that pair i is the
     same whatever the total count (sample extremes are then monotone in the

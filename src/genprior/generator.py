@@ -111,9 +111,6 @@ class GeneratorNet:
     def depth(self):
         return len(self.layers)
 
-    def __call__(self, z):
-        return forward(self, z)
-
 
 @dataclass(frozen=True)
 class RangeSample:

@@ -55,9 +55,6 @@ class RngStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size=size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc=loc, scale=scale, size=size)
-
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low=low, high=high, size=size)
 

@@ -13,9 +13,12 @@ A.T c, divided by m for the averaged sigmoid loss:
     phase_corrected  ||y*p - Ax||^2                          A.T (Ax - y*p)      1/2
     magnitude        ||y - |Ax|||^2                          A.T [sign(Ax) * (|Ax| - y)]  1/2
 
-``magnitude`` is the phaseless misfit of the DPR baseline and of the phase
-initializer; it is no objective kind.  Its subgradient of |u| at u = 0 is
-0 (numpy's sign), where ``phase_corrected`` with p = sign(Ax) would take +1.
+The phase p of ``phase_corrected`` is either given, and stays pinned, or
+None, and then p = sign_pm(Ax) is re-bound at every evaluation, so F is
+the phaseless misfit sum (y_i - |(Ax)_i|)^2 at each x.  ``magnitude`` is
+the same misfit for the DPR baseline and the phase initializer; it is no
+objective kind.  Its subgradient of |u| at u = 0 is 0 (numpy's sign),
+where ``phase_corrected`` with p = sign_pm(Ax) takes +1.
 
 Dropping the factor 2 from the squared-family gradients makes the plain
 descent step ``x - eta * gradient(x)`` equal to ``x + eta A.T (y - Ax)``,
@@ -30,7 +33,7 @@ max(u, 0) + log1p(e^{-|u|}) via ``numpy.logaddexp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +46,7 @@ __all__ = [
     "Objective",
     "value",
     "gradient",
-    "rebind_phase",
+    "sign_pm",
 ]
 
 # gradient == grad of (scale * value); see module docstring.
@@ -66,8 +69,9 @@ KIND_FOR_LINK = {
 class Objective:
     """The loss of a measurement model's link, bound to observations y.
 
-    ``phase`` is the current +-1 phase vector, required exactly when the
-    kind is "phase_corrected" (the magnitude link).
+    ``phase`` is a pinned +-1 phase vector, allowed only when the kind is
+    "phase_corrected" (the magnitude link); None there re-binds p =
+    sign_pm(Ax) at every evaluation.
     """
 
     model: MeasurementModel
@@ -81,22 +85,30 @@ class Objective:
                 f"y length {y.shape[0]} does not match model m="
                 f"{self.model.num_measurements}"
             )
-        if self.kind == "phase_corrected":
-            if self.phase is None:
-                raise ValueError("phase_corrected objective needs a phase vector")
+        if self.phase is not None:
+            if self.kind != "phase_corrected":
+                raise ValueError(f"kind {self.kind!r} takes no phase vector")
             p = as_vector(self.phase, "phase")
             if p.shape[0] != y.shape[0]:
                 raise ValueError("phase length does not match y")
             if not np.all(np.abs(p) == 1.0):
                 raise ValueError("phase entries must be exactly +-1")
             object.__setattr__(self, "phase", p)
-        elif self.phase is not None:
-            raise ValueError(f"kind {self.kind!r} takes no phase vector")
         object.__setattr__(self, "y", y)
 
     @property
     def kind(self):
         return KIND_FOR_LINK[self.model.link]
+
+
+def sign_pm(u):
+    """Entrywise sign with sign(0) = +1, so phase vectors are always +-1."""
+    return np.where(np.asarray(u) >= 0.0, 1.0, -1.0)
+
+
+def _bound_phase(phase, u):
+    """The phase of a phase_corrected loss at u: pinned, else sign_pm(u)."""
+    return sign_pm(u) if phase is None else phase
 
 
 def _loss_terms(kind, u, y, phase=None):
@@ -116,7 +128,7 @@ def _loss_terms(kind, u, y, phase=None):
         d = u + np.sin(u) - y
         return np.vecdot(d, d), (1.0 + np.cos(u)) * d
     if kind == "phase_corrected":
-        d = u - y * phase
+        d = u - y * _bound_phase(phase, u)
         return np.vecdot(d, d), d
     if kind == "magnitude":
         d = np.abs(u) - y
@@ -159,9 +171,3 @@ def gradient(obj, x):
     _, c = _loss_terms(obj.kind, _measurements(obj, x), obj.y, obj.phase)
     return _adjoint(obj.kind, obj.model.matrix, c)
 
-
-def rebind_phase(obj, p_new):
-    """Same objective with the phase vector replaced."""
-    if obj.kind != "phase_corrected":
-        raise ValueError(f"cannot rebind phase on kind {obj.kind!r}")
-    return replace(obj, phase=p_new)

@@ -47,8 +47,8 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
-        if self.inner_rate <= 0:
-            raise ValueError("inner_rate must be positive")
+        if not 0 < self.inner_rate < np.inf:
+            raise ValueError("inner_rate must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.init not in INIT_MODES:

@@ -9,8 +9,8 @@ what they hand that loop:
 * ``eps_pgd``         any smooth objective (the linear solver is its
                       squared-loss special case);
 * ``phase_pgd``       the ``phase_corrected`` loss of magnitude-only
-                      measurements, a start point, and a hook that re-binds
-                      the phase p = sign(Ax) (sign(0) = +1) to each iterate;
+                      measurements, with the phase p = sign(Ax) (sign(0) =
+                      +1) re-bound at each iterate, and a start point;
 * ``myopic_eps_pgd``  a sparse block: the feasible set becomes Range(G) plus
                       the vectors l-sparse in an ortho-basis B, and both
                       blocks step with the same gradient before their
@@ -29,7 +29,7 @@ projection that found no finite range point) holds the iterate and records
 Both loops step a lockstep group of cells (a sweep steps every (m, seed)
 cell of a solver together), and each public solver is the one-cell case.
 In ``_projected_descent`` every cell keeps its own measurements, gradient
-step, hold, re-binding, threshold and random stream, and the projections
+step, hold, phase, threshold and random stream, and the projections
 of one outer step run as one (S, R, k) block.  ``_latent_descent`` steps
 one latent (k,) for a single cell and an (S, 1, k) block for S > 1 cells,
 measures each run of cells with equal m against its stacked (s, 1, m, n)
@@ -40,7 +40,7 @@ products give every cell the bits of its own run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +51,8 @@ from .objectives import (
     Objective,
     _adjoint,
     _apply,
+    _bound_phase,
     _loss_terms,
-    gradient,
-    rebind_phase,
-    value,
 )
 from .projection import ProjectionConfig, _project_cells
 
@@ -69,7 +67,6 @@ __all__ = [
     "myopic_eps_pgd",
     "csgm_baseline",
     "dpr_baseline",
-    "sign_pm",
 ]
 
 
@@ -84,8 +81,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.outer_steps < 1:
             raise ValueError("outer_steps must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
 
 
 @dataclass
@@ -200,11 +197,6 @@ def _truth_block(truths, n):
                      else as_vector(t, "ground_truth") for t in truths])
 
 
-def sign_pm(u):
-    """Entrywise sign with sign(0) = +1, so phase vectors are always +-1."""
-    return np.where(np.asarray(u) >= 0.0, 1.0, -1.0)
-
-
 def _warm(proj_cfg, z_prev):
     if z_prev is None:
         return proj_cfg
@@ -212,14 +204,12 @@ def _warm(proj_cfg, z_prev):
 
 
 class _Cell(NamedTuple):
-    """One solve of a projected-descent group: its objective and config, a
-    start point (None: 0) and a hook ``rebind(obj, x) -> (obj,
-    phase_flips)`` that re-binds the objective to each new iterate."""
+    """One solve of a projected-descent group: its objective and config,
+    and a start point (None: 0)."""
 
     obj: Objective
     cfg: SolverConfig
     x0: np.ndarray | None = None
-    rebind: Callable | None = None
 
 
 def _projected_descent(net, cells, sparse=None):
@@ -228,18 +218,21 @@ def _projected_descent(net, cells, sparse=None):
 
     The cells share ``outer_steps`` and the projection's inner settings.
     Each cell starts from its x0 (default 0) and keeps its own gradient
-    step, hold, re-binding, threshold and RngStream; the projections of one
+    step, hold, phase, threshold and RngStream; the projections of one
     outer step run as one ``_project_cells`` block, so every cell has the
-    bits of running alone.  P projects onto Range(G); with ``sparse = (B,
-    l)`` the feasible set is Range(G) + {l-sparse in B}, each iterate is
-    split as x = u + v, and both blocks step with the same gradient before
-    u is projected and v is hard-thresholded.  A cell whose gradient step
-    or projection is not finite holds its iterate and records
+    bits of running alone.  One u = A x per iterate gives its loss F, the
+    cotangent of the next step and its phase flips.  P projects onto
+    Range(G); with ``sparse = (B, l)`` the feasible set is Range(G) +
+    {l-sparse in B}, each iterate is split as x = u + v, and both blocks
+    step with the same gradient before u is projected and v is
+    hard-thresholded (the extras hold the final blocks).  A cell whose
+    gradient step or projection is not finite holds its iterate and records
     proj_residual = NaN.
     """
     n = net.output_dim
+    if any(c.obj.model.signal_dim != n for c in cells):
+        raise ValueError(f"measurement matrix width does not match generator n={n}")
     outer, proj = cells[0].cfg.outer_steps, cells[0].cfg.projection
-    objs = [c.obj for c in cells]
     us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
     vs = [None if sparse is None else np.zeros(n) for _ in cells]
     xs = [u if v is None else u + v for u, v in zip(us, vs)]
@@ -247,18 +240,32 @@ def _projected_descent(net, cells, sparse=None):
     rngs = [RngStream(c.cfg.seed) for c in cells]
     tb = _TraceBuilder(outer + 1,
                        _truth_block([c.cfg.ground_truth for c in cells], n))
-    flips = [np.nan if c.rebind is None else 0.0 for c in cells]
-    tb.add([value(o, x) for o, x in zip(objs, xs)], np.stack(xs),
-           proj_residual=[np.nan] * len(cells), phase_flips=flips)
-    hist = [[(u, v)] for u, v in zip(us, vs)]
+    cots = [None] * len(cells)    # each cell's cotangent at its iterate
+    phases = [None] * len(cells)  # each phase_corrected cell's phase there
+    flips = [np.nan] * len(cells)
     inner = [0] * len(cells)
-    for _ in range(outer):
+    residual = [np.nan] * len(cells)
+    for t in range(outer + 1):
+        losses = []
+        for i, c in enumerate(cells):
+            o, p = c.obj, None
+            u = o.model.matrix @ xs[i]
+            if o.kind == "phase_corrected":
+                p = _bound_phase(o.phase, u)
+                flips[i] = 0.0 if phases[i] is None else float(np.sum(p != phases[i]))
+                phases[i] = p
+            f, cots[i] = _loss_terms(o.kind, u, o.y, p)
+            losses.append(f)
+        tb.add(losses, np.stack(xs), proj_residual=residual, phase_flips=flips)
+        if t == outer:
+            break
         residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
         moves = []  # (cell, w_u, w_v) of every finite gradient step
         for i, c in enumerate(cells):
             # An overflowing step is held by the finiteness check below.
             with np.errstate(over="ignore", invalid="ignore"):
-                step = c.cfg.step_size * gradient(objs[i], xs[i])
+                step = c.cfg.step_size * _adjoint(c.obj.kind, c.obj.model.matrix,
+                                                  cots[i])
                 wu = us[i] - step
                 wv = None if vs[i] is None else vs[i] - step
             if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
@@ -275,15 +282,7 @@ def _projected_descent(net, cells, sparse=None):
             if wv is not None:
                 vs[i] = _thresh(wv, *sparse)
             xs[i] = us[i] if vs[i] is None else us[i] + vs[i]
-        for i, c in enumerate(cells):
-            if c.rebind is not None:
-                objs[i], flips[i] = c.rebind(objs[i], xs[i])
-            hist[i].append((us[i], vs[i]))
-        tb.add([value(o, x) for o, x in zip(objs, xs)], np.stack(xs),
-               proj_residual=residual, phase_flips=flips)
-    extras = None if sparse is None else [
-        {"u": np.asarray([u for u, _ in h]), "v": np.asarray([v for _, v in h])}
-        for h in hist]
+    extras = None if sparse is None else [{"u": u, "v": v} for u, v in zip(us, vs)]
     return tb.build(xs, z_prev, inner, extras)
 
 
@@ -315,26 +314,16 @@ def _phase_cell(y, a, net, cfg, x0, phase_override=None):
     if x0.shape[0] != net.output_dim:
         raise ValueError("x0 length does not match generator output dim")
     model = MeasurementModel(matrix=a, link="magnitude")
-    pinned = None if phase_override is None else as_vector(phase_override,
-                                                           "phase_override")
-
-    def phase_of(x):
-        return sign_pm(model.matrix @ x) if pinned is None else pinned
-
-    def rebind(obj, x):
-        p = phase_of(x)
-        return rebind_phase(obj, p), float(np.sum(p != obj.phase))
-
-    return _Cell(Objective(model, y, phase=phase_of(x0)), cfg, x0, rebind)
+    return _Cell(Objective(model, y, phase_override), cfg, x0)
 
 
 def phase_pgd(y, a, net, cfg, x0, phase_override=None):
     """Alternating phase estimation and projected descent for y = |A x*|.
 
     Runs the projected-descent loop on the ``phase_corrected`` objective
-    ||y*p - Ax||^2, re-binding p = sign(Ax) to every new iterate, so the
-    gradient step is w = x + eta * A.T (y*p - Ax) and the recorded objective
-    is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
+    ||y*p - Ax||^2 with no phase given, so p = sign(Ax) is re-bound at every
+    iterate: the gradient step is w = x + eta * A.T (y*p - Ax), and the
+    recorded objective is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
 
     ``phase_override`` pins the phase vector for every iteration (bypassing
     the sign re-estimate); with the true phase this reduces the algorithm
@@ -415,12 +404,15 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     Both blocks share one gradient evaluation per iteration, taken at the
     combined iterate x_t = u_t + v_t: the range block projects
     u_t - eta*grad onto Range(G), the sparse block hard-thresholds
-    v_t - eta*grad in B.  Returns (x_hat, u_hat, v_hat, trace); the trace
-    extras carry the per-iteration u and v blocks.
+    v_t - eta*grad in B.  Returns (x_hat, u_hat, v_hat, trace), the final
+    iterate and its blocks; the trace extras carry the same u_hat and v_hat.
     """
+    if obj.kind == "phase_corrected":
+        raise ValueError("myopic_eps_pgd does not handle phase_corrected; "
+                         "use phase_pgd")
     sparse = _check_basis(b, net.output_dim, l)
     (trace,) = _projected_descent(net, [_Cell(obj, cfg)], sparse=sparse)
-    return trace.x_hat, trace.extras["u"][-1], trace.extras["v"][-1], trace
+    return trace.x_hat, trace.extras["u"], trace.extras["v"], trace
 
 
 class _LatentCell(NamedTuple):
@@ -453,6 +445,8 @@ def _latent_descent(net, steps, rate, kind, cells):
         raise ValueError("magnitude observations must be entrywise nonnegative")
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
+    if not 0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
     zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
           else as_vector(cell.z0, "z0").copy() for cell in cells]
     if len(cells) == 1:

@@ -23,7 +23,6 @@ from genprior import (
     RngStream,
     SolverConfig,
     convergence_rate,
-    csgm_baseline,
     empirical_srec,
     eps_pgd,
     forward,
@@ -41,6 +40,7 @@ from genprior import (
     value,
 )
 from genprior.cli import main as cli_main
+from genprior.solvers import _Cell, _LatentCell, _latent_descent, _projected_descent
 from conftest import brute_force_project
 
 DESK = dict(k=8, hidden=(64,), n=128, m=64)
@@ -180,24 +180,29 @@ def test_criterion_4_m_sweep_trend():
     t0 = time.perf_counter()
     net = random_generator(SWEEP_TOY["k"], list(SWEEP_TOY["hidden"]),
                            SWEEP_TOY["n"], "relu", RngStream(7, spawn_key=(901,)))
-    ms = (20, 60, 100, 140, 200)
-    med_pgd, med_csgm = {}, {}
+    ms, seeds = (20, 60, 100, 140, 200), range(10)
+    # Every (m, seed) cell of each solver steps in one lockstep group, with
+    # the bits of its own pgd_linear or csgm_baseline run (test_lockstep).
+    pgd_cells, csgm_cells = [], []
     for m in ms:
-        perr, cerr = [], []
-        for seed in range(10):
+        for seed in seeds:
             _, x_star, a = planted(net, m, seed)
             y = a @ x_star
             cfg = SolverConfig(outer_steps=15, step_size=0.7,
                                projection=ProjectionConfig(inner_steps=200,
                                                            inner_rate=0.05),
                                seed=seed, ground_truth=x_star)
-            _, tp = pgd_linear(y, a, net, cfg)
-            _, tc = csgm_baseline(y, a, net, 3000, 0.01,
-                                  RngStream(seed, spawn_key=(905,)), x_star=x_star)
-            perr.append(tp.final_per_pixel_error)
-            cerr.append(tc.final_per_pixel_error)
-        med_pgd[m] = float(np.median(perr))
-        med_csgm[m] = float(np.median(cerr))
+            pgd_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), cfg))
+            csgm_cells.append(_LatentCell(y, a, RngStream(seed, spawn_key=(905,)),
+                                          x_star=x_star))
+
+    def medians(traces):
+        errors = np.reshape([t.final_per_pixel_error for t in traces],
+                            (len(ms), len(seeds)))
+        return {m: float(np.median(e)) for m, e in zip(ms, errors)}
+
+    med_pgd = medians(_projected_descent(net, pgd_cells))
+    med_csgm = medians(_latent_descent(net, 3000, 0.01, "squared", csgm_cells))
     clamped = [max(med_pgd[m], ERROR_FLOOR) for m in ms]
     non_increasing = all(b <= a for a, b in zip(clamped, clamped[1:]))
     beats_csgm = med_pgd[200] < med_csgm[200]

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genprior import cli, load_weights, save_weights
+from genprior import cli, forward, load_weights, save_weights
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
+from genprior.numerics import _check_orthonormal
 from conftest import identity_generator
 
 LIN_CONFIG = """\
@@ -255,9 +256,9 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
         built.append((m, seed))
         return build(cfg, net, m, seed)
 
-    def counted_resolve(cfg, inst, net, seed):
+    def counted_resolve(cfg, obs, net, seed):
         probed.append(seed)
-        return resolve(cfg, inst, net, seed)
+        return resolve(cfg, obs, net, seed)
 
     monkeypatch.setattr(cli, "build_instance", counted_build)
     monkeypatch.setattr(cli, "resolve_eta", counted_resolve)
@@ -268,6 +269,39 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
                    "--set", "csgm_steps=20") == 0
     assert sorted(built) == [(20, 0), (20, 1), (40, 0), (40, 1)]
     assert sorted(probed) == [0, 0, 1, 1]
+
+
+def test_mismatch_solve_in_random_ortho_basis(tmp_path):
+    # The random orthonormal basis is a canonical QR draw: a valid basis
+    # other than the identity, and a rerun keeps every output byte.
+    args = ["--set", "problem=mismatch", "--set", "basis=random_ortho",
+            "--set", "latent_dim=4", "--set", "hidden_dims=16",
+            "--set", "output_dim=36", "--set", "weight_seed=7", "--set", "m=30",
+            "--set", "outer_steps=4", "--set", "inner_steps=15",
+            "--set", "inner_rate=0.05", "--set", "sparsity=2", "--seed", "5"]
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert run_cli("solve", "--out", str(out), *args) == 0
+    for name in ("trace.csv", "x_hat.pgm"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    strip = [" ".join(kv for kv in (out / "summary.txt").read_text().split()
+                      if not kv.startswith("wall_time_s=")) for out in outs]
+    assert strip[0] == strip[1]
+    cfg = load_config(None, ["basis=random_ortho"], seed=5)
+    basis = cli.build_basis(cfg, 36)
+    assert np.array_equal(_check_orthonormal(basis), basis)
+    assert not np.allclose(basis, np.eye(36))
+    assert np.array_equal(basis, cli.build_basis(cfg, 36))
+
+
+def test_unit_norm_latent_plants_a_unit_latent(lin_config):
+    cfg = load_config(lin_config, ["unit_norm_latent=true"])
+    net = cli.build_generator(cfg)
+    obs = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    assert abs(np.linalg.norm(obs.z_star) - 1.0) <= 1e-15
+    assert np.array_equal(obs.x_star, forward(net, obs.z_star))
+    plain = cli.build_instance(load_config(lin_config), net, cfg.m, cfg.seed)
+    assert abs(np.linalg.norm(plain.z_star) - 1.0) > 1e-3
 
 
 @pytest.mark.parametrize("restarts", [1, 4])

@@ -1,11 +1,14 @@
 """Losses: closed-form spot checks, the finite-difference oracle, and the
-phase-rebinding algebra.
+phase-rebinding algebra (a phase_corrected objective without a phase
+re-binds p = sign_pm(Ax) at every evaluation).
 
 The finite-difference oracle differences the potential scale*value that
 each kind's gradient is the exact gradient of (scale = 1/2 for the
 squared-family kinds, 1 for the averaged sigmoid loss; the factor is
 absorbed into the solvers' step sizes).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from genprior import (
     RngStream,
     gradient,
     observe,
-    rebind_phase,
     sign_pm,
     value,
 )
@@ -114,12 +116,19 @@ def test_gradient_matches_finite_differences(kind):
 
 
 def test_rebind_same_phase_is_identity():
+    # Without a phase, each evaluation binds p = sign_pm(Ax): the same bits
+    # as pinning that phase, and the value is the phaseless misfit.
     rng = RngStream(5)
-    obj = make_objective("phase_corrected", 7, 4, rng)
-    re = rebind_phase(obj, obj.phase.copy())
+    pinned = make_objective("phase_corrected", 7, 4, rng)
+    free = replace(pinned, phase=None)
+    a = pinned.model.matrix
     for _ in range(5):
         x = rng.standard_normal(4)
-        assert value(obj, x) == value(re, x)
+        bound = replace(pinned, phase=sign_pm(a @ x))
+        assert value(free, x) == value(bound, x)
+        assert np.array_equal(gradient(free, x), gradient(bound, x))
+        misfit = np.sum((free.y - np.abs(a @ x)) ** 2)
+        assert abs(value(free, x) - misfit) <= 1e-12 * max(1.0, misfit)
 
 
 def test_rebind_true_phase_zeroes_loss_at_truth():
@@ -127,10 +136,11 @@ def test_rebind_true_phase_zeroes_loss_at_truth():
     a = rng.standard_normal((9, 5))
     x_star = rng.standard_normal(5)
     y = np.abs(a @ x_star)
-    obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
-                    y=y, phase=np.ones(9))
-    re = rebind_phase(obj, sign_pm(a @ x_star))
-    assert value(re, x_star) < 1e-24
+    model = MeasurementModel(matrix=a, link="magnitude")
+    pinned = Objective(model=model, y=y, phase=np.ones(9))
+    assert value(pinned, x_star) > 1e-6
+    # Re-bound at the truth, the phase is the true one.
+    assert value(Objective(model=model, y=y), x_star) < 1e-24
 
 
 def test_single_phase_flip_changes_value_by_closed_form():
@@ -144,15 +154,15 @@ def test_single_phase_flip_changes_value_by_closed_form():
     for i in range(10):
         p_new = obj.phase.copy()
         p_new[i] = -p_new[i]
-        delta = value(rebind_phase(obj, p_new), x) - base
+        delta = value(replace(obj, phase=p_new), x) - base
         expected = 4.0 * obj.y[i] * obj.phase[i] * u[i]
         assert abs(delta - expected) < 1e-10 * max(1.0, abs(expected))
 
 
 def test_rebind_phase_wrong_kind_rejected():
     obj = make_objective("squared", 5, 3, RngStream(8))
-    with pytest.raises(ValueError):
-        rebind_phase(obj, np.ones(5))
+    with pytest.raises(ValueError, match="takes no phase"):
+        replace(obj, phase=np.ones(5))
 
 
 def test_nonnegative_values_for_l2_kinds():

@@ -21,6 +21,7 @@ from genprior import (
     sign_pm,
     thresh_in_basis,
 )
+from genprior import objectives, solvers
 from genprior.solvers import _TraceBuilder
 from conftest import identity_generator, planted_linear
 
@@ -132,6 +133,34 @@ def test_eps_pgd_rejects_phase_kind():
         eps_pgd(obj, identity_generator(3), desk_cfg(0))
 
 
+@pytest.mark.parametrize("solver", ["pgd_linear", "eps_pgd", "phase_pgd",
+                                    "myopic_eps_pgd"])
+def test_projected_solvers_reject_a_matrix_of_another_width(desk_net, solver):
+    n = desk_net.output_dim
+    a = np.eye(n + 1)[:16]
+    cfg, x0 = desk_cfg(0), np.zeros(n)
+    with pytest.raises(ValueError, match="does not match"):
+        if solver == "phase_pgd":
+            phase_pgd(np.ones(16), a, desk_net, cfg, x0)
+        elif solver == "pgd_linear":
+            pgd_linear(np.ones(16), a, desk_net, cfg)
+        else:
+            obj = Objective(MeasurementModel(matrix=a, link="linear"), np.ones(16))
+            if solver == "eps_pgd":
+                eps_pgd(obj, desk_net, cfg)
+            else:
+                myopic_eps_pgd(obj, desk_net, np.eye(n), 2, cfg)
+
+
+def test_myopic_rejects_phase_kind():
+    # Only phase_pgd cells re-bind or pin a phase.
+    a = np.eye(3)
+    obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
+                    y=np.ones(3), phase=np.ones(3))
+    with pytest.raises(ValueError, match="phase_corrected"):
+        myopic_eps_pgd(obj, identity_generator(3), a, 1, desk_cfg(0))
+
+
 def sigmoid_instance(seed, k=4, hidden=(32,), n=32):
     from genprior import random_generator
     m = 4 * n
@@ -204,6 +233,7 @@ def test_phase_pgd_oracle_phase_reduces_to_linear(desk_net):
     x_lin, t_lin = pgd_linear(y * p_star, a, desk_net, cfg)
     assert np.max(np.abs(x_ph - x_lin)) <= 1e-12
     assert np.max(np.abs(t_ph.objective - t_lin.objective)) <= 1e-12
+    assert np.all(t_ph.phase_flips == 0.0)  # a pinned phase never flips
 
 
 def test_phase_pgd_rejects_negative_observations(desk_net):
@@ -246,6 +276,32 @@ def test_phase_flip_column_counts_changes(desk_net):
     flips = trace.phase_flips
     assert flips[0] == 0.0
     assert np.all(flips >= 0.0) and np.all(flips <= a.shape[0])
+
+
+def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
+    # One u = A x per iterate gives its loss, the next gradient step and its
+    # phase flips: outer_steps + 1 loss evaluations per cell, alone or in a
+    # lockstep group.
+    calls = []
+    loss_terms = objectives._loss_terms
+
+    def counted(kind, u, y, phase=None):
+        calls.append(kind)
+        return loss_terms(kind, u, y, phase)
+
+    for module in (objectives, solvers):
+        monkeypatch.setattr(module, "_loss_terms", counted)
+    x0 = np.zeros(desk_net.output_dim)
+    cells = []
+    for seed in (8, 9):
+        x_star, a, y = phase_instance(desk_net, 48, seed=seed)
+        cfg = desk_cfg(seed, x_star, eta=0.9, outer=6, inner=20)
+        cells.append(solvers._phase_cell(y, a, desk_net, cfg, x0))
+    phase_pgd(y, a, desk_net, cfg, x0)
+    assert calls == ["phase_corrected"] * 7
+    calls.clear()
+    solvers._projected_descent(desk_net, cells)
+    assert calls == ["phase_corrected"] * 2 * 7
 
 
 # --- phase_init ---------------------------------------------------------
@@ -392,12 +448,12 @@ def test_myopic_decomposition_invariants():
                        projection=ProjectionConfig(inner_steps=100, inner_rate=0.05),
                        seed=1, ground_truth=x_star)
     x_hat, u_hat, v_hat, trace = myopic_eps_pgd(obj, net, np.eye(64), 5, cfg)
-    u_hist, v_hist = trace.extras["u"], trace.extras["v"]
-    assert u_hist.shape[0] == len(trace) == 11
-    for t in range(len(trace)):
-        if t > 0:
-            assert np.sum(np.abs(v_hist[t]) > 1e-12) <= 5
+    assert len(trace) == 11
+    assert np.sum(np.abs(v_hat) > 1e-12) <= 5
     assert np.array_equal(x_hat, u_hat + v_hat)
+    # The extras carry the final blocks only.
+    assert trace.extras.keys() == {"u", "v"}
+    assert trace.extras["u"] is u_hat and trace.extras["v"] is v_hat
 
 
 def test_myopic_spurious_innovation_is_small(desk_net):
@@ -497,6 +553,20 @@ def test_solver_config_validation():
         SolverConfig(outer_steps=0)
     with pytest.raises(ValueError):
         SolverConfig(step_size=0.0)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -0.01, 0.0])
+def test_rates_must_be_positive_and_finite(desk_net, rate):
+    # A NaN rate held every step (nan <= 0 is False) and a negative baseline
+    # rate ascended the loss; both are refused at the API boundary.
+    with pytest.raises(ValueError, match="step_size"):
+        SolverConfig(step_size=rate)
+    with pytest.raises(ValueError, match="inner_rate"):
+        ProjectionConfig(inner_rate=rate)
+    _, x_star, a, y = planted_linear(desk_net, 32, seed=0)
+    for baseline, obs in ((csgm_baseline, y), (dpr_baseline, np.abs(y))):
+        with pytest.raises(ValueError, match="rate"):
+            baseline(obs, a, desk_net, 10, rate, RngStream(0))
 
 
 # --- divergence guard ---------------------------------------------------

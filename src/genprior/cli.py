@@ -25,6 +25,13 @@ then the solver steps every cell together (see ``solvers``), and the groups
 run one after another, since a lockstep solve holds the interpreter lock
 nearly throughout.  ``--workers`` is accepted and changes nothing.
 
+``diagnose`` runs as two such shards: its restricted-constant estimates in
+this process, and its step size and solve, which never meet the estimates,
+in a forked child that sends back four summary values; with one usable CPU
+both run here.  While shards run side by side, each process's OpenBLAS pool
+is cut to its share of the usable CPUs, and restored when they are done.
+A command builds the mismatch basis once, before any fork.
+
 Outputs are deterministic byte-for-byte given the config, and do not depend
 on how the cells are grouped or sharded: CSV floats are written with 17
 significant digits, sweep rows in (m, seed, solver) order, and wall-clock
@@ -59,7 +66,7 @@ from .generator import (
     save_weights,
 )
 from .measurement import MeasurementModel, Observation, observe, observe_noisy
-from .numerics import RngStream, gaussian_matrix
+from .numerics import RngStream, blas_threads, gaussian_matrix
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import (
@@ -241,6 +248,11 @@ def _validate(cfg):
         raise ConfigError("eta must be positive (or 'auto')")
     if cfg.noise_std < 0:
         raise ConfigError("noise_std must be nonnegative")
+    if cfg.problem == "phase" and cfg.noise_std > 0:
+        # Additive noise on |Ax| makes negative magnitudes, which phase_pgd
+        # rejects; there is no noisy magnitude model.
+        raise ConfigError("noise_std must be 0 for problem 'phase', "
+                          f"got {cfg.noise_std!r}")
     if cfg.sparsity < 0:
         raise ConfigError("sparsity must be nonnegative")
     if cfg.num_pairs < 1:
@@ -325,16 +337,30 @@ def build_generator(cfg):
 
 
 def build_basis(cfg, n):
+    """The checked n x n orthonormal basis that mismatch spikes are sparse
+    in: the identity, or a random draw that depends on ``weight_seed``
+    alone.  A command builds it once, after the generator has fixed n."""
+    if cfg.sparsity > n:
+        raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
+                          f"({n}) for problem 'mismatch'")
     if cfg.basis == "identity":
-        return np.eye(n)
-    q, r = np.linalg.qr(RngStream(cfg.weight_seed, spawn_key=(902,))
-                        .standard_normal((n, n)))
-    return q * np.sign(np.diag(r))  # fix signs so the draw is canonical
+        b = np.eye(n)
+    else:
+        q, r = np.linalg.qr(RngStream(cfg.weight_seed, spawn_key=(902,))
+                            .standard_normal((n, n)))
+        b = q * np.sign(np.diag(r))  # fix signs so the draw is canonical
+    return _check_basis(b, n, cfg.sparsity)[0]
 
 
-def build_instance(cfg, net, m, seed):
+def _command_basis(cfg, net):
+    """The basis a command passes down: ``build_basis`` for mismatch, else
+    None (no other problem reads one)."""
+    return build_basis(cfg, net.output_dim) if cfg.problem == "mismatch" else None
+
+
+def build_instance(cfg, net, m, seed, basis=None):
     """The Observation of a planted problem: x* = G(z*) (+ sparse spikes in
-    the ``build_basis`` basis for mismatch).
+    ``basis`` for mismatch, built here when not given).
 
     The target depends only on the seed; the sensing matrix depends on
     (seed, m) so each sweep column sees fresh measurements of the same
@@ -347,7 +373,8 @@ def build_instance(cfg, net, m, seed):
     x_base = forward(net, z_star)
     x_star = x_base
     if cfg.problem == "mismatch":
-        basis = build_basis(cfg, net.output_dim)
+        if basis is None:
+            basis = build_basis(cfg, net.output_dim)
         spike_rng = root.derive(2)
         support = spike_rng.permutation(net.output_dim)[: cfg.sparsity]
         scale = cfg.spike_scale * np.linalg.norm(x_base) / np.sqrt(net.output_dim)
@@ -409,8 +436,9 @@ def _phase_start(cfg, net, obs, seed):
                       strategy="best_of_samples", count=cfg.phase_init_count)
 
 
-def _solve_group(cfg, net, solver, seeds, obs, scfgs):
-    """The traces of one solver on the given instances, stepped in lockstep."""
+def _solve_group(cfg, net, solver, seeds, obs, scfgs, basis):
+    """The traces of one solver on the given instances, stepped in lockstep;
+    ``basis`` is the command's mismatch basis, which myopic thresholds in."""
     if solver in ("csgm", "dpr"):
         steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
                              if solver == "csgm" else
@@ -426,17 +454,14 @@ def _solve_group(cfg, net, solver, seeds, obs, scfgs):
             for o, seed, scfg in zip(obs, seeds, scfgs)])
     if solver not in ("pgd", "eps_pgd", "myopic"):
         raise ConfigError(f"unknown solver {solver!r}")
-    sparse = None
-    if solver == "myopic":
-        sparse = _check_basis(build_basis(cfg, net.output_dim), net.output_dim,
-                              cfg.sparsity)
+    sparse = (basis, cfg.sparsity) if solver == "myopic" else None
     return _projected_descent(net, [_Cell(Objective(o.model, o.y), scfg)
                                     for o, scfg in zip(obs, scfgs)], sparse)
 
 
-def _run_group(cfg, net, ms, seeds, solver, obs, etas):
+def _run_group(cfg, net, ms, seeds, solver, obs, etas, basis):
     """The cells of one solver's lockstep group, one per (m, seed) pair,
-    given each cell's instance and step size.
+    given each cell's instance and step size and the command's basis.
 
     Phase starts are made one cell at a time; then the solver steps every
     cell of the group in lockstep, with the bits each cell has on its own.
@@ -445,7 +470,7 @@ def _run_group(cfg, net, ms, seeds, solver, obs, etas):
     scfgs = [_solver_config(cfg, eta, seed, o.x_star)
              for o, eta, seed in zip(obs, etas, seeds)]
     t0 = time.perf_counter()
-    traces = _solve_group(cfg, net, solver, seeds, obs, scfgs)
+    traces = _solve_group(cfg, net, solver, seeds, obs, scfgs, basis)
     wall = time.perf_counter() - t0
     cells = []
     for m, seed, eta, trace in zip(ms, seeds, etas, traces):
@@ -468,17 +493,19 @@ def _run_group(cfg, net, ms, seeds, solver, obs, etas):
     return cells
 
 
-def run_cell(cfg, net, m, seed, solver, obs=None, eta=None):
+def run_cell(cfg, net, m, seed, solver, obs=None, eta=None, basis=None):
     """One (m, seed, solver) run; returns the trace plus summary fields.
 
-    A caller that already built the instance and resolved the step size
-    for this (m, seed) passes them as ``obs`` and ``eta``.
+    A caller that already built the instance, resolved the step size or
+    built the basis passes them as ``obs``, ``eta`` and ``basis``.
     """
+    if basis is None:
+        basis = _command_basis(cfg, net)
     if obs is None:
-        obs = build_instance(cfg, net, m, seed)
+        obs = build_instance(cfg, net, m, seed, basis)
     if eta is None:
         eta = resolve_eta(cfg, obs, net, seed)
-    return _run_group(cfg, net, (m,), (seed,), solver, [obs], [eta])[0]
+    return _run_group(cfg, net, (m,), (seed,), solver, [obs], [eta], basis)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +618,14 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _sweep_shard(cfg, net, solvers, cells):
+def _sweep_shard(cfg, net, basis, solvers, cells):
     """The summary rows of every solver's lockstep group over one shard's
     (m, seed, instance, eta) cells.  Each row keeps a cell's summary, not
     its trace: the traces of a whole sweep would pile up in memory."""
     ms, seeds, obs, etas = zip(*cells)
     return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
             for solver in solvers
-            for cell in _run_group(cfg, net, ms, seeds, solver, obs, etas)]
+            for cell in _run_group(cfg, net, ms, seeds, solver, obs, etas, basis)]
 
 
 def _run_forked(fn, shards):
@@ -607,10 +634,16 @@ def _run_forked(fn, shards):
     Shard 0 runs in this process, the others each in a forked child that
     inherits every input and sends its result (or its exception, re-raised
     here) back through a pipe.  Every child is reaped before this returns,
-    and killed first when this process leaves on an exception.
+    and killed first when this process leaves on an exception.  While more
+    than one shard runs, each process's BLAS pool gets its share of the
+    usable CPUs, so the shards do not oversubscribe them; the count in this
+    process is restored on return.
     """
     children = []  # (pid, result pipe) of the children not yet reaped
+    threads = None  # this process's BLAS thread count before the shards
     try:
+        if len(shards) > 1:
+            threads = blas_threads(max(1, _usable_cpus() // len(shards)))
         for shard in shards[1:]:
             r, w = os.pipe()
             try:
@@ -642,7 +675,7 @@ def _run_forked(fn, shards):
             children.pop(0)
             if not data:
                 raise ChildProcessError(
-                    f"sweep shard process {pid} exited with status "
+                    f"shard process {pid} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} without a result")
             ok, value = pickle.loads(data)
             if not ok:
@@ -654,20 +687,23 @@ def _run_forked(fn, shards):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if threads is not None:
+            blas_threads(threads)
 
 
 def cmd_sweep(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
+    basis = _command_basis(cfg, net)
     solvers = cfg.solver_list()
     ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
-    obs = [build_instance(cfg, net, m, seed) for m, seed in zip(ms, seeds)]
+    obs = [build_instance(cfg, net, m, seed, basis) for m, seed in zip(ms, seeds)]
     etas = [resolve_eta(cfg, o, net, seed) for o, seed in zip(obs, seeds)]
     # Cells are independent, so any split keeps their bytes.  Dealing them
     # round-robin balances the shards and keeps runs of equal m together.
     cells = list(zip(ms, seeds, obs, etas))
     p = min(_usable_cpus(), len(cells))
-    results = _run_forked(lambda shard: _sweep_shard(cfg, net, solvers, shard),
+    results = _run_forked(lambda shard: _sweep_shard(cfg, net, basis, solvers, shard),
                           [cells[i::p] for i in range(p)])
     results.sort(key=lambda r: (r["m"], r["seed"], solvers.index(r["solver"])))
 
@@ -700,41 +736,52 @@ def cmd_sweep(cfg):
 def cmd_diagnose(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
-    obs = build_instance(cfg, net, cfg.m, cfg.seed)
+    basis = _command_basis(cfg, net)
+    obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))
-    eta = resolve_eta(cfg, obs, net, cfg.seed)
+
+    def estimates():
+        srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs, rng.derive(0))
+        est = diag.rsc_rss_estimate(_diagnostic_objective(obs.model, obs.y), net,
+                                    cfg.num_pairs, rng.derive(1))
+        mu = diag.incoherence_estimate(
+            net, np.eye(net.output_dim) if basis is None else basis,
+            min(cfg.num_pairs, 200), rng.derive(2), sparsity=max(cfg.sparsity, 1))
+        return srec, est, mu
+
+    def solve():
+        eta = resolve_eta(cfg, obs, net, cfg.seed)
+        cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], obs=obs,
+                        eta=eta, basis=basis)
+        return {k: cell[k] for k in ("eta", "solver", "alpha_fit",
+                                     "final_per_pixel_error")}
+
+    # The estimates never read the solve: with a second CPU the solve runs
+    # in a forked child, and the estimates stay in this process.
+    parts = [estimates, solve]
+    shards = [parts] if _usable_cpus() < 2 else [[part] for part in parts]
+    (srec, est, mu), cell = _run_forked(lambda shard: [part() for part in shard],
+                                        shards)
 
     report = {}
-    srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs, rng.derive(0))
     report["gamma_hat"] = srec.gamma
     report["rho_hat"] = srec.rho
     report["pairs_used"] = srec.pairs_used
-
-    obj = _diagnostic_objective(obs.model, obs.y)
-    est = diag.rsc_rss_estimate(obj, net, cfg.num_pairs, rng.derive(1))
     report["alpha_hat"] = est.alpha
     report["beta_hat"] = est.beta
     report["beta_over_alpha"] = est.ratio
     bound, active = diag.contraction_bound_general(est)
     report["predicted_gap_factor"] = bound
     report["predicted_gap_factor_source"] = active
-
-    basis = (build_basis(cfg, net.output_dim) if cfg.problem == "mismatch"
-             else np.eye(net.output_dim))
-    mu = diag.incoherence_estimate(net, basis, min(cfg.num_pairs, 200),
-                                   rng.derive(2), sparsity=max(cfg.sparsity, 1))
     report["mu_hat"] = mu
     if cfg.problem == "mismatch":
         report["predicted_mismatch_factor"] = diag.contraction_bound_mismatch(est, mu)
 
-    window = diag.step_size_window_check(srec, eta)
-    report["eta"] = eta
+    window = diag.step_size_window_check(srec, cell["eta"])
+    report["eta"] = cell["eta"]
     report["eta_in_window"] = window.in_window
     report["rho_sq_below_inv_eta"] = window.rho_sq_ok
     report["window_predicted_factor"] = window.predicted_factor
-
-    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], obs=obs,
-                    eta=eta)
     report["solver"] = cell["solver"]
     report["fitted_alpha"] = cell["alpha_fit"]
     report["final_per_pixel_error"] = cell["final_per_pixel_error"]

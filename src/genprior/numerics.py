@@ -12,14 +12,20 @@ global state.  The stream is backed by numpy's Philox counter-based bit
 generator keyed through ``SeedSequence(seed, spawn_key)``, so the same seed
 reproduces the same draws bit-for-bit and independent child streams can be
 derived for parallel work without coordination.
+
+:func:`blas_threads` reads and sets the thread count of the OpenBLAS that
+numpy loaded, so processes that share the CPUs need not oversubscribe them.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 __all__ = [
     "RngStream",
+    "blas_threads",
     "as_vector",
     "as_matrix",
     "gaussian_matrix",
@@ -113,3 +119,39 @@ def _check_orthonormal(b):
     if np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) > _ORTHO_TOL:
         raise ValueError(f"basis is not orthonormal to tolerance {_ORTHO_TOL:g}")
     return b
+
+
+# Thread-count entry points of numpy's OpenBLAS: the symbol-suffixed names of
+# the scipy-openblas wheels, then those of a plain OpenBLAS build.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def blas_threads(n=None):
+    """The thread count of numpy's OpenBLAS pool, read before setting it to
+    ``n`` when ``n`` is given; None, and nothing set, where no OpenBLAS is
+    loaded (it is found among this process's mappings, so Linux only).
+
+    The count decides only how BLAS splits a product across threads: the
+    package makes no call whose bits depend on it (see README, Determinism).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths
+                       if p.startswith("/") and "openblas" in p.rsplit("/", 1)[1]):
+        lib = ctypes.CDLL(path)  # already loaded: this only finds its handle
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                if n is not None:
+                    put(int(n))
+                return before
+    return None

@@ -13,7 +13,7 @@ import pytest
 
 from genprior import cli, forward, load_weights, save_weights
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
-from genprior.numerics import _check_orthonormal
+from genprior.numerics import _check_orthonormal, blas_threads
 from conftest import identity_generator
 
 LIN_CONFIG = """\
@@ -129,6 +129,36 @@ def test_config_rejects_values_that_make_a_sweep_silently_wrong(lin_config, key,
     # repeated sweep entry wrote its rows twice.
     with pytest.raises(ConfigError, match=key):
         load_config(lin_config, overrides=[f"{key}={raw}"])
+
+
+def test_phase_with_noise_is_rejected_at_the_config_boundary():
+    # Noise added to |Ax| makes negative magnitudes, which phase_pgd
+    # rejects: every such solve used to fail deep in the solver.
+    with pytest.raises(ConfigError, match="noise_std must be 0 for problem 'phase'"):
+        load_config(None, ["problem=phase", "noise_std=0.5"])
+    assert load_config(None, ["problem=phase"]).noise_std == 0.0
+    assert load_config(None, ["problem=linear", "noise_std=0.5"]).noise_std == 0.5
+
+
+def test_mismatch_sparsity_above_output_dim_is_rejected(tmp_path, monkeypatch,
+                                                        capsys):
+    # It used to fail in build_instance with numpy's broadcast error.  With
+    # weights_path the signal length comes from the file, so every command
+    # checks the rule once the generator has loaded, before any instance.
+    def no_instance(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_instance", no_instance)
+    wpath = tmp_path / "id.gpw"
+    save_weights(identity_generator(16), wpath)
+    for command in ("solve", "sweep", "diagnose"):
+        for keys, sparsity, n in ((["output_dim=64"], 2000, 64),
+                                  ([f"weights_path={wpath}"], 20, 16)):
+            sets = [a for k in ("problem=mismatch", f"sparsity={sparsity}", *keys)
+                    for a in ("--set", k)]
+            assert run_cli(command, "--out", str(tmp_path / "o"), *sets) == 1
+            assert (f"error: sparsity ({sparsity}) must be <= output_dim ({n})"
+                    in capsys.readouterr().err)
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -252,9 +282,9 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
     built, probed = [], []
     build, resolve = cli.build_instance, cli.resolve_eta
 
-    def counted_build(cfg, net, m, seed):
+    def counted_build(cfg, net, m, seed, *rest):
         built.append((m, seed))
-        return build(cfg, net, m, seed)
+        return build(cfg, net, m, seed, *rest)
 
     def counted_resolve(cfg, obs, net, seed):
         probed.append(seed)
@@ -387,7 +417,7 @@ def test_sweep_shard_failure_leaves_no_process(lin_config, tmp_path, monkeypatch
     # and message, and every child is reaped.
     solve = cli._solve_group
 
-    def failing(cfg, net, solver, seeds, insts, scfgs):
+    def failing(cfg, net, solver, seeds, *rest):
         how = plan.get(seeds[0])
         if how == "exit":
             os._exit(3)
@@ -395,7 +425,7 @@ def test_sweep_shard_failure_leaves_no_process(lin_config, tmp_path, monkeypatch
             time.sleep(60)
         if how == "raise":
             raise ValueError(f"no luck with seed {seeds[0]}")
-        return solve(cfg, net, solver, seeds, insts, scfgs)
+        return solve(cfg, net, solver, seeds, *rest)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_solve_group", failing)
@@ -475,21 +505,25 @@ def test_diagnose_orthonormal_identity_reports_unit_constants(tmp_path):
 def test_diagnose_estimates_curvature_once_per_stream(lin_config, tmp_path,
                                                       monkeypatch):
     # eta=auto runs one estimate for the step size and one for the report;
-    # the solve reuses the step size instead of estimating it again.
-    import genprior.cli as cli
-
-    calls = []
+    # the solve reuses the step size instead of estimating it again.  The
+    # calls are logged to a file, since with two usable CPUs the step size
+    # is resolved in a forked child.
+    log = tmp_path / "calls"
     estimate = cli.diag.rsc_rss_estimate
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        with open(log, "a") as f:
+            f.write(f"{args[2]}\n")
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(cli.diag, "rsc_rss_estimate", counted)
-    assert run_cli("diagnose", "--config", str(lin_config), "--out",
-                   str(tmp_path / "d"), "--set", "eta=auto",
-                   "--set", "num_pairs=50", "--set", "outer_steps=2") == 0
-    assert calls == [50, 50]
+    for cpus in (1, 2):
+        log.write_text("")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert run_cli("diagnose", "--config", str(lin_config), "--out",
+                       str(tmp_path / "d"), "--set", "eta=auto",
+                       "--set", "num_pairs=50", "--set", "outer_steps=2") == 0
+        assert log.read_text().split() == ["50", "50"]
 
 
 def test_diagnose_reproducible(lin_config, tmp_path):
@@ -530,6 +564,122 @@ def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(((out / "diagnostics.csv").read_bytes(),
                         stdout.splitlines()[-1]))
     assert outputs[0] == outputs[1]
+
+
+SWEEP_ON_THE_DEFAULT_NET = """
+import sys
+from genprior import cli
+cli._usable_cpus = lambda: 1  # one shard, so the pool keeps its thread count
+assert cli.main(["sweep", "--set", "m_list=100,200", "--set", "seeds=4",
+                 "--set", "solvers=pgd,csgm", "--set", "outer_steps=3",
+                 "--set", "inner_steps=20", "--set", "csgm_steps=50",
+                 "--out", sys.argv[1]]) == 0
+"""
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a matrix-vector product over its threads above
+    # m * n = 9216; the default net's 784-wide layer and sensing matrices
+    # at m = 100, 200 are above it.  Every product the solvers make splits
+    # its rows or columns whole, so the bits do not follow the split.
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python(SWEEP_ON_THE_DEFAULT_NET, str(out),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_diagnose_bytes_do_not_depend_on_usable_cpus(lin_config, tmp_path,
+                                                     monkeypatch):
+    # With two usable CPUs the solve runs in a forked child beside the
+    # estimates; with one, both run in this process.  The report keeps its
+    # bytes and its key order either way.
+    for problem, extra in (("linear", ()), ("mismatch", ("basis=random_ortho",))):
+        sets = [a for k in (f"problem={problem}", "eta=auto", "num_pairs=50",
+                            "outer_steps=5", "sparsity=3", *extra)
+                for a in ("--set", k)]
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{problem}-{cpus}"
+            assert run_cli("diagnose", "--config", str(lin_config), "--out",
+                           str(out), *sets) == 0
+            outputs.append((out / "diagnostics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="diagnose forks its solve")
+@pytest.mark.parametrize("how, message", [
+    ("raise", "error: no luck in the solve"),
+    ("exit", "exited with status 3 without a result"),
+    ("sleep", "error: no luck in the estimates"),
+])
+def test_diagnose_child_failure_leaves_no_process(lin_config, tmp_path, monkeypatch,
+                                                  capsys, how, message):
+    # The solve runs in a forked child.  Its exception or death, or a
+    # failure of the estimates in this process while the child still runs,
+    # fails diagnose with the CLI's exit code and message; the child is
+    # reaped and this process's BLAS thread count restored.
+    def failing_solve(*args, **kwargs):
+        if how == "exit":
+            os._exit(3)
+        if how == "sleep":
+            time.sleep(60)
+        raise ValueError("no luck in the solve")
+
+    def failing_estimate(*args, **kwargs):
+        raise ValueError("no luck in the estimates")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "run_cell", failing_solve)
+    if how == "sleep":
+        monkeypatch.setattr(cli.diag, "incoherence_estimate", failing_estimate)
+    threads = blas_threads()
+    t0 = time.perf_counter()
+    assert run_cli("diagnose", "--config", str(lin_config), "--out", str(tmp_path),
+                   "--set", "num_pairs=20") == 1
+    assert time.perf_counter() - t0 < 30
+    assert message in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert blas_threads() == threads
+
+
+def test_commands_restore_the_blas_thread_count(lin_config, tmp_path, monkeypatch):
+    # While a sweep's shards, or diagnose's estimates and solve, share the
+    # usable CPUs, each process's BLAS pool gets its share of them: one
+    # thread each of two CPUs.  The command's process gets its count back.
+    original = blas_threads()
+    if original is None:
+        pytest.skip("numpy has no OpenBLAS loaded")
+    seen = []
+    solve, estimate = cli._solve_group, cli.diag.incoherence_estimate
+
+    def solve_seen(*args):
+        seen.append(blas_threads())
+        return solve(*args)
+
+    def estimate_seen(*args, **kwargs):
+        seen.append(blas_threads())
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_solve_group", solve_seen)
+    monkeypatch.setattr(cli.diag, "incoherence_estimate", estimate_seen)
+    try:
+        blas_threads(2)
+        for argv in (("sweep", "--set", "m_list=20", "--set", "seeds=0,1",
+                      "--set", "inner_steps=10"),
+                     ("diagnose", "--set", "num_pairs=20", "--set", "outer_steps=2")):
+            assert run_cli(*argv, "--config", str(lin_config), "--out",
+                           str(tmp_path)) == 0
+            assert blas_threads() == 2
+    finally:
+        blas_threads(original)
+    # Shard 0 of the sweep and the estimates of diagnose ran here.
+    assert seen == [1, 1]
 
 
 def test_schema_defaults_follow_reference_protocol(tmp_path):

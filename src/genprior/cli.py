@@ -8,11 +8,16 @@ Subcommands::
     genprior diagnose --config c.txt [--out DIR]   restricted-constant estimates
 
 Configs are flat ``key = value`` text files ('#' starts a comment).  Every
-key is declared once, with its default, as a field of ``ExperimentConfig``
-and is validated before any computation runs; unknown keys are rejected
-with the offending file and line.  Any key can be overridden on the command
-line with ``--set key=value``; ``--seed``, ``--out`` and ``--workers`` are
-shorthands for the keys of the same name.
+key is declared once, with its default and the values it accepts, as a
+field of ``ExperimentConfig``; unknown keys are rejected with the offending
+file and line.  Every rule is checked before any instance is built: each
+key against its declaration and the cross-key rules when the config loads,
+the rules that need the signal length once the generator is built.  An
+instance that overflows (its weights, x*, y or oracle phase start), or an
+``eta=auto`` probe that finds no usable pair, raises ``ConfigError`` before
+any solve.  Any key can be overridden on the command line with ``--set
+key=value``; ``--seed``, ``--out`` and ``--workers`` are shorthands for the
+keys of the same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
 A sweep builds each (m, seed) instance and resolves its step size once,
@@ -66,13 +71,12 @@ from .generator import (
     save_weights,
 )
 from .measurement import MeasurementModel, Observation, observe, observe_noisy
-from .numerics import RngStream, blas_threads, gaussian_matrix
+from .numerics import RngStream, _check_orthonormal, blas_threads, gaussian_matrix
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import (
     SolverConfig,
     _Cell,
-    _check_basis,
     _LatentCell,
     _latent_descent,
     _phase_cell,
@@ -138,61 +142,66 @@ def _parse_eta(s):
     return float(s)
 
 
-def _key(default, parse=None, choices=None):
-    """A config key with a parser other than type(default), or a closed set
-    of allowed values."""
-    return field(default=default, metadata={"parse": parse, "choices": choices})
+def _key(default, parse=None, choices=None, low=None, strict=False, unique=False):
+    """A config key with a parser other than type(default), a closed set of
+    allowed values, a lower bound (``> low`` when ``strict``, else ``>=
+    low``) or no repeated entries; a tuple key's choices and bound hold for
+    each entry."""
+    return field(default=default, metadata=dict(
+        parse=parse, choices=choices, low=low, strict=strict, unique=unique))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every config key, its default and how its text value parses.
+    """Every config key, its default, how its text value parses and the
+    values it accepts.
 
     Defaults follow the reference experimental protocol: eta 0.5 (0.9 for
     phase problems), 15 outer and 200 inner steps.  Keys without a
-    ``_key`` declaration parse with the type of their default.
+    ``_key`` declaration parse with the type of their default and accept
+    any finite value.
     """
 
     problem: str = _key("linear", choices=PROBLEMS)
-    latent_dim: int = 20
-    hidden_dims: tuple = _key((200,), _parse_int_list)
-    output_dim: int = 784
+    latent_dim: int = _key(20, low=0, strict=True)
+    hidden_dims: tuple = _key((200,), _parse_int_list, low=0, strict=True)
+    output_dim: int = _key(784, low=0, strict=True)
     activation: str = _key("relu", choices=("relu", "tanh", "identity"))
     weight_scale: float = 1.0
     bias_scale: float = 0.0
-    weight_seed: int = 0
+    weight_seed: int = _key(0, low=0)
     weights_path: str = ""
     weights_out: str = "generator.gpw"
-    m: int = 100
-    m_list: tuple = _key((), _parse_int_list)
+    m: int = _key(100, low=0, strict=True)
+    m_list: tuple = _key((), _parse_int_list, low=0, strict=True, unique=True)
     matrix_kind: str = _key("gaussian", choices=("gaussian", "orthonormal"))
-    solver: str = ""
-    solvers: tuple = _key((), _parse_str_list)
-    eta: object = _key(None, _parse_eta)
-    outer_steps: int = 15
-    inner_steps: int = 200
-    inner_rate: float = 0.01
-    restarts: int = 1
+    solver: str = _key("", choices=("", *SOLVERS))
+    solvers: tuple = _key((), _parse_str_list, choices=SOLVERS, unique=True)
+    eta: object = _key(None, _parse_eta, low=0, strict=True)
+    outer_steps: int = _key(15, low=1)
+    inner_steps: int = _key(200, low=1)
+    inner_rate: float = _key(0.01, low=0, strict=True)
+    restarts: int = _key(1, low=1)
     proj_init: str = _key("random", choices=("zero", "random"))
-    seed: int = 0
-    seeds: tuple = _key((), _parse_int_list)
+    seed: int = _key(0, low=0)
+    seeds: tuple = _key((), _parse_int_list, low=0, unique=True)
     unit_norm_latent: bool = _key(False, _parse_bool)
-    noise_std: float = 0.0
-    sparsity: int = 5
+    noise_std: float = _key(0.0, low=0)
+    sparsity: int = _key(5, low=0)
     spike_scale: float = 5.0
     basis: str = _key("identity", choices=("identity", "random_ortho"))
-    csgm_steps: int = 3000
-    csgm_rate: float = 0.01
-    dpr_steps: int = 2500
-    dpr_rate: float = 0.01
+    csgm_steps: int = _key(3000, low=1)
+    csgm_rate: float = _key(0.01, low=0, strict=True)
+    dpr_steps: int = _key(2500, low=1)
+    dpr_rate: float = _key(0.01, low=0, strict=True)
     phase_init_strategy: str = _key("best_of_samples",
                                     choices=("best_of_samples", "oracle_perturb"))
-    phase_init_count: int = 100
-    phase_delta0: float = 0.1
-    num_pairs: int = 500
+    phase_init_count: int = _key(100, low=1)
+    phase_delta0: float = _key(0.1, low=0)
+    num_pairs: int = _key(500, low=1)
     image: bool = _key(True, _parse_bool)
     out: str = ""
-    workers: int = 1  # accepted and unused: a sweep shards over the usable CPUs
+    workers: int = _key(1, low=1)  # unused: a sweep shards over the usable CPUs
 
     def solver_list(self):
         if self.solvers:
@@ -222,56 +231,41 @@ def _parse(key, raw):
     return (f.metadata.get("parse") or type(f.default))(raw)
 
 
+# The rules that tie keys together: each maps a config to the message of
+# the rule it breaks, or to None.
+_CROSS_RULES = (
+    # Additive noise on |Ax| makes negative magnitudes, which phase_pgd
+    # rejects; there is no noisy magnitude model.
+    lambda c: (f"noise_std must be 0 for problem 'phase', got {c.noise_std!r}"
+               if c.problem == "phase" and c.noise_std > 0 else None),
+    lambda c: next((f"solver {s!r} does not apply to problem {c.problem!r} "
+                    f"(choose from {SOLVERS_FOR_PROBLEM[c.problem]})"
+                    for s in c.solver_list()
+                    if s not in SOLVERS_FOR_PROBLEM[c.problem]), None),
+)
+
+
 def _validate(cfg):
+    """cfg, once every key holds its declaration and every cross-key rule
+    holds; the rules that need the signal length are ``check_signal_length``."""
     for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        choices = f.metadata.get("choices")
-        if choices and v not in choices:
-            raise ConfigError(f"{f.name} must be one of {choices}, got {v!r}")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ConfigError(f"{f.name} must be finite, got {v!r}")
-    for name in ("m_list", "seeds", "solvers"):
-        v = getattr(cfg, name)
-        if len(set(v)) < len(v):
-            raise ConfigError(f"{name} has duplicate entries: {v!r}")
-    if cfg.latent_dim < 1 or cfg.output_dim < 1:
-        raise ConfigError("latent_dim and output_dim must be positive")
-    if any(h < 1 for h in cfg.hidden_dims):
-        raise ConfigError("hidden_dims entries must be positive")
-    if cfg.m < 1 or any(m < 1 for m in cfg.m_list):
-        raise ConfigError("measurement counts must be positive")
-    if cfg.outer_steps < 1 or cfg.inner_steps < 1 or cfg.restarts < 1:
-        raise ConfigError("outer_steps, inner_steps and restarts must be >= 1")
-    if cfg.inner_rate <= 0:
-        raise ConfigError("inner_rate must be positive")
-    if isinstance(cfg.eta, float) and cfg.eta <= 0:
-        raise ConfigError("eta must be positive (or 'auto')")
-    if cfg.noise_std < 0:
-        raise ConfigError("noise_std must be nonnegative")
-    if cfg.problem == "phase" and cfg.noise_std > 0:
-        # Additive noise on |Ax| makes negative magnitudes, which phase_pgd
-        # rejects; there is no noisy magnitude model.
-        raise ConfigError("noise_std must be 0 for problem 'phase', "
-                          f"got {cfg.noise_std!r}")
-    if cfg.sparsity < 0:
-        raise ConfigError("sparsity must be nonnegative")
-    if cfg.num_pairs < 1:
-        raise ConfigError("num_pairs must be >= 1")
-    if cfg.csgm_rate <= 0 or cfg.dpr_rate <= 0:
-        raise ConfigError("csgm_rate and dpr_rate must be positive")
-    if cfg.csgm_steps < 1 or cfg.dpr_steps < 1 or cfg.phase_init_count < 1:
-        raise ConfigError("csgm_steps, dpr_steps and phase_init_count must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    allowed = SOLVERS_FOR_PROBLEM[cfg.problem]
-    for s in cfg.solver_list():
-        if s not in SOLVERS:
-            raise ConfigError(f"unknown solver {s!r} (choose from {SOLVERS})")
-        if s not in allowed:
-            raise ConfigError(
-                f"solver {s!r} does not apply to problem {cfg.problem!r} "
-                f"(choose from {allowed})"
-            )
+        v, meta = getattr(cfg, f.name), f.metadata
+        choices, low, strict = meta.get("choices"), meta.get("low"), meta.get("strict")
+        name = f"{f.name} entries" if isinstance(v, tuple) else f.name
+        for e in v if isinstance(v, tuple) else (v,):
+            if choices and e not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {e!r}")
+            if isinstance(e, float) and not math.isfinite(e):
+                raise ConfigError(f"{name} must be finite, got {e!r}")
+            if (low is not None and isinstance(e, (int, float))
+                    and not (e > low if strict else e >= low)):
+                raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}, "
+                                  f"got {e!r}")
+        if meta.get("unique") and len(set(v)) < len(v):
+            raise ConfigError(f"{f.name} has duplicate entries: {v!r}")
+    for rule in _CROSS_RULES:
+        if message := rule(cfg):
+            raise ConfigError(message)
     return cfg
 
 
@@ -327,29 +321,41 @@ def _read_config_lines(path):
 # instance construction
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_generator(cfg):
     if cfg.weights_path:
         return load_weights(cfg.weights_path)
     rng = RngStream(cfg.weight_seed, spawn_key=(901,))
-    return random_generator(cfg.latent_dim, cfg.hidden_dims, cfg.output_dim,
-                            cfg.activation, rng, weight_scale=cfg.weight_scale,
-                            bias_scale=cfg.bias_scale)
+    try:
+        return random_generator(cfg.latent_dim, cfg.hidden_dims, cfg.output_dim,
+                                cfg.activation, rng, weight_scale=cfg.weight_scale,
+                                bias_scale=cfg.bias_scale)
+    except ValueError as exc:  # the keys are valid, so the draws overflowed
+        raise ConfigError(f"weight_scale ({cfg.weight_scale!r}) and bias_scale "
+                          f"({cfg.bias_scale!r}) give a generator that is not "
+                          f"finite: {exc}") from None
+
+
+def check_signal_length(cfg, n):
+    """The rules that need the signal length n, which the generator fixes
+    (``weights_path`` may set it).  Every command checks them right after
+    building the generator, before any instance."""
+    if cfg.problem == "mismatch" and cfg.sparsity > n:
+        raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
+                          f"({n}) for problem 'mismatch'")
+    if cfg.matrix_kind == "orthonormal" and max(cfg.m_values()) > n:
+        raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
 
 
 def build_basis(cfg, n):
-    """The checked n x n orthonormal basis that mismatch spikes are sparse
-    in: the identity, or a random draw that depends on ``weight_seed``
+    """The n x n orthonormal basis that mismatch spikes are sparse in: the
+    identity, or a checked random draw that depends on ``weight_seed``
     alone.  A command builds it once, after the generator has fixed n."""
-    if cfg.sparsity > n:
-        raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
-                          f"({n}) for problem 'mismatch'")
     if cfg.basis == "identity":
-        b = np.eye(n)
-    else:
-        q, r = np.linalg.qr(RngStream(cfg.weight_seed, spawn_key=(902,))
-                            .standard_normal((n, n)))
-        b = q * np.sign(np.diag(r))  # fix signs so the draw is canonical
-    return _check_basis(b, n, cfg.sparsity)[0]
+        return np.eye(n)
+    q, r = np.linalg.qr(RngStream(cfg.weight_seed, spawn_key=(902,))
+                        .standard_normal((n, n)))
+    return _check_orthonormal(q * np.sign(np.diag(r)))  # signs: a canonical draw
 
 
 def _command_basis(cfg, net):
@@ -358,14 +364,23 @@ def _command_basis(cfg, net):
     return build_basis(cfg, net.output_dim) if cfg.problem == "mismatch" else None
 
 
+def _not_finite(what, keys):
+    return ConfigError(f"{what} is not finite or its squared norm overflows; "
+                       f"shrink {' or '.join(keys)}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflows raise ConfigError
 def build_instance(cfg, net, m, seed, basis=None):
     """The Observation of a planted problem: x* = G(z*) (+ sparse spikes in
     ``basis`` for mismatch, built here when not given).
 
     The target depends only on the seed; the sensing matrix depends on
     (seed, m) so each sweep column sees fresh measurements of the same
-    signal.
+    signal.  Raises ConfigError, naming the keys to shrink, when x*, y or
+    the oracle phase start's distance from x* has no finite squared norm.
     """
+    keys = (["the weights in weights_path"] if cfg.weights_path
+            else ["weight_scale", "bias_scale"])
     root = RngStream(seed)
     z_star = root.derive(0).standard_normal(net.latent_dim)
     if cfg.unit_norm_latent:
@@ -373,6 +388,7 @@ def build_instance(cfg, net, m, seed, basis=None):
     x_base = forward(net, z_star)
     x_star = x_base
     if cfg.problem == "mismatch":
+        keys.append("spike_scale")
         if basis is None:
             basis = build_basis(cfg, net.output_dim)
         spike_rng = root.derive(2)
@@ -383,19 +399,26 @@ def build_instance(cfg, net, m, seed, basis=None):
             spike_rng.standard_normal(cfg.sparsity) >= 0, 1.0, -1.0
         )
         x_star = x_base + basis @ coeffs
+    if not np.isfinite(x_star @ x_star):
+        raise _not_finite(f"x* at seed {seed}", keys)
     n = net.output_dim
     if cfg.matrix_kind == "orthonormal":
-        if m > n:
-            raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
         q, r = np.linalg.qr(root.derive(1, m).standard_normal((n, n)))
         a = (q * np.sign(np.diag(r))).T[:m]
     else:
         a = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
     model = MeasurementModel(matrix=a, link=PROBLEM_LINK[cfg.problem])
     if cfg.noise_std > 0:
+        keys.append("noise_std")
         y = observe_noisy(model, x_star, cfg.noise_std, root.derive(3))
     else:
         y = observe(model, x_star)
+    if not np.isfinite(y @ y):
+        raise _not_finite(f"y at m={m}, seed {seed}", keys)
+    if ("phase_pgd" in cfg.solver_list() and cfg.phase_init_strategy == "oracle_perturb"
+            and not np.isfinite((cfg.phase_delta0 * np.linalg.norm(x_star)) ** 2)):
+        raise _not_finite(f"the oracle phase start's distance from x* at seed {seed}",
+                          ["phase_delta0"])
     return Observation(y=y, model=model, x_star=x_star, z_star=z_star)
 
 
@@ -414,15 +437,26 @@ def _diagnostic_objective(model, y):
     return Objective(model, y)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a failed probe raises ConfigError
 def resolve_eta(cfg, obs, net, seed):
     """Step size from config; 'auto' uses 1/beta of the solver's potential."""
     eta = cfg.eta_value()
     if eta != "auto":
         return float(eta)
     obj = _diagnostic_objective(obs.model, obs.y)
-    est = diag.rsc_rss_estimate(obj, net, cfg.num_pairs,
-                                RngStream(seed, spawn_key=(903,)))
-    return 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta)
+    probe = (f"eta=auto at seed {seed}: the curvature probe over num_pairs "
+             f"({cfg.num_pairs}) range pairs")
+    try:
+        est = diag.rsc_rss_estimate(obj, net, cfg.num_pairs,
+                                    RngStream(seed, spawn_key=(903,)))
+    except ValueError as exc:  # every pair is degenerate or not finite
+        raise ConfigError(f"{probe} failed: {exc}; set eta, or change "
+                          "weight_scale or bias_scale") from None
+    eta = 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta) if est.beta > 0 else math.inf
+    if not 0 < eta < math.inf:
+        raise ConfigError(f"{probe} gives no finite positive step size "
+                          f"(beta_hat = {est.beta!r}); set eta")
+    return eta
 
 
 def _phase_start(cfg, net, obs, seed):
@@ -452,8 +486,6 @@ def _solve_group(cfg, net, solver, seeds, obs, scfgs, basis):
             _phase_cell(o.y, o.model.matrix, net, scfg,
                         _phase_start(cfg, net, o, seed))
             for o, seed, scfg in zip(obs, seeds, scfgs)])
-    if solver not in ("pgd", "eps_pgd", "myopic"):
-        raise ConfigError(f"unknown solver {solver!r}")
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
     return _projected_descent(net, [_Cell(Objective(o.model, o.y), scfg)
                                     for o, scfg in zip(obs, scfgs)], sparse)
@@ -566,6 +598,7 @@ def _ensure_out(cfg):
 def cmd_gen(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
+    check_signal_length(cfg, net.output_dim)
     path = out / cfg.weights_out
     save_weights(net, path)
     diameter = estimate_diameter(net, 200, RngStream(cfg.seed, spawn_key=(906,)))
@@ -578,6 +611,7 @@ def cmd_gen(cfg):
 def cmd_solve(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
+    check_signal_length(cfg, net.output_dim)
     cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0])
     trace = cell["trace"]
     trace_path = out / "trace.csv"
@@ -694,6 +728,7 @@ def _run_forked(fn, shards):
 def cmd_sweep(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
+    check_signal_length(cfg, net.output_dim)
     basis = _command_basis(cfg, net)
     solvers = cfg.solver_list()
     ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
@@ -736,6 +771,7 @@ def cmd_sweep(cfg):
 def cmd_diagnose(cfg):
     out = _ensure_out(cfg)
     net = build_generator(cfg)
+    check_signal_length(cfg, net.output_dim)
     basis = _command_basis(cfg, net)
     obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))

@@ -40,7 +40,13 @@ from genprior import (
     value,
 )
 from genprior.cli import main as cli_main
-from genprior.solvers import _Cell, _LatentCell, _latent_descent, _projected_descent
+from genprior.solvers import (
+    _Cell,
+    _LatentCell,
+    _latent_descent,
+    _phase_cell,
+    _projected_descent,
+)
 from conftest import brute_force_project
 
 DESK = dict(k=8, hidden=(64,), n=128, m=64)
@@ -249,22 +255,26 @@ def test_criterion_5_phase_reduction():
 def test_criterion_6_phase_contraction():
     t0 = time.perf_counter()
     net = desk_net()
-    worst_ratios, mirror_ok = [], True
+    # The 20 solves (each seed with ground truth x* and -x*) step as one
+    # lockstep group, with the bits of their own phase_pgd runs
+    # (test_lockstep).
+    proj = ProjectionConfig(inner_steps=200, inner_rate=0.05)
+    cells = []
     for seed in range(10):
         _, x_star, a = planted(net, DESK["m"], seed)
         y = np.abs(a @ x_star)
         x0 = phase_init(y, a, net, RngStream(seed, spawn_key=(904,)),
                         strategy="oracle_perturb", delta0=0.1, x_star=x_star)
-        proj = ProjectionConfig(inner_steps=200, inner_rate=0.05)
-        cfg = SolverConfig(outer_steps=50, step_size=0.9, projection=proj,
-                           seed=seed, ground_truth=x_star)
-        _, trace = phase_pgd(y, a, net, cfg, x0)
+        for truth in (x_star, -x_star):
+            cfg = SolverConfig(outer_steps=50, step_size=0.9, projection=proj,
+                               seed=seed, ground_truth=truth)
+            cells.append(_phase_cell(y, a, net, cfg, x0))
+    traces = _projected_descent(net, cells)
+    worst_ratios, mirror_ok = [], True
+    for trace, trace_neg in zip(traces[0::2], traces[1::2]):
         d = trace.sign_error
         ratios = [d[t + 1] / d[t] for t in range(len(d) - 1) if d[t] >= 1e-3]
         worst_ratios.append(max(ratios) if ratios else 0.0)
-        cfg_neg = SolverConfig(outer_steps=50, step_size=0.9, projection=proj,
-                               seed=seed, ground_truth=-x_star)
-        _, trace_neg = phase_pgd(y, a, net, cfg_neg, x0)
         mirror_ok &= bool(np.array_equal(trace.sign_error, trace_neg.sign_error))
     med_worst = float(np.median(worst_ratios))
     ok = med_worst <= 0.95 and mirror_ok
@@ -292,11 +302,13 @@ def test_criterion_7_myopic():
     reduction_gap = max(float(np.max(np.abs(x_eps - x_myo))),
                         float(np.max(np.abs(t_eps.objective - t_myo.objective))))
 
-    # (b) planted mismatch: identity basis, l=5 spikes, m = 4(k+l).
+    # (b) planted mismatch: identity basis, l=5 spikes, m = 4(k+l).  The 10
+    # solves step as one lockstep group, with the bits of their own
+    # myopic_eps_pgd runs (test_lockstep).
     k, n, l, spike = 8, 64, 5, 10.0
     m = 4 * (k + l)
     mm_net = random_generator(k, [64], n, "relu", RngStream(7, spawn_key=(901,)))
-    support_hits, ppes = 0, []
+    cells, supports = [], []
     for seed in range(10):
         root = RngStream(seed)
         z_star = root.derive(0).standard_normal(k)
@@ -313,9 +325,12 @@ def test_criterion_7_myopic():
                             projection=ProjectionConfig(inner_steps=200,
                                                         inner_rate=0.05),
                             seed=seed, ground_truth=x_true)
-        _, _, v_hat, trace = myopic_eps_pgd(obj2, mm_net, np.eye(n), l, cfg2)
-        support_hits += set(np.nonzero(v_hat)[0]) == set(support)
-        ppes.append(trace.final_per_pixel_error)
+        cells.append(_Cell(obj2, cfg2))
+        supports.append(support)
+    traces = _projected_descent(mm_net, cells, sparse=(np.eye(n), l))
+    support_hits = sum(set(np.nonzero(trace.extras["v"])[0]) == set(support)
+                       for trace, support in zip(traces, supports))
+    ppes = [trace.final_per_pixel_error for trace in traces]
     med_ppe = float(np.median(ppes))
     ok = reduction_gap <= 1e-12 and support_hits >= 5 and med_ppe < 1e-2
     report(7, "myopic reduction and recovery", ok,

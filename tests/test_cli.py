@@ -2,10 +2,13 @@
 determinism of outputs, and the wiring of each subcommand."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +124,18 @@ def test_eta_defaults_per_problem(tmp_path):
     ("m_list", "20,20"),
     ("seeds", "1,2,1"),
     ("solvers", "pgd,csgm,pgd"),
+    ("seed", "-1"),
+    ("weight_seed", "-1"),
+    ("seeds", "0,-1"),
+    ("phase_delta0", "-0.1"),
 ])
 def test_config_rejects_values_that_make_a_sweep_silently_wrong(lin_config, key,
                                                                 raw):
     # Each of these used to load: nan step sizes held every step, a nan
-    # noise level meant no noise, a negative rate ran gradient ascent, and a
-    # repeated sweep entry wrote its rows twice.
+    # noise level meant no noise, a negative rate ran gradient ascent, a
+    # repeated sweep entry wrote its rows twice, a negative seed failed in
+    # numpy's seed sequence and a negative phase_delta0 was a start radius
+    # below zero.
     with pytest.raises(ConfigError, match=key):
         load_config(lin_config, overrides=[f"{key}={raw}"])
 
@@ -159,6 +168,90 @@ def test_mismatch_sparsity_above_output_dim_is_rejected(tmp_path, monkeypatch,
             assert run_cli(command, "--out", str(tmp_path / "o"), *sets) == 1
             assert (f"error: sparsity ({sparsity}) must be <= output_dim ({n})"
                     in capsys.readouterr().err)
+
+
+def test_orthonormal_m_above_output_dim_is_rejected_before_any_instance(
+        tmp_path, monkeypatch, capsys):
+    # With weights_path the signal length comes from the file: the rule is
+    # checked with the sparsity rule, once the generator has loaded.
+    def no_instance(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_instance", no_instance)
+    wpath = tmp_path / "id.gpw"
+    save_weights(identity_generator(16), wpath)
+    for command in ("solve", "sweep", "diagnose"):
+        for m_key in ("m=17", "m_list=8,17"):
+            assert run_cli(command, "--out", str(tmp_path / "o"),
+                           "--set", f"weights_path={wpath}",
+                           "--set", "matrix_kind=orthonormal", "--set", m_key) == 1
+            assert ("error: orthonormal matrix_kind needs m <= output_dim"
+                    in capsys.readouterr().err)
+
+
+TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
+            "outer_steps=3", "inner_steps=5"]
+
+
+@pytest.mark.parametrize("sets, match", [
+    (["weight_scale=1e200"], "x\\* .* shrink weight_scale or bias_scale$"),
+    (["bias_scale=1e308"], "weight_scale .* bias_scale .* not finite"),
+    (["problem=mismatch", "spike_scale=1e308"], "x\\* .* or spike_scale$"),
+    (["noise_std=1e308"], "y .* or noise_std$"),
+    (["problem=sigmoid", "weight_scale=1e150"], "x\\* .* shrink weight_scale"),
+    (["activation=tanh", "weight_scale=1e300"], "x\\* .* shrink weight_scale"),
+    (["weight_scale=0", "eta=auto"], "eta=auto .* degenerate.* weight_scale"),
+    (["problem=sigmoid", "weight_scale=2.5558194924874993e-05", "eta=auto",
+      "num_pairs=3"], "eta=auto .* no finite positive step size"),
+    (["problem=phase", "phase_init_strategy=oracle_perturb", "phase_delta0=1e308"],
+     "phase start.* phase_delta0$"),
+], ids=["weights", "bias", "spikes", "noise", "sigmoid-norm", "tanh-norm",
+        "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start"])
+def test_broken_instances_are_refused_before_any_solve(
+        tmp_path, monkeypatch, sets, match):
+    # These configs used to pass validation, then raise a RuntimeWarning in
+    # the generator or the instance (the first four; without the warning
+    # filter, "x / layer bias / y contains non-finite entries"), write inf
+    # into every row's per-pixel and sign-invariant errors (sigmoid, tanh),
+    # fail in the step-size probe with a bare ValueError, resolve a negative
+    # step size from a probe whose quotients cancelled to noise (a bare
+    # "step_size must be positive" ValueError), or overflow in phase_init
+    # inside the phase group ("x0 contains non-finite entries").
+    def no_solve(*args):
+        raise AssertionError("a solver group started")
+
+    monkeypatch.setattr(cli, "_solve_group", no_solve)
+    cfg = load_config(None, TINY_NET + sets, out=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match=match):
+            cli.cmd_solve(cfg)
+
+
+def test_readme_key_table_states_each_declaration():
+    # The accepts column is taken from the declarations: every key with a
+    # closed set of values or a bound is listed with each value, its bound
+    # and "no repeats"; a float without a bound must be finite.  The unused
+    # workers key is left out of the table.
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    accepts = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if line.startswith("| `") and len(cells) == 6:  # key, default, accepts, meaning
+            accepts.update((key, cells[3]) for key in re.findall(r"`(\w+)`", cells[1]))
+    for f in fields(cli.ExperimentConfig):
+        meta, low = f.metadata, f.metadata.get("low")
+        if f.name == "workers" or not (meta.get("choices") or low is not None
+                                       or isinstance(f.default, float)):
+            continue
+        cell = accepts[f.name]
+        assert all(f"`{c}`" in cell for c in meta.get("choices") or () if c), f.name
+        if low is not None:
+            assert f"`{'>' if meta['strict'] else '>='} {low}`" in cell, f.name
+            assert isinstance(f.default, tuple) == ("entries" in cell), f.name
+        elif isinstance(f.default, float):
+            assert "finite" in cell, f.name
+        assert bool(meta.get("unique")) <= ("no repeats" in cell), f.name
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

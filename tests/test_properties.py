@@ -1,9 +1,15 @@
 """Property tests of the boundary contract: bad weight files and any small
 projection problem either raise ValueError or give finite, repeatable
-results, alone or as a cell of a lockstep block.  Examples are
-derandomized, so every run checks the same ones."""
+results, alone or as a cell of a lockstep block, and any config drawn from
+the declared key bounds either solves to finite outputs or is refused with
+a ConfigError before any solve.  Examples are derandomized, so every run
+checks the same ones."""
 
+import csv
+import math
 import struct
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from genprior import (
     random_generator,
     save_weights,
 )
+from genprior import cli
 from genprior.projection import _project_cells
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -178,3 +185,121 @@ def test_project_never_returns_an_overflowed_latent(k, hidden, n, restarts,
         assert "no range point" in str(exc)
         return
     assert np.all(np.isfinite(res.z_hat)) and np.all(np.isfinite(res.x_proj))
+
+
+# --- every accepted config solves -----------------------------------------
+
+# A tiny net with short budgets; the other keys keep their defaults unless
+# drawn.  The net's shape and the sweep-only keys are not drawn.
+TINY_SOLVE = {"latent_dim": 2, "hidden_dims": 4, "output_dim": 9, "m": 5,
+              "outer_steps": 3, "inner_steps": 3, "csgm_steps": 3, "dpr_steps": 3,
+              "phase_init_count": 3, "num_pairs": 3}
+NOT_DRAWN = {"latent_dim", "hidden_dims", "output_dim", "problem", "solver",
+             "m_list", "seeds", "solvers", "weights_path", "weights_out", "out",
+             "workers"}
+SIGNAL_LENGTH = TINY_SOLVE["output_dim"]
+FLOAT_EXTREMES = (5e-324, 0.5, 1e300, 1e308)
+
+
+def declared_values(f):
+    """(accepted, refused) values to draw for one key: its choices, or its
+    declared bound with the values next to it and the float extremes."""
+    meta = f.metadata
+    if meta.get("choices"):
+        return list(meta["choices"]), []
+    if isinstance(f.default, bool):
+        return [False, True], []
+    low, strict = meta.get("low"), meta.get("strict")
+    if isinstance(f.default, int):
+        least = low + 1 if strict else low
+        accepted = [least, least + 1, least + 2]
+        if f.name in ("m", "sparsity"):  # their rules need the signal length
+            accepted += [SIGNAL_LENGTH, SIGNAL_LENGTH + 1]
+        return accepted, [least - 1]
+    if low is None:
+        return [-1e308, -1.0, 0.0, *FLOAT_EXTREMES], []
+    accepted = [*([] if strict else [low]), *(low + v for v in FLOAT_EXTREMES)]
+    if f.name == "eta":
+        accepted.append("auto")
+    return accepted, [math.nextafter(low, -math.inf)]
+
+
+DECLARED = {f.name: declared_values(f) for f in fields(cli.ExperimentConfig)
+            if f.name not in NOT_DRAWN}
+PROBLEM_SOLVERS = [(p, s) for p, solvers in sorted(cli.SOLVERS_FOR_PROBLEM.items())
+                   for s in solvers]
+
+
+# Drawn in every config: the keys whose extremes meet in the step-size
+# probe and the oracle phase start.
+ALWAYS_DRAWN = ("eta", "weight_scale", "phase_init_strategy", "phase_delta0")
+
+
+@st.composite
+def solve_configs(draw):
+    """--set items: a problem with a solver that applies to it, ALWAYS_DRAWN
+    and up to four other keys drawn from the values their declarations
+    accept, and in one config of five a key drawn below its bound."""
+    problem, solver = draw(st.sampled_from(PROBLEM_SOLVERS))
+    sets = {**TINY_SOLVE, "problem": problem, "solver": solver}
+    others = sorted(set(DECLARED) - set(ALWAYS_DRAWN))
+    for key in ALWAYS_DRAWN + tuple(draw(st.lists(st.sampled_from(others),
+                                                   max_size=4, unique=True))):
+        sets[key] = draw(st.sampled_from(DECLARED[key][0]))
+    if draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(sorted(k for k, v in DECLARED.items() if v[1])))
+        sets[key] = draw(st.sampled_from(DECLARED[key][1]))
+    return [f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in sets.items()]
+
+
+def recording(fn, raised):
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+    return wrapper
+
+
+# The documented NaN columns: no projection (t = 0, a held step, a latent
+# baseline) and no phase (every solver but phase_pgd).
+NAN_COLUMNS = {"proj_residual", "phase_flips"}
+
+
+@settings(PROPERTY, max_examples=300)  # each example is a full (tiny) solve
+@given(sets=solve_configs())
+def test_every_accepted_config_solves_to_finite_outputs(tmp_dir, sets):
+    out = tmp_dir / "solve"
+    raised, entered = [], []
+    solve_group = cli._solve_group
+
+    def entering(*args):
+        entered.append(True)
+        return solve_group(*args)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cli, "_solve_group", entering)
+        mp.setattr(cli, "load_config", recording(cli.load_config, raised))
+        mp.setattr(cli, "cmd_solve", recording(cli.cmd_solve, raised))
+        code = cli.main(["solve", "--out", str(out),
+                         *[a for s in sets for a in ("--set", s)]])
+    if code:
+        assert code == 1
+        assert len(raised) == 1 and isinstance(raised[0], cli.ConfigError), raised
+        assert not entered
+        return
+    assert entered
+    with open(out / "trace.csv") as f:
+        for row in csv.DictReader(f):
+            for col, v in row.items():
+                assert math.isfinite(float(v)) or (
+                    col in NAN_COLUMNS and math.isnan(float(v))), (col, v)
+    summary = dict(kv.split("=", 1) for kv in (out / "summary.txt").read_text().split())
+    for key in ("eta", "final_objective", "final_per_pixel_error",
+                "image_scale_lo", "image_scale_hi"):
+        if key in summary:
+            assert math.isfinite(float(summary[key])), (key, summary[key])
+    assert summary["alpha_fit"] == "nan" or math.isfinite(float(summary["alpha_fit"]))

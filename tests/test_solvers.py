@@ -513,7 +513,9 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
     grid = (2 * k, 4 * k, 8 * k)
 
     def med_err(solver, m):
-        errs = []
+        # The 5 seeds step as one lockstep group, with the bits of their own
+        # phase_pgd or dpr_baseline runs (test_lockstep).
+        cells = []
         for seed in range(5):
             x_star, a, y = phase_instance(desk_net, m, seed=400 + seed)
             if solver == "phase":
@@ -523,15 +525,16 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
                                    projection=ProjectionConfig(inner_steps=50,
                                                                inner_rate=0.05),
                                    seed=seed, ground_truth=x_star)
-                _, tr = phase_pgd(y, a, desk_net, cfg, x0)
+                cells.append(solvers._phase_cell(y, a, desk_net, cfg, x0))
             else:
                 rng = RngStream(seed, spawn_key=(905,))
                 z0 = rng.standard_normal(k)
                 z0 /= np.linalg.norm(z0)
-                _, tr = dpr_baseline(y, a, desk_net, 2500, 0.05, rng,
-                                     x_star=x_star, z0=z0)
-            errs.append(tr.sign_error[-1])
-        return float(np.median(errs))
+                cells.append(solvers._LatentCell(y, a, rng, x_star, z0))
+        traces = (solvers._projected_descent(desk_net, cells) if solver == "phase"
+                  else solvers._latent_descent(desk_net, 2500, 0.05, "magnitude",
+                                               cells))
+        return float(np.median([tr.sign_error[-1] for tr in traces]))
 
     def first_m_reaching(solver):
         for m in grid:

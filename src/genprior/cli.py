@@ -15,27 +15,30 @@ key against its declaration and the cross-key rules when the config loads,
 the rules that need the signal length once the generator is built.  An
 instance that overflows (its weights, x*, y or oracle phase start), or an
 ``eta=auto`` probe that finds no usable pair, raises ``ConfigError`` before
-any solve.  Any key can be overridden on the command line with ``--set
-key=value``; ``--seed``, ``--out`` and ``--workers`` are shorthands for the
-keys of the same name.
+any solve; so do ``diagnose``'s estimates when they find no usable pair.
+Any key can be overridden on the command line with ``--set key=value``;
+``--seed``, ``--out`` and ``--workers`` are shorthands for the keys of the
+same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
-A sweep builds each (m, seed) instance and resolves its step size once,
-then deals the cells round-robin into one shard per usable CPU (at most one
-per cell).  Shard 0 runs in this process and the others in forked children
-(Linux only; elsewhere one shard), which inherit the instances and send back
-only their summary rows.  Within a shard each solver runs as one lockstep
-group over the shard's cells: phase starts are made one cell at a time,
-then the solver steps every cell together (see ``solvers``), and the groups
-run one after another, since a lockstep solve holds the interpreter lock
-nearly throughout.  ``--workers`` is accepted and changes nothing.
+Every command runs its cells one way.  A cell is one (m, seed, instance,
+eta) record, built and resolved once before any solve, and each solver
+runs as one lockstep group over its cells: phase starts are made one cell
+at a time, then the solver steps every cell together (see ``solvers``).
+``solve`` and ``diagnose`` run one cell; a sweep runs one group per solver
+over each shard of its cells.
 
-``diagnose`` runs as two such shards: its restricted-constant estimates in
-this process, and its step size and solve, which never meet the estimates,
-in a forked child that sends back four summary values; with one usable CPU
-both run here.  While shards run side by side, each process's OpenBLAS pool
-is cut to its share of the usable CPUs, and restored when they are done.
-A command builds the mismatch basis once, before any fork.
+``_run_forked`` deals a command's items round-robin into one shard per
+usable CPU (at most one per item).  Shard 0 runs in this process and the
+others in forked children (Linux only; elsewhere one shard), which inherit
+every input and send back only their results.  A sweep's items are its
+cells, and a shard's groups run one after another, since a lockstep solve
+holds the interpreter lock nearly throughout.  ``diagnose``'s two items
+are its restricted-constant estimates and its step size and solve, which
+never meet the estimates.  While shards run side by side, each process's
+OpenBLAS pool is cut to its share of the usable CPUs, and restored when
+they are done.  A command builds the mismatch basis once, before any fork.
+``--workers`` is accepted and changes nothing.
 
 Outputs are deterministic byte-for-byte given the config, and do not depend
 on how the cells are grouped or sharded: CSV floats are written with 17
@@ -364,6 +367,12 @@ def _command_basis(cfg, net):
     return build_basis(cfg, net.output_dim) if cfg.problem == "mismatch" else None
 
 
+def _generator_keys(cfg):
+    """The keys that set the generator's weights, for an error to name."""
+    return (["the weights in weights_path"] if cfg.weights_path
+            else ["weight_scale", "bias_scale"])
+
+
 def _not_finite(what, keys):
     return ConfigError(f"{what} is not finite or its squared norm overflows; "
                        f"shrink {' or '.join(keys)}")
@@ -379,8 +388,7 @@ def build_instance(cfg, net, m, seed, basis=None):
     signal.  Raises ConfigError, naming the keys to shrink, when x*, y or
     the oracle phase start's distance from x* has no finite squared norm.
     """
-    keys = (["the weights in weights_path"] if cfg.weights_path
-            else ["weight_scale", "bias_scale"])
+    keys = _generator_keys(cfg)
     root = RngStream(seed)
     z_star = root.derive(0).standard_normal(net.latent_dim)
     if cfg.unit_norm_latent:
@@ -422,13 +430,6 @@ def build_instance(cfg, net, m, seed, basis=None):
     return Observation(y=y, model=model, x_star=x_star, z_star=z_star)
 
 
-def _solver_config(cfg, eta, seed, x_star):
-    proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
-                            restarts=cfg.restarts, init=cfg.proj_init)
-    return SolverConfig(outer_steps=cfg.outer_steps, step_size=eta,
-                        projection=proj, seed=seed, ground_truth=x_star)
-
-
 def _diagnostic_objective(model, y):
     """Objective for curvature probes; magnitude links get a unit phase
     (the quadratic curvature of ||y*p - Ax||^2 does not depend on p)."""
@@ -451,7 +452,7 @@ def resolve_eta(cfg, obs, net, seed):
                                     RngStream(seed, spawn_key=(903,)))
     except ValueError as exc:  # every pair is degenerate or not finite
         raise ConfigError(f"{probe} failed: {exc}; set eta, or change "
-                          "weight_scale or bias_scale") from None
+                          f"{' or '.join(_generator_keys(cfg))}") from None
     eta = 1.0 / (GRADIENT_SCALE[obj.kind] * est.beta) if est.beta > 0 else math.inf
     if not 0 < eta < math.inf:
         raise ConfigError(f"{probe} gives no finite positive step size "
@@ -459,20 +460,10 @@ def resolve_eta(cfg, obs, net, seed):
     return eta
 
 
-def _phase_start(cfg, net, obs, seed):
-    """The phase_pgd start point of one instance."""
-    init_rng = RngStream(seed, spawn_key=(904,))
-    if cfg.phase_init_strategy == "oracle_perturb":
-        return phase_init(obs.y, obs.model.matrix, net, init_rng,
-                          strategy="oracle_perturb", delta0=cfg.phase_delta0,
-                          x_star=obs.x_star)
-    return phase_init(obs.y, obs.model.matrix, net, init_rng,
-                      strategy="best_of_samples", count=cfg.phase_init_count)
-
-
-def _solve_group(cfg, net, solver, seeds, obs, scfgs, basis):
-    """The traces of one solver on the given instances, stepped in lockstep;
-    ``basis`` is the command's mismatch basis, which myopic thresholds in."""
+def _solve_group(cfg, net, basis, solver, cells):
+    """The traces of one solver on the given (m, seed, instance, eta) cells,
+    stepped in lockstep; ``basis`` is the command's mismatch basis, which
+    myopic thresholds in."""
     if solver in ("csgm", "dpr"):
         steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
                              if solver == "csgm" else
@@ -480,37 +471,46 @@ def _solve_group(cfg, net, solver, seeds, obs, scfgs, basis):
         return _latent_descent(net, steps, rate, kind, [
             _LatentCell(o.y, o.model.matrix, RngStream(seed, spawn_key=(905,)),
                         x_star=o.x_star)
-            for o, seed in zip(obs, seeds)])
+            for _, seed, o, _ in cells])
+    proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
+                            restarts=cfg.restarts, init=cfg.proj_init)
+
+    def solver_cfg(seed, o, eta):
+        return SolverConfig(outer_steps=cfg.outer_steps, step_size=eta,
+                            projection=proj, seed=seed, ground_truth=o.x_star)
+
     if solver == "phase_pgd":
         return _projected_descent(net, [
-            _phase_cell(o.y, o.model.matrix, net, scfg,
-                        _phase_start(cfg, net, o, seed))
-            for o, seed, scfg in zip(obs, seeds, scfgs)])
+            _phase_cell(o.y, o.model.matrix, net, solver_cfg(seed, o, eta),
+                        phase_init(o.y, o.model.matrix, net,
+                                   RngStream(seed, spawn_key=(904,)),
+                                   cfg.phase_init_strategy, cfg.phase_init_count,
+                                   cfg.phase_delta0, o.x_star))
+            for _, seed, o, eta in cells])
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
-    return _projected_descent(net, [_Cell(Objective(o.model, o.y), scfg)
-                                    for o, scfg in zip(obs, scfgs)], sparse)
+    return _projected_descent(net, [_Cell(Objective(o.model, o.y),
+                                          solver_cfg(seed, o, eta))
+                                    for _, seed, o, eta in cells], sparse)
 
 
-def _run_group(cfg, net, ms, seeds, solver, obs, etas, basis):
-    """The cells of one solver's lockstep group, one per (m, seed) pair,
-    given each cell's instance and step size and the command's basis.
+def _run_group(cfg, net, basis, solver, cells):
+    """The summary rows of one solver's lockstep group over its cells, each
+    an (m, seed, instance, eta) record, given the command's basis.
 
     Phase starts are made one cell at a time; then the solver steps every
     cell of the group in lockstep, with the bits each cell has on its own.
-    Every cell's ``wall_time_s`` is the wall of the group's solve.
+    Every row's ``wall_time_s`` is the wall of the group's solve.
     """
-    scfgs = [_solver_config(cfg, eta, seed, o.x_star)
-             for o, eta, seed in zip(obs, etas, seeds)]
     t0 = time.perf_counter()
-    traces = _solve_group(cfg, net, solver, seeds, obs, scfgs, basis)
+    traces = _solve_group(cfg, net, basis, solver, cells)
     wall = time.perf_counter() - t0
-    cells = []
-    for m, seed, eta, trace in zip(ms, seeds, etas, traces):
+    rows = []
+    for (m, seed, _, eta), trace in zip(cells, traces):
         try:
             alpha_fit = diag.convergence_rate(trace, RATE_FLOOR).alpha_fit
         except ValueError:
             alpha_fit = float("nan")
-        cells.append({
+        rows.append({
             "m": m,
             "seed": seed,
             "solver": solver,
@@ -522,22 +522,7 @@ def _run_group(cfg, net, ms, seeds, solver, obs, etas, basis):
             "total_inner_updates": trace.inner_updates,
             "wall_time_s": wall,
         })
-    return cells
-
-
-def run_cell(cfg, net, m, seed, solver, obs=None, eta=None, basis=None):
-    """One (m, seed, solver) run; returns the trace plus summary fields.
-
-    A caller that already built the instance, resolved the step size or
-    built the basis passes them as ``obs``, ``eta`` and ``basis``.
-    """
-    if basis is None:
-        basis = _command_basis(cfg, net)
-    if obs is None:
-        obs = build_instance(cfg, net, m, seed, basis)
-    if eta is None:
-        eta = resolve_eta(cfg, obs, net, seed)
-    return _run_group(cfg, net, (m,), (seed,), solver, [obs], [eta], basis)[0]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +570,14 @@ def write_pgm(path, x):
     return lo, hi
 
 
-def _ensure_out(cfg):
+def _setup(cfg):
+    """A command's output directory, made, and its generator, built and
+    checked against the rules that need the signal length."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    net = build_generator(cfg)
+    check_signal_length(cfg, net.output_dim)
+    return out, net
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +585,7 @@ def _ensure_out(cfg):
 
 
 def cmd_gen(cfg):
-    out = _ensure_out(cfg)
-    net = build_generator(cfg)
-    check_signal_length(cfg, net.output_dim)
+    out, net = _setup(cfg)
     path = out / cfg.weights_out
     save_weights(net, path)
     diameter = estimate_diameter(net, 200, RngStream(cfg.seed, spawn_key=(906,)))
@@ -609,25 +596,17 @@ def cmd_gen(cfg):
 
 
 def cmd_solve(cfg):
-    out = _ensure_out(cfg)
-    net = build_generator(cfg)
-    check_signal_length(cfg, net.output_dim)
-    cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0])
-    trace = cell["trace"]
+    out, net = _setup(cfg)
+    basis = _command_basis(cfg, net)
+    obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
+    cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
+    (row,) = _run_group(cfg, net, basis, cfg.solver_list()[0], [cell])
+    trace = row["trace"]
     trace_path = out / "trace.csv"
     write_trace_csv(trace_path, trace)
-    summary = {
-        "problem": cfg.problem,
-        "solver": cell["solver"],
-        "m": cell["m"],
-        "seed": cell["seed"],
-        "eta": cell["eta"],
-        "final_objective": cell["final_objective"],
-        "final_per_pixel_error": cell["final_per_pixel_error"],
-        "alpha_fit": cell["alpha_fit"],
-        "total_inner_updates": cell["total_inner_updates"],
-        "wall_time_s": cell["wall_time_s"],
-    }
+    summary = {"problem": cfg.problem, **{k: row[k] for k in (
+        "solver", "m", "seed", "eta", "final_objective", "final_per_pixel_error",
+        "alpha_fit", "total_inner_updates", "wall_time_s")}}
     side = math.isqrt(net.output_dim)
     if cfg.image and side * side == net.output_dim:
         lo, hi = write_pgm(out / "x_hat.pgm", trace.x_hat)
@@ -654,30 +633,33 @@ def _usable_cpus():
 
 def _sweep_shard(cfg, net, basis, solvers, cells):
     """The summary rows of every solver's lockstep group over one shard's
-    (m, seed, instance, eta) cells.  Each row keeps a cell's summary, not
-    its trace: the traces of a whole sweep would pile up in memory."""
-    ms, seeds, obs, etas = zip(*cells)
-    return [{k: cell[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
+    cells.  Each row keeps a cell's summary, not its trace: the traces of a
+    whole sweep would pile up in memory."""
+    return [{k: row[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
             for solver in solvers
-            for cell in _run_group(cfg, net, ms, seeds, solver, obs, etas, basis)]
+            for row in _run_group(cfg, net, basis, solver, cells)]
 
 
-def _run_forked(fn, shards):
-    """fn(shard) for every shard, concatenated in shard order.
+def _run_forked(fn, items):
+    """fn(shard) for every shard of the items, concatenated in shard order.
 
-    Shard 0 runs in this process, the others each in a forked child that
-    inherits every input and sends its result (or its exception, re-raised
-    here) back through a pipe.  Every child is reaped before this returns,
-    and killed first when this process leaves on an exception.  While more
-    than one shard runs, each process's BLAS pool gets its share of the
-    usable CPUs, so the shards do not oversubscribe them; the count in this
-    process is restored on return.
+    The items are dealt round-robin into one shard per usable CPU, at most
+    one per item.  Shard 0 runs in this process, the others each in a
+    forked child that inherits every input and sends its result (or its
+    exception, re-raised here) back through a pipe.  Every child is reaped
+    before this returns, and killed first when this process leaves on an
+    exception.  While more than one shard runs, each process's BLAS pool
+    gets its share of the usable CPUs, so the shards do not oversubscribe
+    them; the count in this process is restored on return.
     """
+    cpus = _usable_cpus()
+    p = min(cpus, len(items))
+    shards = [items[i::p] for i in range(p)]
     children = []  # (pid, result pipe) of the children not yet reaped
     threads = None  # this process's BLAS thread count before the shards
     try:
-        if len(shards) > 1:
-            threads = blas_threads(max(1, _usable_cpus() // len(shards)))
+        if p > 1:
+            threads = blas_threads(max(1, cpus // p))
         for shard in shards[1:]:
             r, w = os.pipe()
             try:
@@ -726,20 +708,17 @@ def _run_forked(fn, shards):
 
 
 def cmd_sweep(cfg):
-    out = _ensure_out(cfg)
-    net = build_generator(cfg)
-    check_signal_length(cfg, net.output_dim)
+    out, net = _setup(cfg)
     basis = _command_basis(cfg, net)
     solvers = cfg.solver_list()
-    ms, seeds = zip(*[(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()])
-    obs = [build_instance(cfg, net, m, seed, basis) for m, seed in zip(ms, seeds)]
-    etas = [resolve_eta(cfg, o, net, seed) for o, seed in zip(obs, seeds)]
-    # Cells are independent, so any split keeps their bytes.  Dealing them
-    # round-robin balances the shards and keeps runs of equal m together.
-    cells = list(zip(ms, seeds, obs, etas))
-    p = min(_usable_cpus(), len(cells))
+    pairs = [(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()]
+    obs = [build_instance(cfg, net, m, seed, basis) for m, seed in pairs]
+    cells = [(m, seed, o, resolve_eta(cfg, o, net, seed))
+             for (m, seed), o in zip(pairs, obs)]
+    # Cells are independent, so any split keeps their bytes.  The round-robin
+    # deal balances the shards and keeps runs of equal m together.
     results = _run_forked(lambda shard: _sweep_shard(cfg, net, basis, solvers, shard),
-                          [cells[i::p] for i in range(p)])
+                          cells)
     results.sort(key=lambda r: (r["m"], r["seed"], solvers.index(r["solver"])))
 
     rows = [[r[c] for c in RESULT_COLUMNS] for r in results]
@@ -769,35 +748,37 @@ def cmd_sweep(cfg):
 
 
 def cmd_diagnose(cfg):
-    out = _ensure_out(cfg)
-    net = build_generator(cfg)
-    check_signal_length(cfg, net.output_dim)
+    out, net = _setup(cfg)
     basis = _command_basis(cfg, net)
     obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))
 
     def estimates():
-        srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs, rng.derive(0))
-        est = diag.rsc_rss_estimate(_diagnostic_objective(obs.model, obs.y), net,
-                                    cfg.num_pairs, rng.derive(1))
+        try:
+            srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs,
+                                       rng.derive(0))
+            est = diag.rsc_rss_estimate(_diagnostic_objective(obs.model, obs.y),
+                                        net, cfg.num_pairs, rng.derive(1))
+        except ValueError as exc:  # every pair is degenerate or not finite
+            raise ConfigError(
+                f"diagnose at seed {cfg.seed}: the estimates over num_pairs "
+                f"({cfg.num_pairs}) range pairs failed: {exc}; change "
+                f"{' or '.join(_generator_keys(cfg))}") from None
         mu = diag.incoherence_estimate(
             net, np.eye(net.output_dim) if basis is None else basis,
             min(cfg.num_pairs, 200), rng.derive(2), sparsity=max(cfg.sparsity, 1))
         return srec, est, mu
 
     def solve():
-        eta = resolve_eta(cfg, obs, net, cfg.seed)
-        cell = run_cell(cfg, net, cfg.m, cfg.seed, cfg.solver_list()[0], obs=obs,
-                        eta=eta, basis=basis)
-        return {k: cell[k] for k in ("eta", "solver", "alpha_fit",
-                                     "final_per_pixel_error")}
+        cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
+        (row,) = _run_group(cfg, net, basis, cfg.solver_list()[0], [cell])
+        return {k: row[k] for k in ("eta", "solver", "alpha_fit",
+                                    "final_per_pixel_error")}
 
     # The estimates never read the solve: with a second CPU the solve runs
     # in a forked child, and the estimates stay in this process.
-    parts = [estimates, solve]
-    shards = [parts] if _usable_cpus() < 2 else [[part] for part in parts]
     (srec, est, mu), cell = _run_forked(lambda shard: [part() for part in shard],
-                                        shards)
+                                        [estimates, solve])
 
     report = {}
     report["gamma_hat"] = srec.gamma

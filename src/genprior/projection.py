@@ -64,19 +64,22 @@ class ProjectionResult:
     residual: float     # ||x - x_proj||^2
 
 
-def _start_block(cfg, k, rng):
-    """The (restarts, k) start block: row 0 from cfg.init, the other rows
+def _start_block(cfg, k, rng, warm):
+    """The (restarts, k) start block: row 0 from the warm latent (``warm``,
+    else ``cfg.warm_z`` under init 'warm') or from cfg.init, the other rows
     from one N(0, I) draw (the same bits as one draw per restart)."""
+    if warm is None and cfg.init == "warm":
+        warm = cfg.warm_z
     z = np.empty((cfg.restarts, k))
-    if cfg.init == "zero":
-        z[0] = 0.0
-    elif cfg.init == "warm":
-        warm = as_vector(cfg.warm_z, "warm_z")
+    if warm is not None:
+        warm = as_vector(warm, "warm_z")
         if warm.shape[0] != k:
             raise ValueError(
                 f"warm_z length {warm.shape[0]} does not match generator k={k}"
             )
         z[0] = warm
+    elif cfg.init == "zero":
+        z[0] = 0.0
     else:
         z[0] = rng.standard_normal(k)
     if cfg.restarts > 1:
@@ -84,19 +87,20 @@ def _start_block(cfg, k, rng):
     return z
 
 
-def _project_cells(net, xs, cfgs, rngs):
-    """Project each ``xs[i]`` with its own config and stream, as one block.
+def _project_cells(net, xs, cfg, rngs, warms):
+    """Project each ``xs[i]`` under one shared config, with its own stream
+    and warm latent (None: start from cfg), as one block.
 
-    The cells share ``inner_steps``, ``inner_rate`` and ``restarts``; each
-    draws its start block from its own stream, in the order ``project``
-    does.  One cell keeps the shapes of ``project``: (k,) for one restart,
-    (R, k) otherwise.  S > 1 cells step as one (S, R, k) block, (S, 1, k)
-    for one restart: stacked layer products, so every cell has the bits of
-    its own descent.  Returns one ``ProjectionResult`` per cell, or None
-    for a cell with no iterate at a finite distance from its x.
+    Each cell draws its start block from its own stream, in the order
+    ``project`` does.  One cell keeps the shapes of ``project``: (k,) for
+    one restart, (R, k) otherwise.  S > 1 cells step as one (S, R, k)
+    block, (S, 1, k) for one restart: stacked layer products, so every cell
+    has the bits of its own descent.  Returns one ``ProjectionResult`` per
+    cell, or None for a cell with no iterate at a finite distance from its
+    x.
     """
-    cfg = cfgs[0]
-    starts = [_start_block(c, net.latent_dim, rng) for c, rng in zip(cfgs, rngs)]
+    starts = [_start_block(cfg, net.latent_dim, rng, warm)
+              for rng, warm in zip(rngs, warms)]
     if len(xs) == 1:
         # One cell keeps the shapes of project; one restart steps as a
         # vector: 1-D layer ops cost less than (1, k) ones, same bits.
@@ -175,7 +179,7 @@ def project(net, x, cfg, rng):
         raise ValueError(
             f"x length {x.shape[0]} does not match generator n={net.output_dim}"
         )
-    (res,) = _project_cells(net, [x], [cfg], [rng])
+    (res,) = _project_cells(net, [x], cfg, [rng], [None])
     if res is None:
         raise ValueError(
             "projection found no range point at a finite distance from x "

@@ -39,7 +39,7 @@ products give every cell the bits of its own run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -197,12 +197,6 @@ def _truth_block(truths, n):
                      else as_vector(t, "ground_truth") for t in truths])
 
 
-def _warm(proj_cfg, z_prev):
-    if z_prev is None:
-        return proj_cfg
-    return replace(proj_cfg, init="warm", warm_z=z_prev)
-
-
 class _Cell(NamedTuple):
     """One solve of a projected-descent group: its objective and config,
     and a start point (None: 0)."""
@@ -216,16 +210,16 @@ def _projected_descent(net, cells, sparse=None):
     """The one outer loop, x <- P(x - eta * gradient(x)), over a group of
     cells in lockstep; returns one trace per cell.
 
-    The cells share ``outer_steps`` and the projection's inner settings.
-    Each cell starts from its x0 (default 0) and keeps its own gradient
-    step, hold, phase, threshold and RngStream; the projections of one
-    outer step run as one ``_project_cells`` block, so every cell has the
-    bits of running alone.  One u = A x per iterate gives its loss F, the
-    cotangent of the next step and its phase flips.  P projects onto
-    Range(G); with ``sparse = (B, l)`` the feasible set is Range(G) +
-    {l-sparse in B}, each iterate is split as x = u + v, and both blocks
-    step with the same gradient before u is projected and v is
-    hard-thresholded (the extras hold the final blocks).  A cell whose
+    The cells share ``outer_steps`` and the projection config, both read
+    from the first cell.  Each cell starts from its x0 (default 0) and
+    keeps its own gradient step, hold, phase, threshold, RngStream and warm
+    latent; the projections of one outer step run as one ``_project_cells``
+    block, so every cell has the bits of running alone.  One u = A x per
+    iterate gives its loss F, the cotangent of the next step and its phase
+    flips.  P projects onto Range(G); with ``sparse = (B, l)`` the feasible
+    set is Range(G) + {l-sparse in B}, each iterate is split as x = u + v,
+    and both blocks step with the same gradient before u is projected and v
+    is hard-thresholded (the extras hold the final blocks).  A cell whose
     gradient step or projection is not finite holds its iterate and records
     proj_residual = NaN.
     """
@@ -272,9 +266,8 @@ def _projected_descent(net, cells, sparse=None):
                 inner[i] += proj.restarts * proj.inner_steps
                 moves.append((i, wu, wv))
         results = _project_cells(
-            net, [wu for _, wu, _ in moves],
-            [_warm(cells[i].cfg.projection, z_prev[i]) for i, _, _ in moves],
-            [rngs[i] for i, _, _ in moves]) if moves else []
+            net, [wu for _, wu, _ in moves], proj, [rngs[i] for i, _, _ in moves],
+            [z_prev[i] for i, _, _ in moves]) if moves else []
         for (i, _, wv), res in zip(moves, results):
             if res is None:
                 continue  # no finite range point: hold the iterate

@@ -193,22 +193,25 @@ TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
             "outer_steps=3", "inner_steps=5"]
 
 
-@pytest.mark.parametrize("sets, match", [
-    (["weight_scale=1e200"], "x\\* .* shrink weight_scale or bias_scale$"),
-    (["bias_scale=1e308"], "weight_scale .* bias_scale .* not finite"),
-    (["problem=mismatch", "spike_scale=1e308"], "x\\* .* or spike_scale$"),
-    (["noise_std=1e308"], "y .* or noise_std$"),
-    (["problem=sigmoid", "weight_scale=1e150"], "x\\* .* shrink weight_scale"),
-    (["activation=tanh", "weight_scale=1e300"], "x\\* .* shrink weight_scale"),
-    (["weight_scale=0", "eta=auto"], "eta=auto .* degenerate.* weight_scale"),
-    (["problem=sigmoid", "weight_scale=2.5558194924874993e-05", "eta=auto",
-      "num_pairs=3"], "eta=auto .* no finite positive step size"),
-    (["problem=phase", "phase_init_strategy=oracle_perturb", "phase_delta0=1e308"],
-     "phase start.* phase_delta0$"),
+@pytest.mark.parametrize("command, sets, match", [
+    ("solve", ["weight_scale=1e200"], "x\\* .* shrink weight_scale or bias_scale$"),
+    ("solve", ["bias_scale=1e308"], "weight_scale .* bias_scale .* not finite"),
+    ("solve", ["problem=mismatch", "spike_scale=1e308"], "x\\* .* or spike_scale$"),
+    ("solve", ["noise_std=1e308"], "y .* or noise_std$"),
+    ("solve", ["problem=sigmoid", "weight_scale=1e150"], "x\\* .* shrink weight_scale"),
+    ("solve", ["activation=tanh", "weight_scale=1e300"], "x\\* .* shrink weight_scale"),
+    ("solve", ["weight_scale=0", "eta=auto"], "eta=auto .* degenerate.* weight_scale"),
+    ("solve", ["problem=sigmoid", "weight_scale=2.5558194924874993e-05", "eta=auto",
+               "num_pairs=3"], "eta=auto .* no finite positive step size"),
+    ("solve", ["problem=phase", "phase_init_strategy=oracle_perturb",
+               "phase_delta0=1e308"], "phase start.* phase_delta0$"),
+    ("diagnose", ["weight_scale=0"],
+     "diagnose .* estimates .* degenerate; change weight_scale or bias_scale$"),
 ], ids=["weights", "bias", "spikes", "noise", "sigmoid-norm", "tanh-norm",
-        "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start"])
+        "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start",
+        "diagnose-degenerate"])
 def test_broken_instances_are_refused_before_any_solve(
-        tmp_path, monkeypatch, sets, match):
+        tmp_path, monkeypatch, command, sets, match):
     # These configs used to pass validation, then raise a RuntimeWarning in
     # the generator or the instance (the first four; without the warning
     # filter, "x / layer bias / y contains non-finite entries"), write inf
@@ -216,16 +219,20 @@ def test_broken_instances_are_refused_before_any_solve(
     # fail in the step-size probe with a bare ValueError, resolve a negative
     # step size from a probe whose quotients cancelled to noise (a bare
     # "step_size must be positive" ValueError), or overflow in phase_init
-    # inside the phase group ("x0 contains non-finite entries").
+    # inside the phase group ("x0 contains non-finite entries").  A diagnose
+    # of a generator that maps every latent to 0 failed in its estimates
+    # with a bare "all sampled pairs are degenerate"; with one usable CPU
+    # they run before its solve, in this process.
     def no_solve(*args):
         raise AssertionError("a solver group started")
 
     monkeypatch.setattr(cli, "_solve_group", no_solve)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     cfg = load_config(None, TINY_NET + sets, out=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ConfigError, match=match):
-            cli.cmd_solve(cfg)
+            getattr(cli, f"cmd_{command}")(cfg)
 
 
 def test_readme_key_table_states_each_declaration():
@@ -369,9 +376,14 @@ def test_sweep_rows_and_medians(lin_config, tmp_path, monkeypatch):
     assert all(len(w) == 1 and float(next(iter(w))) > 0 for w in walls.values())
 
 
-def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch,
+                                         command):
     # Every solver of a sweep shares the instances and step sizes: one build
-    # and one eta=auto curvature probe per (m, seed), not per solver.
+    # and one eta=auto curvature probe per (m, seed), not per solver.  A
+    # solve and a diagnose build their one (m, seed) = (64, 3) cell the same
+    # way; with one usable CPU, diagnose probes in this process.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     built, probed = [], []
     build, resolve = cli.build_instance, cli.resolve_eta
 
@@ -385,13 +397,17 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_instance", counted_build)
     monkeypatch.setattr(cli, "resolve_eta", counted_resolve)
-    assert run_cli("sweep", "--config", str(lin_config), "--out", str(tmp_path),
+    assert run_cli(command, "--config", str(lin_config), "--out", str(tmp_path),
                    "--set", "m_list=20,40", "--set", "seeds=0,1",
                    "--set", "solvers=pgd,csgm", "--set", "eta=auto",
                    "--set", "num_pairs=10", "--set", "inner_steps=10",
                    "--set", "csgm_steps=20") == 0
-    assert sorted(built) == [(20, 0), (20, 1), (40, 0), (40, 1)]
-    assert sorted(probed) == [0, 0, 1, 1]
+    if command == "sweep":
+        assert sorted(built) == [(20, 0), (20, 1), (40, 0), (40, 1)]
+        assert sorted(probed) == [0, 0, 1, 1]
+    else:
+        assert built == [(64, 3)]
+        assert probed == [3]
 
 
 def test_mismatch_solve_in_random_ortho_basis(tmp_path):
@@ -415,6 +431,24 @@ def test_mismatch_solve_in_random_ortho_basis(tmp_path):
     assert np.array_equal(_check_orthonormal(basis), basis)
     assert not np.allclose(basis, np.eye(36))
     assert np.array_equal(basis, cli.build_basis(cfg, 36))
+
+
+def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
+    # The four-argument call builds the mismatch basis itself; it must plant
+    # the instance that a command builds with its own basis.
+    cfg = load_config(lin_config, ["problem=mismatch", "basis=random_ortho",
+                                   "sparsity=3"])
+    net = cli.build_generator(cfg)
+    alone = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    given = cli.build_instance(cfg, net, cfg.m, cfg.seed,
+                               cli._command_basis(cfg, net))
+    for name in ("y", "x_star", "z_star"):
+        assert np.array_equal(getattr(alone, name), getattr(given, name))
+    assert np.array_equal(alone.model.matrix, given.model.matrix)
+    plain = cli.build_instance(load_config(lin_config, ["problem=mismatch",
+                                                        "sparsity=3"]),
+                               net, cfg.m, cfg.seed)
+    assert not np.array_equal(alone.x_star, plain.x_star)
 
 
 def test_unit_norm_latent_plants_a_unit_latent(lin_config):
@@ -510,15 +544,16 @@ def test_sweep_shard_failure_leaves_no_process(lin_config, tmp_path, monkeypatch
     # and message, and every child is reaped.
     solve = cli._solve_group
 
-    def failing(cfg, net, solver, seeds, *rest):
-        how = plan.get(seeds[0])
+    def failing(cfg, net, basis, solver, cells):
+        seed = cells[0][1]
+        how = plan.get(seed)
         if how == "exit":
             os._exit(3)
         if how == "sleep":
             time.sleep(60)
         if how == "raise":
-            raise ValueError(f"no luck with seed {seeds[0]}")
-        return solve(cfg, net, solver, seeds, *rest)
+            raise ValueError(f"no luck with seed {seed}")
+        return solve(cfg, net, basis, solver, cells)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_solve_group", failing)
@@ -726,7 +761,7 @@ def test_diagnose_child_failure_leaves_no_process(lin_config, tmp_path, monkeypa
         raise ValueError("no luck in the estimates")
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "run_cell", failing_solve)
+    monkeypatch.setattr(cli, "_run_group", failing_solve)
     if how == "sleep":
         monkeypatch.setattr(cli.diag, "incoherence_estimate", failing_estimate)
     threads = blas_threads()

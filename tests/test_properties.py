@@ -137,7 +137,11 @@ def test_project_raises_or_returns_finite_repeatable(net, cells, restarts, steps
         cfgs.append(ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
                                      restarts=restarts, init=init,
                                      warm_z=warm if init == "warm" else None))
-    block = _project_cells(net, xs, cfgs, [RngStream(seed + i) for i in range(cells)])
+    # The block shares every setting but the warm latent, which each cell
+    # passes on its own (None when init is not 'warm').
+    block = _project_cells(net, xs, cfgs[0],
+                           [RngStream(seed + i) for i in range(cells)],
+                           [c.warm_z for c in cfgs])
     for x, cfg, i, in_block in zip(xs, cfgs, range(cells), block):
         outcomes = []
         for _ in range(2):

@@ -78,7 +78,6 @@ from .numerics import RngStream, _check_orthonormal, blas_threads, gaussian_matr
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import (
-    SolverConfig,
     _Cell,
     _LatentCell,
     _latent_descent,
@@ -474,23 +473,19 @@ def _solve_group(cfg, net, basis, solver, cells):
             for _, seed, o, _ in cells])
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts, init=cfg.proj_init)
-
-    def solver_cfg(seed, o, eta):
-        return SolverConfig(outer_steps=cfg.outer_steps, step_size=eta,
-                            projection=proj, seed=seed, ground_truth=o.x_star)
-
     if solver == "phase_pgd":
-        return _projected_descent(net, [
-            _phase_cell(o.y, o.model.matrix, net, solver_cfg(seed, o, eta),
-                        phase_init(o.y, o.model.matrix, net,
-                                   RngStream(seed, spawn_key=(904,)),
-                                   cfg.phase_init_strategy, cfg.phase_init_count,
-                                   cfg.phase_delta0, o.x_star))
-            for _, seed, o, eta in cells])
+        group = [_phase_cell(o.y, o.model.matrix, net,
+                             phase_init(o.y, o.model.matrix, net,
+                                        RngStream(seed, spawn_key=(904,)),
+                                        cfg.phase_init_strategy, cfg.phase_init_count,
+                                        cfg.phase_delta0, o.x_star),
+                             eta, seed, o.x_star)
+                 for _, seed, o, eta in cells]
+    else:
+        group = [_Cell(Objective(o.model, o.y), eta, seed, x_star=o.x_star)
+                 for _, seed, o, eta in cells]
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
-    return _projected_descent(net, [_Cell(Objective(o.model, o.y),
-                                          solver_cfg(seed, o, eta))
-                                    for _, seed, o, eta in cells], sparse)
+    return _projected_descent(net, group, cfg.outer_steps, proj, sparse)
 
 
 def _run_group(cfg, net, basis, solver, cells):
@@ -764,9 +759,11 @@ def cmd_diagnose(cfg):
                 f"diagnose at seed {cfg.seed}: the estimates over num_pairs "
                 f"({cfg.num_pairs}) range pairs failed: {exc}; change "
                 f"{' or '.join(_generator_keys(cfg))}") from None
+        # A problem without spikes never reads sparsity: bound it by n.
         mu = diag.incoherence_estimate(
             net, np.eye(net.output_dim) if basis is None else basis,
-            min(cfg.num_pairs, 200), rng.derive(2), sparsity=max(cfg.sparsity, 1))
+            min(cfg.num_pairs, 200), rng.derive(2),
+            sparsity=min(max(cfg.sparsity, 1), net.output_dim))
         return srec, est, mu
 
     def solve():

@@ -89,7 +89,7 @@ class WindowReport:
     gamma: float
     rho: float
     in_window: bool          # 1/(2 gamma) < eta < 1/gamma
-    predicted_factor: float  # 1/(eta gamma) - 1
+    predicted_factor: float  # 1/(eta gamma) - 1; inf when eta gamma underflows
     rho_sq_ok: bool          # rho^2 < 1/eta
 
     @property
@@ -188,30 +188,29 @@ def convergence_rate(trace, floor):
     )
 
 
-def incoherence_estimate(net, b, num_samples, rng, sparsity=1, columns=None):
+def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
     """Largest normalized alignment between range differences and sparse
     basis differences.
 
     Samples ``num_samples`` pairs of range points and ``num_samples`` pairs
-    of ``sparsity``-sparse combinations of the basis columns (restricted to
-    ``columns`` when given) and maximizes |<u - u', v - v'>| / norms over
-    all combinations of one range pair with one sparse pair.
+    of ``sparsity``-sparse combinations of the basis columns and maximizes
+    |<u - u', v - v'>| / norms over all combinations of one range pair with
+    one sparse pair.
     """
     b = _check_orthonormal(b)
     n = b.shape[0]
     num_samples = int(num_samples)
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    cols = np.arange(n) if columns is None else np.asarray(columns, dtype=int)
     sparsity = int(sparsity)
-    if not 1 <= sparsity <= cols.shape[0]:
-        raise ValueError("sparsity must be in [1, number of allowed columns]")
+    if not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity must be in [1, n={n}]")
 
     u1, u2 = _range_pairs(net, num_samples, rng)
     du = u1 - u2
 
     def sparse_draw():
-        support = cols[rng.permutation(cols.shape[0])[:sparsity]]
+        support = rng.permutation(n)[:sparsity]
         return b[:, support] @ rng.standard_normal(sparsity)
 
     dv = np.array([sparse_draw() - sparse_draw() for _ in range(num_samples)])
@@ -232,20 +231,22 @@ def step_size_window_check(srec, eta):
     """Check eta against the sampled step-size window (1/(2 gamma), 1/gamma).
 
     Also reports the predicted per-iteration objective factor
-    1/(eta*gamma) - 1 and whether rho^2 < 1/eta, the condition that makes
-    the remaining proof term nonpositive.
+    1/(eta*gamma) - 1 (inf when the product eta*gamma underflows to 0) and
+    whether rho^2 < 1/eta, the condition that makes the remaining proof term
+    nonpositive.
     """
     if srec.gamma <= 0:
         raise ValueError("window check needs gamma > 0")
     if eta <= 0:
         raise ValueError("eta must be positive")
     lo, hi = 1.0 / (2.0 * srec.gamma), 1.0 / srec.gamma
+    eta_gamma = eta * srec.gamma
     return WindowReport(
         eta=float(eta),
         gamma=srec.gamma,
         rho=srec.rho,
         in_window=bool(lo < eta < hi),
-        predicted_factor=float(1.0 / (eta * srec.gamma) - 1.0),
+        predicted_factor=float(1.0 / eta_gamma - 1.0) if eta_gamma else float("inf"),
         rho_sq_ok=bool(srec.rho**2 < 1.0 / eta),
     )
 

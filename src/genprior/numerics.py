@@ -61,12 +61,6 @@ class RngStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size=size)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low=low, high=high, size=size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
-
     def permutation(self, n):
         return self._gen.permutation(n)
 

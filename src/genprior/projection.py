@@ -7,11 +7,13 @@ The achieved squared distance is reported as ``residual`` so callers can
 audit how close to an exact projection the oracle got; there is no
 certified approximation guarantee for nonconvex generators.
 
-Block shapes: ``project`` steps one latent (k,) for a single restart and an
-(R, k) block for R restarts.  A lockstep group of S > 1 cells (the cells of
-one sweep solver) projects as one (S, R, k) block, (S, 1, k) for a single
-restart, never (S, k): the stacked layer products give every cell the bits
-of its own ``project`` call, where one 2-D product over the rows would not.
+Block shape: a lockstep group of S cells with R restarts each (``project``
+is one cell; a sweep solver steps all its cells) projects as one (S, R, k)
+latent block, never (S * R, k): the stacked layer products give every cell
+the bits of its own ``project`` call, where one 2-D product over the rows
+would not.  The one exception is S = R = 1, a default solve's projection,
+which steps its latent as a vector (k,), with the same bits and less
+per-call cost.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "project",
 ]
 
-INIT_MODES = ("zero", "random", "warm")
+INIT_MODES = ("zero", "random")
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class ProjectionConfig:
     # Random init by default: relu stacks without biases have a dead latent
     # gradient at z = 0, so a zero start can never leave the origin.
     init: str = "random"
-    warm_z: np.ndarray | None = None
 
     def __post_init__(self):
         if self.inner_steps < 1:
@@ -53,8 +54,6 @@ class ProjectionConfig:
             raise ValueError("restarts must be >= 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "warm" and self.warm_z is None:
-            raise ValueError("init='warm' needs warm_z")
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,11 @@ class ProjectionResult:
 
 
 def _start_block(cfg, k, rng, warm):
-    """The (restarts, k) start block: row 0 from the warm latent (``warm``,
-    else ``cfg.warm_z`` under init 'warm') or from cfg.init, the other rows
-    from one N(0, I) draw (the same bits as one draw per restart)."""
-    if warm is None and cfg.init == "warm":
-        warm = cfg.warm_z
+    """The (restarts, k) start block: row 0 from the warm latent (when not
+    None) or from cfg.init, the other rows from one N(0, I) draw (the same
+    bits as one draw per restart)."""
     z = np.empty((cfg.restarts, k))
     if warm is not None:
-        warm = as_vector(warm, "warm_z")
-        if warm.shape[0] != k:
-            raise ValueError(
-                f"warm_z length {warm.shape[0]} does not match generator k={k}"
-            )
         z[0] = warm
     elif cfg.init == "zero":
         z[0] = 0.0
@@ -89,24 +81,23 @@ def _start_block(cfg, k, rng, warm):
 
 def _project_cells(net, xs, cfg, rngs, warms):
     """Project each ``xs[i]`` under one shared config, with its own stream
-    and warm latent (None: start from cfg), as one block.
+    and warm latent (None: start from cfg), as one (S, R, k) block, or as a
+    vector for one cell with one restart.
 
-    Each cell draws its start block from its own stream, in the order
-    ``project`` does.  One cell keeps the shapes of ``project``: (k,) for
-    one restart, (R, k) otherwise.  S > 1 cells step as one (S, R, k)
-    block, (S, 1, k) for one restart: stacked layer products, so every cell
-    has the bits of its own descent.  Returns one ``ProjectionResult`` per
-    cell, or None for a cell with no iterate at a finite distance from its
-    x.
+    Each cell draws its start block from its own stream, and the S cells
+    step together: stacked layer products, so every cell has the bits of
+    its own descent.  Returns one ``ProjectionResult`` per cell, or None
+    for a cell with no iterate at a finite distance from its x.
     """
-    starts = [_start_block(cfg, net.latent_dim, rng, warm)
-              for rng, warm in zip(rngs, warms)]
-    if len(xs) == 1:
-        # One cell keeps the shapes of project; one restart steps as a
-        # vector: 1-D layer ops cost less than (1, k) ones, same bits.
-        x, z = xs[0], starts[0][0] if cfg.restarts == 1 else starts[0]
-    else:
-        x, z = np.stack(xs)[:, None], np.stack(starts)
+    x = np.stack(xs)[:, None]
+    z = np.stack([_start_block(cfg, net.latent_dim, rng, warm)
+                  for rng, warm in zip(rngs, warms)])
+    shape = z.shape
+    if shape[:2] == (1, 1):
+        # One cell with one restart steps as a vector, with the same bits:
+        # numpy's per-call cost on (1, 1, k) arrays made each step of a
+        # default-size projection 5-10% slower (2-vCPU Xeon, numpy 2.4).
+        x, z = x[0, 0], z[0, 0]
 
     # A row's best stays at inf until it first improves; such rows are
     # never returned, so their zero iterates are placeholders.
@@ -148,10 +139,9 @@ def _project_cells(net, xs, cfg, rngs, warms):
                 best_res = np.where(improved, res, best_res)
                 best_z = np.where(improved[..., None], z, best_z)
                 best_gx = np.where(improved[..., None], gx, best_gx)
-    shape = (len(xs), cfg.restarts)
-    best_res = best_res.reshape(shape)
-    best_z = best_z.reshape(shape + (-1,))
-    best_gx = best_gx.reshape(shape + (-1,))
+    best_res = best_res.reshape(shape[:2])
+    best_z = best_z.reshape(shape)
+    best_gx = best_gx.reshape(shape[:2] + (-1,))
     results = []
     for i, r in enumerate(np.argmin(best_res, axis=1)):  # lowest restart wins a tie
         results.append(ProjectionResult(z_hat=best_z[i, r], x_proj=best_gx[i, r],
@@ -163,16 +153,16 @@ def _project_cells(net, xs, cfg, rngs, warms):
 def project(net, x, cfg, rng):
     """Best range point found by ``cfg.restarts`` inner descents.
 
-    Restart 0 starts from cfg.init (zero, a fresh random draw, or the
-    supplied warm latent); every further restart starts from an
-    independent N(0, I_k) draw.  The restarts step together as one
-    (restarts, k) block, one forward and one backward layer sweep per
-    step; each row keeps its own best iterate, and a row whose latent or
-    output goes non-finite drops out for good, so ``z_hat`` is always
-    finite.  Ties in residual resolve to the lowest restart index, then to
-    the earliest iterate, so the result is deterministic given (rng state,
-    cfg).  Raises ``ValueError`` when no iterate of any restart lies at a
-    finite distance from ``x``.
+    Restart 0 starts from cfg.init (zero or a fresh random draw); every
+    further restart starts from an independent N(0, I_k) draw.  The
+    restarts step together as one (1, restarts, k) block (one restart as a
+    vector), one forward and one backward layer sweep per step; each row
+    keeps its own best iterate, and a row whose latent or output goes
+    non-finite drops out for good, so ``z_hat`` is always finite.  Ties in
+    residual resolve to the lowest restart index, then to the earliest
+    iterate, so the result is deterministic given (rng state, cfg).  Raises
+    ``ValueError`` when no iterate of any restart lies at a finite distance
+    from ``x``.
     """
     x = as_vector(x, "x")
     if x.shape[0] != net.output_dim:

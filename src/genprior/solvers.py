@@ -26,15 +26,16 @@ iteration to the next.  A diverged step (non-finite gradient step, or a
 projection that found no finite range point) holds the iterate and records
 ``proj_residual = NaN``.
 
-Both loops step a lockstep group of cells (a sweep steps every (m, seed)
-cell of a solver together), and each public solver is the one-cell case.
-In ``_projected_descent`` every cell keeps its own measurements, gradient
-step, hold, phase, threshold and random stream, and the projections
-of one outer step run as one (S, R, k) block.  ``_latent_descent`` steps
-one latent (k,) for a single cell and an (S, 1, k) block for S > 1 cells,
-measures each run of cells with equal m against its stacked (s, 1, m, n)
-sensing matrices, and holds a diverged cell alone.  Stacked matrix-vector
-products give every cell the bits of its own run.
+Both loops step a lockstep group of S cells (a sweep steps every (m, seed)
+cell of a solver together), take the group's shared settings as arguments
+and each cell's own settings in its cell, and each public solver is the
+one-cell case.  In ``_projected_descent`` every cell keeps its own
+measurements, gradient step, hold, phase, threshold and random stream, and
+the projections of one outer step run as one ``_project_cells`` block.
+``_latent_descent`` steps an (S, 1, k) latent block, measures each run of
+cells with equal m against its stacked (s, 1, m, n) sensing matrices, and
+holds a diverged cell alone.  Stacked matrix-vector products give every
+cell the bits of its own run.
 """
 
 from __future__ import annotations
@@ -124,13 +125,13 @@ class _TraceBuilder:
 
     ``x_star`` holds the cells' ground truths as rows (NaN for a cell
     without one), or is None when no cell has one.  ``add`` takes each
-    cell's objective and iterate (the iterates with any leading cell axes,
-    or (n,) for one cell) and, optionally, each cell's projection residual
-    and phase flips (one value for all cells, or one per cell); ``build``
-    makes one trace per cell.  The ``records`` steps go into one (columns,
-    cells, records) buffer, and each trace column is a contiguous view of
-    it: a latent baseline records thousands of steps, and one small array
-    per value, or a copy per column, would hold several times the memory.
+    cell's objective and iterate (the iterates with leading cell axes) and,
+    optionally, each cell's projection residual and phase flips (one value
+    for all cells, or one per cell); ``build`` makes one trace per cell.
+    The ``records`` steps go into one (columns, cells, records) buffer, and
+    each trace column is a contiguous view of it: a latent baseline records
+    thousands of steps, and one small array per value, or a copy per
+    column, would hold several times the memory.
     The records of up to ``BLOCK`` steps wait in a step-major buffer, and
     their error columns are computed once per block: eight ufunc calls on a
     few rows per step cost more than their arithmetic.
@@ -198,23 +199,26 @@ def _truth_block(truths, n):
 
 
 class _Cell(NamedTuple):
-    """One solve of a projected-descent group: its objective and config,
-    and a start point (None: 0)."""
+    """One solve of a projected-descent group: its objective, gradient step
+    and projection stream seed, a start point (None: 0) and an optional
+    ground truth for the trace."""
 
     obj: Objective
-    cfg: SolverConfig
+    step_size: float
+    seed: int
     x0: np.ndarray | None = None
+    x_star: np.ndarray | None = None
 
 
-def _projected_descent(net, cells, sparse=None):
+def _projected_descent(net, cells, outer_steps, proj, sparse=None):
     """The one outer loop, x <- P(x - eta * gradient(x)), over a group of
     cells in lockstep; returns one trace per cell.
 
-    The cells share ``outer_steps`` and the projection config, both read
-    from the first cell.  Each cell starts from its x0 (default 0) and
-    keeps its own gradient step, hold, phase, threshold, RngStream and warm
-    latent; the projections of one outer step run as one ``_project_cells``
-    block, so every cell has the bits of running alone.  One u = A x per
+    The cells share ``outer_steps`` and the ProjectionConfig ``proj``.
+    Each cell starts from its x0 (default 0) and keeps its own gradient
+    step, hold, phase, threshold, RngStream and warm latent; the
+    projections of one outer step run as one ``_project_cells`` block, so
+    every cell has the bits of running alone.  One u = A x per
     iterate gives its loss F, the cotangent of the next step and its phase
     flips.  P projects onto Range(G); with ``sparse = (B, l)`` the feasible
     set is Range(G) + {l-sparse in B}, each iterate is split as x = u + v,
@@ -226,20 +230,18 @@ def _projected_descent(net, cells, sparse=None):
     n = net.output_dim
     if any(c.obj.model.signal_dim != n for c in cells):
         raise ValueError(f"measurement matrix width does not match generator n={n}")
-    outer, proj = cells[0].cfg.outer_steps, cells[0].cfg.projection
     us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
     vs = [None if sparse is None else np.zeros(n) for _ in cells]
     xs = [u if v is None else u + v for u, v in zip(us, vs)]
     z_prev = [None] * len(cells)
-    rngs = [RngStream(c.cfg.seed) for c in cells]
-    tb = _TraceBuilder(outer + 1,
-                       _truth_block([c.cfg.ground_truth for c in cells], n))
+    rngs = [RngStream(c.seed) for c in cells]
+    tb = _TraceBuilder(outer_steps + 1, _truth_block([c.x_star for c in cells], n))
     cots = [None] * len(cells)    # each cell's cotangent at its iterate
     phases = [None] * len(cells)  # each phase_corrected cell's phase there
     flips = [np.nan] * len(cells)
     inner = [0] * len(cells)
     residual = [np.nan] * len(cells)
-    for t in range(outer + 1):
+    for t in range(outer_steps + 1):
         losses = []
         for i, c in enumerate(cells):
             o, p = c.obj, None
@@ -251,15 +253,15 @@ def _projected_descent(net, cells, sparse=None):
             f, cots[i] = _loss_terms(o.kind, u, o.y, p)
             losses.append(f)
         tb.add(losses, np.stack(xs), proj_residual=residual, phase_flips=flips)
-        if t == outer:
+        if t == outer_steps:
             break
         residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
         moves = []  # (cell, w_u, w_v) of every finite gradient step
         for i, c in enumerate(cells):
             # An overflowing step is held by the finiteness check below.
             with np.errstate(over="ignore", invalid="ignore"):
-                step = c.cfg.step_size * _adjoint(c.obj.kind, c.obj.model.matrix,
-                                                  cots[i])
+                step = c.step_size * _adjoint(c.obj.kind, c.obj.model.matrix,
+                                              cots[i])
                 wu = us[i] - step
                 wv = None if vs[i] is None else vs[i] - step
             if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
@@ -279,11 +281,20 @@ def _projected_descent(net, cells, sparse=None):
     return tb.build(xs, z_prev, inner, extras)
 
 
+def _solve_one(net, cfg, obj, sparse=None):
+    """The trace of one public solve from 0: ``cfg`` unpacked into a group
+    of one cell."""
+    cell = _Cell(obj, cfg.step_size, cfg.seed, x_star=cfg.ground_truth)
+    (trace,) = _projected_descent(net, [cell], cfg.outer_steps, cfg.projection,
+                                  sparse)
+    return trace
+
+
 def eps_pgd(obj, net, cfg):
     """Projected gradient descent on a smooth objective over Range(G)."""
     if obj.kind == "phase_corrected":
         raise ValueError("eps_pgd does not handle phase_corrected; use phase_pgd")
-    (trace,) = _projected_descent(net, [_Cell(obj, cfg)])
+    trace = _solve_one(net, cfg, obj)
     return trace.x_hat, trace
 
 
@@ -294,11 +305,11 @@ def pgd_linear(y, a, net, cfg):
     expands to w = x + eta * A.T (y - A x).
     """
     obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
-    (trace,) = _projected_descent(net, [_Cell(obj, cfg)])
+    trace = _solve_one(net, cfg, obj)
     return trace.x_hat, trace
 
 
-def _phase_cell(y, a, net, cfg, x0, phase_override=None):
+def _phase_cell(y, a, net, x0, step_size, seed, x_star=None):
     """The cell of one ``phase_pgd`` solve; see there."""
     y = as_vector(y, "y")
     if np.any(y < 0):
@@ -307,23 +318,19 @@ def _phase_cell(y, a, net, cfg, x0, phase_override=None):
     if x0.shape[0] != net.output_dim:
         raise ValueError("x0 length does not match generator output dim")
     model = MeasurementModel(matrix=a, link="magnitude")
-    return _Cell(Objective(model, y, phase_override), cfg, x0)
+    return _Cell(Objective(model, y), step_size, seed, x0, x_star)
 
 
-def phase_pgd(y, a, net, cfg, x0, phase_override=None):
+def phase_pgd(y, a, net, cfg, x0):
     """Alternating phase estimation and projected descent for y = |A x*|.
 
     Runs the projected-descent loop on the ``phase_corrected`` objective
     ||y*p - Ax||^2 with no phase given, so p = sign(Ax) is re-bound at every
     iterate: the gradient step is w = x + eta * A.T (y*p - Ax), and the
     recorded objective is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
-
-    ``phase_override`` pins the phase vector for every iteration (bypassing
-    the sign re-estimate); with the true phase this reduces the algorithm
-    to the linear solver on y*p.  Intended for tests and diagnostics.
     """
-    cell = _phase_cell(y, a, net, cfg, x0, phase_override)
-    (trace,) = _projected_descent(net, [cell])
+    cell = _phase_cell(y, a, net, x0, cfg.step_size, cfg.seed, cfg.ground_truth)
+    (trace,) = _projected_descent(net, [cell], cfg.outer_steps, cfg.projection)
     return trace.x_hat, trace
 
 
@@ -403,8 +410,7 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     if obj.kind == "phase_corrected":
         raise ValueError("myopic_eps_pgd does not handle phase_corrected; "
                          "use phase_pgd")
-    sparse = _check_basis(b, net.output_dim, l)
-    (trace,) = _projected_descent(net, [_Cell(obj, cfg)], sparse=sparse)
+    trace = _solve_one(net, cfg, obj, _check_basis(b, net.output_dim, l))
     return trace.x_hat, trace.extras["u"], trace.extras["v"], trace
 
 
@@ -423,14 +429,13 @@ def _latent_descent(net, steps, rate, kind, cells):
     """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
     lockstep over a group of cells; returns one trace per cell.
 
-    One cell steps its latent as a vector (k,).  S > 1 cells step as one
-    (S, 1, k) latent block, one pass through the net per step; the
-    measurement half (A G(z), the loss and A.T c) runs once per run of
-    consecutive cells with equal m, against that run's stacked (s, 1, m, n)
-    sensing matrices.  Stacked matrix-vector products, so every cell has
-    the bits of its own descent.  Both baseline losses have scale 1/2, so
-    2 A.T c is the exact signal-space gradient; it backpropagates through
-    the net.
+    The S cells step as one (S, 1, k) latent block, one pass through the
+    net per step; the measurement half (A G(z), the loss and A.T c) runs
+    once per run of consecutive cells with equal m, against that run's
+    stacked (s, 1, m, n) sensing matrices.  Stacked matrix-vector products,
+    so every cell has the bits of its own descent.  Both baseline losses
+    have scale 1/2, so 2 A.T c is the exact signal-space gradient; it
+    backpropagates through the net.
     """
     ys = [as_vector(cell.y, "y") for cell in cells]
     mats = [as_matrix(cell.a, "A") for cell in cells]
@@ -442,14 +447,11 @@ def _latent_descent(net, steps, rate, kind, cells):
         raise ValueError("rate must be positive and finite")
     zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
           else as_vector(cell.z0, "z0").copy() for cell in cells]
-    if len(cells) == 1:
-        z, runs = zs[0], [(slice(None), mats[0], ys[0])]
-    else:
-        z = np.stack(zs)[:, None]
-        cuts = [0] + [i for i in range(1, len(cells))
-                      if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
-        runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
-                 np.stack(ys[lo:hi])[:, None]) for lo, hi in zip(cuts, cuts[1:])]
+    z = np.stack(zs)[:, None]
+    cuts = [0] + [i for i in range(1, len(cells))
+                  if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
+    runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
+             np.stack(ys[lo:hi])[:, None]) for lo, hi in zip(cuts, cuts[1:])]
 
     def measure(gx):
         """Each cell's loss and signal-space gradient, one stacked product

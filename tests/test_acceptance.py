@@ -32,7 +32,6 @@ from genprior import (
     observe,
     pgd_linear,
     phase_init,
-    phase_pgd,
     project,
     random_generator,
     sign_pm,
@@ -194,11 +193,8 @@ def test_criterion_4_m_sweep_trend():
         for seed in seeds:
             _, x_star, a = planted(net, m, seed)
             y = a @ x_star
-            cfg = SolverConfig(outer_steps=15, step_size=0.7,
-                               projection=ProjectionConfig(inner_steps=200,
-                                                           inner_rate=0.05),
-                               seed=seed, ground_truth=x_star)
-            pgd_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), cfg))
+            pgd_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), 0.7,
+                                   seed, x_star=x_star))
             csgm_cells.append(_LatentCell(y, a, RngStream(seed, spawn_key=(905,)),
                                           x_star=x_star))
 
@@ -207,7 +203,8 @@ def test_criterion_4_m_sweep_trend():
                             (len(ms), len(seeds)))
         return {m: float(np.median(e)) for m, e in zip(ms, errors)}
 
-    med_pgd = medians(_projected_descent(net, pgd_cells))
+    med_pgd = medians(_projected_descent(
+        net, pgd_cells, 15, ProjectionConfig(inner_steps=200, inner_rate=0.05)))
     med_csgm = medians(_latent_descent(net, 3000, 0.01, "squared", csgm_cells))
     clamped = [max(med_pgd[m], ERROR_FLOOR) for m in ms]
     non_increasing = all(b <= a for a, b in zip(clamped, clamped[1:]))
@@ -239,8 +236,11 @@ def test_criterion_5_phase_reduction():
                            projection=ProjectionConfig(inner_steps=200,
                                                        inner_rate=0.05),
                            seed=seed, ground_truth=x_star)
-        x_ph, t_ph = phase_pgd(y, a, net, cfg, x0=np.zeros(net.output_dim),
-                               phase_override=p_star)
+        # phase_pgd's loop with the phase pinned to p* instead of re-bound.
+        pinned = _Cell(Objective(MeasurementModel(a, "magnitude"), y, phase=p_star),
+                       cfg.step_size, seed, np.zeros(net.output_dim), x_star)
+        (t_ph,) = _projected_descent(net, [pinned], cfg.outer_steps, cfg.projection)
+        x_ph = t_ph.x_hat
         x_lin, t_lin = pgd_linear(y * p_star, a, net, cfg)
         worst = max(worst, float(np.max(np.abs(x_ph - x_lin))))
         worst = max(worst, float(np.max(np.abs(t_ph.objective - t_lin.objective))))
@@ -258,7 +258,6 @@ def test_criterion_6_phase_contraction():
     # The 20 solves (each seed with ground truth x* and -x*) step as one
     # lockstep group, with the bits of their own phase_pgd runs
     # (test_lockstep).
-    proj = ProjectionConfig(inner_steps=200, inner_rate=0.05)
     cells = []
     for seed in range(10):
         _, x_star, a = planted(net, DESK["m"], seed)
@@ -266,10 +265,9 @@ def test_criterion_6_phase_contraction():
         x0 = phase_init(y, a, net, RngStream(seed, spawn_key=(904,)),
                         strategy="oracle_perturb", delta0=0.1, x_star=x_star)
         for truth in (x_star, -x_star):
-            cfg = SolverConfig(outer_steps=50, step_size=0.9, projection=proj,
-                               seed=seed, ground_truth=truth)
-            cells.append(_phase_cell(y, a, net, cfg, x0))
-    traces = _projected_descent(net, cells)
+            cells.append(_phase_cell(y, a, net, x0, 0.9, seed, truth))
+    traces = _projected_descent(net, cells, 50,
+                                ProjectionConfig(inner_steps=200, inner_rate=0.05))
     worst_ratios, mirror_ok = [], True
     for trace, trace_neg in zip(traces[0::2], traces[1::2]):
         d = trace.sign_error
@@ -321,13 +319,11 @@ def test_criterion_7_myopic():
         x_true = xg + v_star
         a2 = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
         obj2 = Objective(MeasurementModel(matrix=a2, link="linear"), a2 @ x_true)
-        cfg2 = SolverConfig(outer_steps=50, step_size=0.6,
-                            projection=ProjectionConfig(inner_steps=200,
-                                                        inner_rate=0.05),
-                            seed=seed, ground_truth=x_true)
-        cells.append(_Cell(obj2, cfg2))
+        cells.append(_Cell(obj2, 0.6, seed, x_star=x_true))
         supports.append(support)
-    traces = _projected_descent(mm_net, cells, sparse=(np.eye(n), l))
+    traces = _projected_descent(mm_net, cells, 50,
+                                ProjectionConfig(inner_steps=200, inner_rate=0.05),
+                                sparse=(np.eye(n), l))
     support_hits = sum(set(np.nonzero(trace.extras["v"])[0]) == set(support)
                        for trace, support in zip(traces, supports))
     ppes = [trace.final_per_pixel_error for trace in traces]

@@ -853,3 +853,31 @@ def test_diagnose_and_auto_eta_work_for_phase_problems(tmp_path):
     # with Hessian 2 A^T A whatever the phase, so alpha_hat > 0.
     assert float(report["alpha_hat"]) > 0.0
     assert float(report["eta"]) > 0.0
+
+
+def diagnose_report(out, *sets):
+    """diagnose's report on the tiny net of the given --set items."""
+    assert run_cli("diagnose", "--out", str(out),
+                   *[a for s in sets for a in ("--set", s)]) == 0
+    return dict(line.split(",", 1) for line in
+                (out / "diagnostics.csv").read_text().splitlines()[1:])
+
+
+def test_diagnose_reports_inf_window_factor_when_eta_gamma_underflows(tmp_path):
+    # gamma_hat < 1, so eta * gamma_hat rounds to 0 at the smallest eta:
+    # the window factor 1/(eta gamma) - 1 is +inf, and the report is written.
+    report = diagnose_report(
+        tmp_path / "d", "latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
+        "outer_steps=3", "inner_steps=3", "num_pairs=3", "solver=eps_pgd",
+        "eta=5e-324", "weight_scale=-1.0")
+    assert 0.0 < float(report["gamma_hat"]) < 1.0
+    assert report["window_predicted_factor"] == "inf"
+    assert report["eta_in_window"] == "False"
+
+
+def test_diagnose_ignores_sparsity_where_the_problem_has_no_spikes(tmp_path):
+    # The default sparsity (5) exceeds n = 4, but a linear problem never
+    # reads it: the incoherence estimate draws at most n columns.
+    report = diagnose_report(tmp_path / "d", "latent_dim=2", "hidden_dims=3",
+                             "output_dim=4", "m=3")
+    assert 0.0 <= float(report["mu_hat"]) <= 1.0

@@ -174,18 +174,18 @@ def test_rate_fit_accepts_plain_array():
 # --- incoherence_estimate -----------------------------------------------
 
 
-def test_incoherence_orthogonal_directions_is_zero():
-    net = axis_generator(4, axis=0)
-    mu = incoherence_estimate(net, np.eye(4), 30, RngStream(21), sparsity=1,
-                              columns=[1])
-    assert mu == 0.0
-
-
 def test_incoherence_aligned_directions_is_one():
-    net = axis_generator(4, axis=0)
-    mu = incoherence_estimate(net, np.eye(4), 30, RngStream(22), sparsity=1,
-                              columns=[0])
+    # n = 1: every range difference and every sparse difference lie on e_0.
+    net = axis_generator(1, axis=0)
+    mu = incoherence_estimate(net, np.eye(1), 30, RngStream(22), sparsity=1)
     assert mu == pytest.approx(1.0, abs=1e-12)
+
+
+def test_incoherence_refuses_sparsity_above_n():
+    net = axis_generator(4, axis=0)
+    for sparsity in (0, 5):
+        with pytest.raises(ValueError, match=r"sparsity must be in \[1, n=4\]"):
+            incoherence_estimate(net, np.eye(4), 30, RngStream(22), sparsity=sparsity)
 
 
 def test_incoherence_toy_in_open_interval(desk_net):
@@ -248,6 +248,16 @@ def test_window_check_arithmetic():
     assert rep.passed
     rep2 = step_size_window_check(srec, 2.0)
     assert not rep2.in_window
+
+
+def test_window_check_predicts_inf_when_eta_gamma_underflows():
+    # eta * gamma rounds to 0 although both are positive: no factor to
+    # divide by, so the predicted factor is +inf, not a ZeroDivisionError.
+    from genprior import SrecEstimate
+    srec = SrecEstimate(gamma=0.25, rho=0.5, pairs_used=3)
+    rep = step_size_window_check(srec, 5e-324)
+    assert rep.predicted_factor == float("inf")
+    assert not rep.in_window and rep.rho_sq_ok
 
 
 def test_window_check_rejects_zero_gamma():

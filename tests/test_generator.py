@@ -93,7 +93,8 @@ def _fd_latent_gradient(net, z, g, h=1e-5):
 def test_latent_gradient_matches_finite_differences(activation):
     # 50 random (net, z, g) triples per activation, z kept away from relu
     # kinks so the finite-difference stencil stays on one linear piece.
-    rng = RngStream(404)
+    # numpy's Philox keyed by 404: the draws of RngStream(404), and integers.
+    rng = np.random.Generator(np.random.Philox(404))
     done = 0
     attempts = 0
     while done < 50:
@@ -217,7 +218,7 @@ def test_estimate_diameter_monotone_in_samples():
 
 
 def test_bias_free_relu_positive_homogeneity():
-    rng = RngStream(88)
+    rng = np.random.Generator(np.random.Philox(88))  # the draws of RngStream(88)
     for trial in range(10):
         net = random_net(trial, k=4, hidden=(9, 6), n=8, activation="relu")
         z = rng.standard_normal(4)

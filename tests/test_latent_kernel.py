@@ -4,11 +4,12 @@ The references below are the projection and latent-descent loops written
 with the public ``forward`` and ``latent_gradient`` only: every step runs the
 forward pass twice (once inside ``latent_gradient``) and the baselines
 recompute ``A G(z)`` for the cotangent, the acceptance check and the trace.
-A single projection restart steps as a vector; several restarts step
-together as one (restarts, k) block, through the batched public functions.
-The package's loops cache layer outputs and losses instead; the results
-must agree to the bit.  The layer math the two share is checked against
-finite differences in test_generator.py.
+The reference steps a single projection restart as a vector, and several
+restarts together as one (restarts, k) block, through the batched public
+functions.  The package's loops cache layer outputs and losses instead, and
+step (cells, restarts, k) blocks (a vector for one cell with one restart);
+the results must agree to the bit.  The layer math the two share is checked
+against finite differences in test_generator.py.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from genprior import (
     latent_gradient,
     project,
 )
-from genprior.numerics import as_vector
+from genprior.projection import _project_cells
 from genprior.solvers import _TraceBuilder
 from conftest import planted_linear, random_net
 
@@ -34,8 +35,6 @@ TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
 def start_latent(cfg, k, rng):
     if cfg.init == "zero":
         return np.zeros(k)
-    if cfg.init == "warm":
-        return as_vector(cfg.warm_z, "warm_z").copy()
     return rng.standard_normal(k)
 
 
@@ -154,9 +153,8 @@ def test_block_rows_match_serial_restarts(activation):
     starts = [rng.standard_normal(net.latent_dim) for _ in range(cfg.restarts)]
     rows = block_rows_project(net, x, cfg, RngStream(701))
     for start, (res, z, gx) in zip(starts, rows):
-        serial = project(net, x, ProjectionConfig(
-            inner_steps=60, inner_rate=0.05, init="warm", warm_z=start),
-            RngStream(0))
+        (serial,) = _project_cells(net, [x], ProjectionConfig(
+            inner_steps=60, inner_rate=0.05), [RngStream(0)], [start])
         assert res == pytest.approx(serial.residual, rel=1e-9)
         for got, want in ((z, serial.z_hat), (gx, serial.x_proj)):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)

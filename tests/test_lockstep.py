@@ -69,6 +69,11 @@ def solver_cfg(seed, x_star, eta, restarts):
                                                     restarts=restarts))
 
 
+def cell(obj, cfg):
+    """The lockstep cell of a one-cell solve from 0 under cfg."""
+    return _Cell(obj, cfg.step_size, cfg.seed, x_star=cfg.ground_truth)
+
+
 @group_params("kind", ["squared", "magnitude"])
 def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
     # The middle cell's observations are so large that its loss overflows
@@ -108,21 +113,23 @@ def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
                                                       instances(desk_net, ms))):
         cfg = solver_cfg(seed, x_star, 1e300 if i == 1 else 0.7, restarts)
         if solver == "pgd_linear":
-            cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
-                               cfg))
+            cells.append(cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
+                              cfg))
             refs.append(pgd_linear(y, a, desk_net, cfg))
         elif solver == "phase_pgd":
             x0 = x_star + 0.1 * RngStream(seed, spawn_key=(3,)).standard_normal(
                 desk_net.output_dim)
-            cells.append(_phase_cell(np.abs(y), a, desk_net, cfg, x0))
+            cells.append(_phase_cell(np.abs(y), a, desk_net, x0, cfg.step_size,
+                                     seed, x_star))
             refs.append(phase_pgd(np.abs(y), a, desk_net, cfg, x0))
         else:
             obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
             basis = np.eye(desk_net.output_dim)
-            cells.append(_Cell(obj, cfg))
+            cells.append(cell(obj, cfg))
             sparse = (basis, 5)
             refs.append(myopic_eps_pgd(obj, desk_net, basis, 5, cfg)[3])
-    traces = _projected_descent(desk_net, cells, sparse)
+    traces = _projected_descent(desk_net, cells, cfg.outer_steps, cfg.projection,
+                                sparse)
     assert np.all(np.isnan(traces[1].proj_residual))
     assert not np.any(np.isnan(traces[0].proj_residual[1:]))
     for trace, ref in zip(traces, refs):
@@ -142,10 +149,10 @@ def test_projected_group_skips_a_cell_whose_step_overflows(desk_net):
     cells, refs = [], []
     for i, (seed, (_, x_star, a, y)) in enumerate(zip(SEEDS, instances(desk_net))):
         cfg = solver_cfg(seed, x_star, 1e308 if i == 1 else 0.7, 2)
-        cells.append(_Cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
-                           cfg))
+        cells.append(cell(Objective(MeasurementModel(matrix=a, link="linear"), y),
+                          cfg))
         refs.append(pgd_linear(y, a, desk_net, cfg))
-    traces = _projected_descent(desk_net, cells)
+    traces = _projected_descent(desk_net, cells, cfg.outer_steps, cfg.projection)
     assert traces[1].inner_updates == 0 and traces[1].z_hat is None
     for trace, (x_ref, ref) in zip(traces, refs):
         assert_same_run(trace, ref, x_ref)

@@ -11,15 +11,23 @@ from genprior import (
     random_generator,
     sample_range,
 )
+from genprior.projection import _project_cells
 from conftest import brute_force_project, identity_generator, random_net
+
+
+def project_from(net, x, cfg, z0, rng=None):
+    """The projection of x with restart 0 started at the latent z0, as the
+    solvers start it from the previous outer step's latent."""
+    (res,) = _project_cells(net, [x], cfg, [rng or RngStream(0)], [z0])
+    return res
 
 
 def test_warm_start_on_range_point_is_exact():
     net = random_net(1)
     z0 = RngStream(2).standard_normal(net.latent_dim)
     x = forward(net, z0)
-    cfg = ProjectionConfig(inner_steps=5, inner_rate=0.01, init="warm", warm_z=z0)
-    res = project(net, x, cfg, RngStream(3))
+    cfg = ProjectionConfig(inner_steps=5, inner_rate=0.01)
+    res = project_from(net, x, cfg, z0, RngStream(3))
     assert res.residual == 0.0
     assert np.array_equal(res.x_proj, x)
 
@@ -77,9 +85,8 @@ def test_best_seen_no_worse_than_init():
     for i in range(10):
         x = rng.standard_normal(16)
         z0 = rng.standard_normal(3)
-        cfg = ProjectionConfig(inner_steps=40, inner_rate=5.0, init="warm",
-                               warm_z=z0)
-        res = project(net, x, cfg, RngStream(100 + i))
+        cfg = ProjectionConfig(inner_steps=40, inner_rate=5.0)
+        res = project_from(net, x, cfg, z0, RngStream(100 + i))
         init_res = float(np.sum((x - forward(net, z0)) ** 2))
         assert res.residual <= init_res + 1e-12
 
@@ -134,11 +141,10 @@ def test_dead_restart_never_counts_again():
         Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
         Layer(weights=[[1e300]], bias=[0.0], activation="identity"),
     ))
-    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, restarts=2,
-                           init="warm", warm_z=np.array([1e9]))
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, restarts=2)
     start = RngStream(0).standard_normal((1, 1))[0]
     assert start[0] < 0.0
-    res = project(net, np.array([1.0]), cfg, RngStream(0))
+    res = project_from(net, np.array([1.0]), cfg, np.array([1e9]))
     assert np.array_equal(res.z_hat, start)
     assert res.residual == 1.0
 
@@ -155,10 +161,9 @@ def test_overflowed_latent_is_never_returned():
     # From z = 1e308 the first step lands at z = -inf, where relu maps back
     # to G = 0 at residual 1.  The start itself lies at an infinite distance,
     # so no iterate with a finite latent is left to return.
-    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, init="warm",
-                           warm_z=np.array([1e308]))
-    with pytest.raises(ValueError, match="no range point"):
-        project(relu_unit_net(), np.array([1.0]), cfg, RngStream(0))
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0)
+    assert project_from(relu_unit_net(), np.array([1.0]), cfg,
+                        np.array([1e308])) is None
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
@@ -167,9 +172,8 @@ def test_overflowed_latent_row_is_dead(restarts):
     # overflows to z = -inf, where G = 0 would fit x exactly.  That row is
     # dead instead: alone it returns its start, and beside restart 1 (a
     # negative start, also at G = 0) the finite latent of restart 1 wins.
-    cfg = ProjectionConfig(inner_steps=3, inner_rate=1e308, restarts=restarts,
-                           init="warm", warm_z=np.array([1.0]))
-    res = project(relu_unit_net(), np.array([0.0]), cfg, RngStream(0))
+    cfg = ProjectionConfig(inner_steps=3, inner_rate=1e308, restarts=restarts)
+    res = project_from(relu_unit_net(), np.array([0.0]), cfg, np.array([1.0]))
     assert np.all(np.isfinite(res.z_hat))
     if restarts == 1:
         assert res.z_hat[0] == 1.0 and res.residual == 1.0
@@ -179,21 +183,11 @@ def test_overflowed_latent_row_is_dead(restarts):
         assert np.array_equal(res.z_hat, start) and res.residual == 0.0
 
 
-@pytest.mark.parametrize("length", [2, 4])
-def test_project_rejects_warm_z_of_wrong_length(length):
-    net = random_net(1)  # k = 3
-    cfg = ProjectionConfig(inner_steps=5, inner_rate=0.01, init="warm",
-                           warm_z=np.ones(length))
-    with pytest.raises(ValueError, match=f"warm_z length {length} .* k=3"):
-        project(net, np.zeros(net.output_dim), cfg, RngStream(3))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ProjectionConfig(inner_steps=0)
     with pytest.raises(ValueError):
         ProjectionConfig(inner_rate=0.0)
-    with pytest.raises(ValueError):
-        ProjectionConfig(init="warm")
-    with pytest.raises(ValueError):
-        ProjectionConfig(init="sideways")
+    for init in ("warm", "sideways"):
+        with pytest.raises(ValueError, match="unknown init mode"):
+            ProjectionConfig(init=init)

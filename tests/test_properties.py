@@ -1,9 +1,9 @@
 """Property tests of the boundary contract: bad weight files and any small
 projection problem either raise ValueError or give finite, repeatable
 results, alone or as a cell of a lockstep block, and any config drawn from
-the declared key bounds either solves to finite outputs or is refused with
-a ConfigError before any solve.  Examples are derandomized, so every run
-checks the same ones."""
+the declared key bounds either solves and diagnoses to finite outputs or is
+refused with a ConfigError before any solve.  Examples are derandomized, so
+every run checks the same ones."""
 
 import csv
 import math
@@ -125,33 +125,33 @@ def test_mutated_depth_names_the_problem(tmp_dir):
 def test_project_raises_or_returns_finite_repeatable(net, cells, restarts, steps,
                                                      rate_exp, x_exps, init,
                                                      warm_exp, seed):
-    # A warm latent near the float64 limit overflows on its first step.  A
-    # block of cells, each with its own x, warm latent and stream, must give
-    # every cell what project gives it alone.
-    xs, cfgs = [], []
+    # A warm latent (the solvers' start from the last outer step) near the
+    # float64 limit overflows on its first step.  A block of cells, each
+    # with its own x, warm latent and stream, must give every cell what it
+    # gets alone: from project, or from a block of one with its warm latent.
+    cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
+                           restarts=restarts, init="random" if init == "warm" else init)
+    xs, warms = [], []
     for i in range(cells):
         xs.append(10.0**x_exps[i] * RngStream(seed + i, spawn_key=(1,))
                   .standard_normal(net.output_dim))
         warm = 10.0**warm_exp * RngStream(seed + i, spawn_key=(2,)).standard_normal(
             net.latent_dim)
-        cfgs.append(ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
-                                     restarts=restarts, init=init,
-                                     warm_z=warm if init == "warm" else None))
-    # The block shares every setting but the warm latent, which each cell
-    # passes on its own (None when init is not 'warm').
-    block = _project_cells(net, xs, cfgs[0],
-                           [RngStream(seed + i) for i in range(cells)],
-                           [c.warm_z for c in cfgs])
-    for x, cfg, i, in_block in zip(xs, cfgs, range(cells), block):
+        warms.append(warm if init == "warm" else None)
+    block = _project_cells(net, xs, cfg, [RngStream(seed + i) for i in range(cells)],
+                           warms)
+    for i, (x, warm, in_block) in enumerate(zip(xs, warms, block)):
         outcomes = []
         for _ in range(2):
             try:
-                outcomes.append(project(net, x, cfg, RngStream(seed + i)))
+                rng = RngStream(seed + i)
+                outcomes.append(project(net, x, cfg, rng) if warm is None
+                                else _project_cells(net, [x], cfg, [rng], [warm])[0])
             except ValueError as exc:
                 outcomes.append(str(exc))
         first, again = outcomes
-        if isinstance(first, str):
-            assert first == again and "no range point" in first
+        if first is None or isinstance(first, str):
+            assert first == again and (first is None or "no range point" in first)
             assert in_block is None
             continue
         assert np.all(np.isfinite(first.z_hat)) and np.all(np.isfinite(first.x_proj))
@@ -182,13 +182,11 @@ def test_project_never_returns_an_overflowed_latent(k, hidden, n, restarts,
     ))
     warm = 1e307 * np.abs(rng.standard_normal(k))
     cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
-                           restarts=restarts, init="warm", warm_z=warm)
-    try:
-        res = project(net, rng.standard_normal(n), cfg, RngStream(seed))
-    except ValueError as exc:
-        assert "no range point" in str(exc)
-        return
-    assert np.all(np.isfinite(res.z_hat)) and np.all(np.isfinite(res.x_proj))
+                           restarts=restarts)
+    (res,) = _project_cells(net, [rng.standard_normal(n)], cfg, [RngStream(seed)],
+                            [warm])
+    if res is not None:  # None: no range point at a finite distance
+        assert np.all(np.isfinite(res.z_hat)) and np.all(np.isfinite(res.x_proj))
 
 
 # --- every accepted config solves -----------------------------------------
@@ -307,3 +305,35 @@ def test_every_accepted_config_solves_to_finite_outputs(tmp_dir, sets):
         if key in summary:
             assert math.isfinite(float(summary[key])), (key, summary[key])
     assert summary["alpha_fit"] == "nan" or math.isfinite(float(summary["alpha_fit"]))
+
+
+# The documented non-finite diagnose rows: no rate fit, and the predicted
+# factors whose denominators reach 0.
+DIAGNOSE_NONFINITE = {"fitted_alpha": "nan", "predicted_mismatch_factor": "inf",
+                      "window_predicted_factor": "inf"}
+
+
+@settings(PROPERTY, max_examples=300)  # each example is a full (tiny) diagnose
+@given(sets=solve_configs())
+def test_every_accepted_config_diagnoses_to_finite_outputs(tmp_dir, sets):
+    out = tmp_dir / "diagnose"
+    raised = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cli, "_usable_cpus", lambda: 1)  # no fork: see every raise
+        mp.setattr(cli, "load_config", recording(cli.load_config, raised))
+        mp.setattr(cli, "cmd_diagnose", recording(cli.cmd_diagnose, raised))
+        code = cli.main(["diagnose", "--out", str(out),
+                         *[a for s in sets for a in ("--set", s)]])
+    if code:
+        assert code == 1
+        assert len(raised) == 1 and isinstance(raised[0], cli.ConfigError), raised
+        return
+    with open(out / "diagnostics.csv") as f:
+        for row in csv.DictReader(f):
+            try:
+                v = float(row["value"])
+            except ValueError:
+                continue  # a label or a flag
+            assert math.isfinite(v) or row["value"] == DIAGNOSE_NONFINITE.get(
+                row["key"]), row

@@ -228,8 +228,12 @@ def test_phase_pgd_oracle_phase_reduces_to_linear(desk_net):
     x_star, a, y = phase_instance(desk_net, 64, seed=5)
     p_star = sign_pm(a @ x_star)
     cfg = desk_cfg(5, x_star, eta=0.9)
-    x_ph, t_ph = phase_pgd(y, a, desk_net, cfg, x0=np.zeros(desk_net.output_dim),
-                           phase_override=p_star)
+    # phase_pgd's loop with the phase pinned to p* instead of re-bound.
+    pinned = solvers._Cell(Objective(MeasurementModel(a, "magnitude"), y, phase=p_star),
+                           cfg.step_size, 5, np.zeros(desk_net.output_dim), x_star)
+    (t_ph,) = solvers._projected_descent(desk_net, [pinned], cfg.outer_steps,
+                                         cfg.projection)
+    x_ph = t_ph.x_hat
     x_lin, t_lin = pgd_linear(y * p_star, a, desk_net, cfg)
     assert np.max(np.abs(x_ph - x_lin)) <= 1e-12
     assert np.max(np.abs(t_ph.objective - t_lin.objective)) <= 1e-12
@@ -296,11 +300,11 @@ def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
     for seed in (8, 9):
         x_star, a, y = phase_instance(desk_net, 48, seed=seed)
         cfg = desk_cfg(seed, x_star, eta=0.9, outer=6, inner=20)
-        cells.append(solvers._phase_cell(y, a, desk_net, cfg, x0))
+        cells.append(solvers._phase_cell(y, a, desk_net, x0, 0.9, seed, x_star))
     phase_pgd(y, a, desk_net, cfg, x0)
     assert calls == ["phase_corrected"] * 7
     calls.clear()
-    solvers._projected_descent(desk_net, cells)
+    solvers._projected_descent(desk_net, cells, cfg.outer_steps, cfg.projection)
     assert calls == ["phase_corrected"] * 2 * 7
 
 
@@ -521,19 +525,18 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
             if solver == "phase":
                 x0 = phase_init(y, a, desk_net, RngStream(seed, spawn_key=(904,)),
                                 strategy="best_of_samples", count=100)
-                cfg = SolverConfig(outer_steps=50, step_size=0.9,
-                                   projection=ProjectionConfig(inner_steps=50,
-                                                               inner_rate=0.05),
-                                   seed=seed, ground_truth=x_star)
-                cells.append(solvers._phase_cell(y, a, desk_net, cfg, x0))
+                cells.append(solvers._phase_cell(y, a, desk_net, x0, 0.9, seed,
+                                                 x_star))
             else:
                 rng = RngStream(seed, spawn_key=(905,))
                 z0 = rng.standard_normal(k)
                 z0 /= np.linalg.norm(z0)
                 cells.append(solvers._LatentCell(y, a, rng, x_star, z0))
-        traces = (solvers._projected_descent(desk_net, cells) if solver == "phase"
-                  else solvers._latent_descent(desk_net, 2500, 0.05, "magnitude",
-                                               cells))
+        if solver == "phase":
+            traces = solvers._projected_descent(
+                desk_net, cells, 50, ProjectionConfig(inner_steps=50, inner_rate=0.05))
+        else:
+            traces = solvers._latent_descent(desk_net, 2500, 0.05, "magnitude", cells)
         return float(np.median([tr.sign_error[-1] for tr in traces]))
 
     def first_m_reaching(solver):

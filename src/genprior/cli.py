@@ -116,6 +116,10 @@ SOLVERS_FOR_PROBLEM = {
 }
 
 RATE_FLOOR = 1e-8
+# x*'s and y's squared norms must stay this factor below the float64 limit:
+# the error columns and F square the distance from x* (or y) of an iterate
+# up to three times its norm.
+HEADROOM = 16.0
 
 
 class ConfigError(Exception):
@@ -373,7 +377,7 @@ def _generator_keys(cfg):
 
 
 def _not_finite(what, keys):
-    return ConfigError(f"{what} is not finite or its squared norm overflows; "
+    return ConfigError(f"{what} is not finite or too near the float64 limit; "
                        f"shrink {' or '.join(keys)}")
 
 
@@ -384,8 +388,9 @@ def build_instance(cfg, net, m, seed, basis=None):
 
     The target depends only on the seed; the sensing matrix depends on
     (seed, m) so each sweep column sees fresh measurements of the same
-    signal.  Raises ConfigError, naming the keys to shrink, when x*, y or
-    the oracle phase start's distance from x* has no finite squared norm.
+    signal.  Raises ConfigError, naming the keys to shrink, when x* or y
+    has no finite squared norm with HEADROOM to spare, or the oracle phase
+    start's distance from x* has no finite squared norm.
     """
     keys = _generator_keys(cfg)
     root = RngStream(seed)
@@ -406,7 +411,7 @@ def build_instance(cfg, net, m, seed, basis=None):
             spike_rng.standard_normal(cfg.sparsity) >= 0, 1.0, -1.0
         )
         x_star = x_base + basis @ coeffs
-    if not np.isfinite(x_star @ x_star):
+    if not np.isfinite(HEADROOM * (x_star @ x_star)):
         raise _not_finite(f"x* at seed {seed}", keys)
     n = net.output_dim
     if cfg.matrix_kind == "orthonormal":
@@ -420,7 +425,7 @@ def build_instance(cfg, net, m, seed, basis=None):
         y = observe_noisy(model, x_star, cfg.noise_std, root.derive(3))
     else:
         y = observe(model, x_star)
-    if not np.isfinite(y @ y):
+    if not np.isfinite(HEADROOM * (y @ y)):
         raise _not_finite(f"y at m={m}, seed {seed}", keys)
     if ("phase_pgd" in cfg.solver_list() and cfg.phase_init_strategy == "oracle_perturb"
             and not np.isfinite((cfg.phase_delta0 * np.linalg.norm(x_star)) ** 2)):

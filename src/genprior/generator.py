@@ -3,8 +3,8 @@
 The prior is a plain feed-forward stack of affine maps with entrywise
 activations, mapping a latent vector of length ``k`` to a signal of length
 ``n``.  Weights are frozen at construction; there is no training here.
-Forward evaluation and reverse-mode latent gradients are implemented
-directly on numpy arrays.
+Forward evaluation, reverse-mode latent gradients and latent descent are
+implemented directly on numpy arrays.
 
 Weight file format (little-endian, documented for interchange):
 
@@ -23,6 +23,7 @@ save/load round trip is bitwise exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -160,6 +161,42 @@ def _backward(net, acts, cotangent):
             g = g * (1.0 - h ** 2)
         g = g @ layer.weights
     return g
+
+
+def _descend(net, z, steps, rate, measure, visit):
+    """``steps`` steps of latent gradient descent on the rows of ``z``, the
+    one loop of the projection and both latent baselines; returns the last
+    (z, G(z)).  ``measure(G(z))`` gives each row's loss and its cotangent on
+    G(z); ``visit(loss, z, G(z))`` sees the rows at the start and after
+    every step.  A row steps only while its latent and its loss stay finite
+    (a finite loss needs a finite G(z)), and otherwise freezes at its last
+    finite step.  Rows are independent: each has the bits of its own descent.
+    """
+    # Diverging rows (and starts) overflow, then meet inf - inf, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, acts = _forward_cached(net, z)
+        loss, cot = measure(gx)
+        visit(loss, z, gx)
+        for step in range(steps):
+            z_next = z - rate * _backward(net, acts, cot)
+            gx_next, acts_next = _forward_cached(net, z_next)
+            loss_next, cot_next = measure(gx_next)
+            # One sum is the cheapest test: inf and NaN carry through it.
+            if not math.isfinite(loss_next.sum() + z_next.sum()):
+                ok = np.isfinite(loss_next) & np.isfinite(z_next).all(axis=-1)
+                if not ok.any():  # no row steps now, so none ever will
+                    for _ in range(step, steps):
+                        visit(loss, z, gx)
+                    return z, gx
+                keep = ok[..., None]
+                z_next = np.where(keep, z_next, z)
+                gx_next = np.where(keep, gx_next, gx)
+                acts_next = [np.where(keep, a, b) for a, b in zip(acts_next, acts)]
+                loss_next = np.where(ok, loss_next, loss)
+                cot_next = np.where(keep, cot_next, cot)
+            z, gx, acts, loss, cot = z_next, gx_next, acts_next, loss_next, cot_next
+            visit(loss, z, gx)
+    return z, gx
 
 
 def _as_latent(net, z):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import _backward, _forward_cached
+from .generator import _descend
 from .numerics import as_vector
 
 __all__ = [
@@ -103,42 +103,25 @@ def _project_cells(net, xs, cfg, rngs, warms):
     # never returned, so their zero iterates are placeholders.
     best_res = np.full(z.shape[:-1], np.inf)
     best_z, best_gx = z, np.zeros(z.shape[:-1] + (net.output_dim,))
-    rows = best_res.size
-    alive = None  # None while every row is finite
-    # A diverging row overflows (then meets inf - inf) before the
-    # finiteness check below drops it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.inner_steps + 1):
-            if step:
-                z = z - cfg.inner_rate * _backward(net, acts, 2.0 * (gx - x))
-            gx, acts = _forward_cached(net, z)
-            d = x - gx
-            res = np.vecdot(d, d)
-            improved = res < best_res
-            if alive is not None:
-                improved = improved & alive
-            # count_nonzero is the cheapest test on a short mask.
-            n_improved = np.count_nonzero(improved)
-            if not np.isfinite(z).all() or (
-                    n_improved < rows
-                    and np.count_nonzero(np.isfinite(res)) < rows):
-                # A row whose latent or output is non-finite is dead from
-                # here on (relu and tanh can map a latent that overflowed
-                # back to a finite output); a finite output can still
-                # overflow the residual and live on.
-                finite = np.isfinite(z).all(axis=-1) & np.isfinite(gx).all(axis=-1)
-                alive = finite if alive is None else alive & finite
-                if not alive.any():
-                    break
-                improved = improved & alive
-                n_improved = np.count_nonzero(improved)
-            if n_improved == rows:
-                # z and gx are new arrays every step: hold references.
-                best_res, best_z, best_gx = res, z, gx
-            elif n_improved:
-                best_res = np.where(improved, res, best_res)
-                best_z = np.where(improved[..., None], z, best_z)
-                best_gx = np.where(improved[..., None], gx, best_gx)
+
+    def measure(gx):
+        e = gx - x
+        return np.vecdot(e, e), 2.0 * e
+
+    def visit(res, z, gx):
+        nonlocal best_res, best_z, best_gx
+        improved = res < best_res
+        # count_nonzero is the cheapest test on a short mask.
+        n_improved = np.count_nonzero(improved)
+        if n_improved == improved.size:
+            # z and gx are new arrays every step: hold references.
+            best_res, best_z, best_gx = res, z, gx
+        elif n_improved:
+            best_res = np.where(improved, res, best_res)
+            best_z = np.where(improved[..., None], z, best_z)
+            best_gx = np.where(improved[..., None], gx, best_gx)
+
+    _descend(net, z, cfg.inner_steps, cfg.inner_rate, measure, visit)
     best_res = best_res.reshape(shape[:2])
     best_z = best_z.reshape(shape)
     best_gx = best_gx.reshape(shape[:2] + (-1,))
@@ -157,12 +140,12 @@ def project(net, x, cfg, rng):
     further restart starts from an independent N(0, I_k) draw.  The
     restarts step together as one (1, restarts, k) block (one restart as a
     vector), one forward and one backward layer sweep per step; each row
-    keeps its own best iterate, and a row whose latent or output goes
-    non-finite drops out for good, so ``z_hat`` is always finite.  Ties in
-    residual resolve to the lowest restart index, then to the earliest
-    iterate, so the result is deterministic given (rng state, cfg).  Raises
-    ``ValueError`` when no iterate of any restart lies at a finite distance
-    from ``x``.
+    keeps its own best iterate, and a row steps only while its latent and
+    residual stay finite (it freezes at its last finite step), so ``z_hat``
+    is always finite.  Ties in residual resolve to the lowest restart index,
+    then to the earliest iterate, so the result is deterministic given (rng
+    state, cfg).  Raises ``ValueError`` when no iterate of any restart lies
+    at a finite distance from ``x``.
     """
     x = as_vector(x, "x")
     if x.shape[0] != net.output_dim:

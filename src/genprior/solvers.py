@@ -24,7 +24,8 @@ Every solver emits a :class:`SolveTrace` with one record per iterate
 and config.  The projection carries its latent warm start from one outer
 iteration to the next.  A diverged step (non-finite gradient step, or a
 projection that found no finite range point) holds the iterate and records
-``proj_residual = NaN``.
+``proj_residual = NaN``.  The projection and the baselines descend in z
+through ``generator._descend``, where a diverging latent freezes.
 
 Both loops step a lockstep group of S cells (a sweep steps every (m, seed)
 cell of a solver together), take the group's shared settings as arguments
@@ -34,7 +35,7 @@ measurements, gradient step, hold, phase, threshold and random stream, and
 the projections of one outer step run as one ``_project_cells`` block.
 ``_latent_descent`` steps an (S, 1, k) latent block, measures each run of
 cells with equal m against its stacked (s, 1, m, n) sensing matrices, and
-holds a diverged cell alone.  Stacked matrix-vector products give every
+freezes a diverged cell alone.  Stacked matrix-vector products give every
 cell the bits of its own run.
 """
 
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generator import _backward, _forward_cached, sample_range
+from .generator import _descend, sample_range
 from .measurement import MeasurementModel
 from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
 from .objectives import (
@@ -429,11 +430,12 @@ def _latent_descent(net, steps, rate, kind, cells):
     """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
     lockstep over a group of cells; returns one trace per cell.
 
-    The S cells step as one (S, 1, k) latent block, one pass through the
-    net per step; the measurement half (A G(z), the loss and A.T c) runs
-    once per run of consecutive cells with equal m, against that run's
-    stacked (s, 1, m, n) sensing matrices.  Stacked matrix-vector products,
-    so every cell has the bits of its own descent.  Both baseline losses
+    The S cells step as one (S, 1, k) latent block through ``_descend``
+    (a diverged cell freezes alone), one pass through the net per step; the
+    measurement half (A G(z), the loss and A.T c) runs once per run of
+    consecutive cells with equal m, against that run's stacked (s, 1, m, n)
+    sensing matrices.  Stacked matrix-vector products, so every cell has
+    the bits of its own descent.  Both baseline losses
     have scale 1/2, so 2 A.T c is the exact signal-space gradient; it
     backpropagates through the net.
     """
@@ -447,7 +449,6 @@ def _latent_descent(net, steps, rate, kind, cells):
         raise ValueError("rate must be positive and finite")
     zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
           else as_vector(cell.z0, "z0").copy() for cell in cells]
-    z = np.stack(zs)[:, None]
     cuts = [0] + [i for i in range(1, len(cells))
                   if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
     runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
@@ -466,30 +467,8 @@ def _latent_descent(net, steps, rate, kind, cells):
 
     tb = _TraceBuilder(int(steps) + 1, _truth_block(
         [cell.x_star for cell in cells], net.output_dim))
-    # A diverging cell overflows (then meets inf - inf) before the
-    # finiteness checks below hold it; its start can overflow too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx, acts = _forward_cached(net, z)
-        loss, g = measure(gx)
-        tb.add(loss, gx)
-        for _ in range(int(steps)):
-            z_next = z - rate * _backward(net, acts, g)
-            gx_next, acts_next = _forward_cached(net, z_next)
-            loss_next, g_next = measure(gx_next)
-            ok = np.isfinite(gx_next).all(axis=-1) & np.isfinite(loss_next)
-            # A diverged step is not taken: the cell's iterate freezes at
-            # its last finite one, so the trace stays finite and
-            # non-convergence shows up in the data.
-            if ok.all():
-                z, gx, acts, loss, g = z_next, gx_next, acts_next, loss_next, g_next
-            elif ok.any():
-                keep = ok[..., None]
-                z = np.where(keep, z_next, z)
-                gx = np.where(keep, gx_next, gx)
-                acts = [np.where(keep, h_next, h) for h_next, h in zip(acts_next, acts)]
-                loss = np.where(ok, loss_next, loss)
-                g = np.where(keep, g_next, g)
-            tb.add(loss, gx)
+    z, gx = _descend(net, np.stack(zs)[:, None], int(steps), rate, measure,
+                     lambda loss, z, gx: tb.add(loss, gx))
     n_cells = len(cells)
     return tb.build(gx.reshape(n_cells, -1), z.reshape(n_cells, -1),
                     [int(steps)] * n_cells)

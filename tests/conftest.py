@@ -45,6 +45,14 @@ def identity_generator(n):
     ))
 
 
+def relu_unit_net():
+    """G(z) = relu(z) on R: one relu unit with an identity output."""
+    return GeneratorNet(layers=(
+        Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
+        Layer(weights=[[1.0]], bias=[0.0], activation="identity"),
+    ))
+
+
 def brute_force_project(net, x, grid_bounds, grid_points_per_dim):
     """Exhaustive lattice search over the latent box; the projection oracle.
 

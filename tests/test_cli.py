@@ -200,6 +200,9 @@ TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
     ("solve", ["noise_std=1e308"], "y .* or noise_std$"),
     ("solve", ["problem=sigmoid", "weight_scale=1e150"], "x\\* .* shrink weight_scale"),
     ("solve", ["activation=tanh", "weight_scale=1e300"], "x\\* .* shrink weight_scale"),
+    ("solve", ["bias_scale=3e153", "solver=pgd"], "x\\* .* shrink weight_scale"),
+    ("solve", ["activation=tanh", "weight_scale=-5e153", "solver=csgm", "csgm_steps=3"],
+     "x\\* .* shrink weight_scale"),
     ("solve", ["weight_scale=0", "eta=auto"], "eta=auto .* degenerate.* weight_scale"),
     ("solve", ["problem=sigmoid", "weight_scale=2.5558194924874993e-05", "eta=auto",
                "num_pairs=3"], "eta=auto .* no finite positive step size"),
@@ -208,7 +211,7 @@ TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
     ("diagnose", ["weight_scale=0"],
      "diagnose .* estimates .* degenerate; change weight_scale or bias_scale$"),
 ], ids=["weights", "bias", "spikes", "noise", "sigmoid-norm", "tanh-norm",
-        "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start",
+        "bias-headroom", "tanh-headroom", "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start",
         "diagnose-degenerate"])
 def test_broken_instances_are_refused_before_any_solve(
         tmp_path, monkeypatch, command, sets, match):
@@ -216,6 +219,8 @@ def test_broken_instances_are_refused_before_any_solve(
     # the generator or the instance (the first four; without the warning
     # filter, "x / layer bias / y contains non-finite entries"), write inf
     # into every row's per-pixel and sign-invariant errors (sigmoid, tanh),
+    # overflow in the trace's error columns from an x* whose squared norm
+    # lay within 1.45x (bias) or 2.9x (tanh) of the float64 limit,
     # fail in the step-size probe with a bare ValueError, resolve a negative
     # step size from a probe whose quotients cancelled to noise (a bare
     # "step_size must be positive" ValueError), or overflow in phase_init

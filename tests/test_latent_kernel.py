@@ -8,7 +8,9 @@ The reference steps a single projection restart as a vector, and several
 restarts together as one (restarts, k) block, through the batched public
 functions.  The package's loops cache layer outputs and losses instead, and
 step (cells, restarts, k) blocks (a vector for one cell with one restart);
-the results must agree to the bit.  The layer math the two share is checked
+the results must agree to the bit.  The references follow the package's one
+divergence rule: a step to a non-finite latent or loss is refused, and the
+row stays at its last finite step.  The layer math the two share is checked
 against finite differences in test_generator.py.
 """
 
@@ -26,7 +28,7 @@ from genprior import (
 )
 from genprior.projection import _project_cells
 from genprior.solvers import _TraceBuilder
-from conftest import planted_linear, random_net
+from conftest import identity_generator, planted_linear, random_net
 
 TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
                  "phase_flips")
@@ -39,19 +41,22 @@ def start_latent(cfg, k, rng):
 
 
 def two_pass_project(net, x, cfg, rng):
-    """One restart, stepped as a vector."""
+    """One restart, stepped as a vector.  A step to a non-finite latent or
+    residual is refused; since the row then stays where it is, the same step
+    is refused every time, and the descent ends there."""
     assert cfg.restarts == 1
     z = start_latent(cfg, net.latent_dim, rng)
     gx = forward(net, z)
     d = x - gx
     best_res, best_z, best_gx = float(d @ d), z.copy(), gx
     for _ in range(cfg.inner_steps):
-        z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
-        gx = forward(net, z)
-        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(z))):
-            break
-        d = x - gx
+        z_next = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
+        gx_next = forward(net, z_next)
+        d = x - gx_next
         res = float(d @ d)
+        if not (np.all(np.isfinite(z_next)) and np.isfinite(res)):
+            break
+        z, gx = z_next, gx_next
         if res < best_res:
             best_res, best_z, best_gx = res, z.copy(), gx
     return best_z, best_gx, best_res
@@ -59,31 +64,27 @@ def two_pass_project(net, x, cfg, rng):
 
 def block_rows_project(net, x, cfg, rng):
     """All restarts stepped as one (restarts, k) block; each row's best
-    (residual, z, G(z)) in restart order.  A row whose latent or output
-    goes non-finite is dead from then on and stands in as zeros, so that
-    the public gradient accepts the block."""
+    (residual, z, G(z)) in restart order.  A row takes a step only to a
+    finite latent and residual, and otherwise stays where it is."""
     k = net.latent_dim
     starts = [start_latent(cfg, k, rng)]
     starts += [rng.standard_normal(k) for _ in range(cfg.restarts - 1)]
     z = np.array(starts)
-    alive = np.ones(cfg.restarts, dtype=bool)
     best = [(np.inf, None, None)] * cfg.restarts
     gx = forward(net, z)
     for step in range(cfg.inner_steps + 1):
         if step:
-            z = np.where(alive[:, None], z, 0.0)
-            z = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
-            gx = forward(net, z)
-        for r in np.flatnonzero(alive):
-            if not (np.all(np.isfinite(gx[r])) and np.all(np.isfinite(z[r]))):
-                alive[r] = False
-                continue
+            z_next = z - cfg.inner_rate * latent_gradient(net, z, 2.0 * (gx - x))
+            gx_next = forward(net, z_next)
+            for r in range(cfg.restarts):
+                d = x - gx_next[r]
+                if np.all(np.isfinite(z_next[r])) and np.isfinite(float(d @ d)):
+                    z[r], gx[r] = z_next[r], gx_next[r]
+        for r in range(cfg.restarts):
             d = x - gx[r]
             res = float(d @ d)
             if res < best[r][0]:
                 best[r] = (res, z[r].copy(), gx[r].copy())
-        if not alive.any():
-            break
     return best
 
 
@@ -101,7 +102,9 @@ def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
     for _ in range(steps):
         z_next = z - rate * latent_gradient(net, z, cot_fn(gx))
         gx_next = forward(net, z_next)
-        if np.all(np.isfinite(gx_next)) and np.isfinite(loss_fn(gx_next)):
+        # The projection's rule: a step to a non-finite latent or loss is
+        # refused, and the iterate stays at its last finite step.
+        if np.all(np.isfinite(z_next)) and np.isfinite(loss_fn(gx_next)):
             z, gx = z_next, gx_next
         tb.add(loss_fn(gx), gx)
     (trace,) = tb.build([gx], [z], [steps])
@@ -128,7 +131,7 @@ def two_pass_baseline(kind, y, a, net, steps, rate, rng, x_star=None, z0=None):
 @pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("rate", [0.05, 1e5])
 def test_project_matches_two_pass_reference(activation, restarts, rate):
-    # At rate 1e5 the relu restarts overflow and break out after ~50 steps.
+    # At rate 1e5 the relu restarts overflow and freeze after ~50 steps.
     net = random_net(31, k=4, hidden=(16,), n=24, activation=activation)
     for i in range(3):
         x = RngStream(500 + i).standard_normal(net.output_dim)
@@ -140,6 +143,24 @@ def test_project_matches_two_pass_reference(activation, restarts, rate):
         assert np.array_equal(res.z_hat, z_ref)
         assert np.array_equal(res.x_proj, gx_ref)
         assert res.residual == res_ref
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_project_freezes_a_row_whose_residual_overflows(restarts):
+    # G(z) = z and x = 3e154: the starts (near 0) lie at a finite output but
+    # an infinite residual, and so would the first three steps at rate 0.1
+    # (each shrinks z - x by 0.8); the fourth would be finite.  The first
+    # step is refused, so every row freezes at its start and no iterate lies
+    # at a finite distance from x.  A rule that let such a row step on would
+    # return the fourth step.
+    net = identity_generator(1)
+    x = np.array([3e154])
+    cfg = ProjectionConfig(inner_steps=6, inner_rate=0.1, restarts=restarts)
+    reference = two_pass_project if restarts == 1 else block_project
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert reference(net, x, cfg, RngStream(0))[2] == np.inf
+    with pytest.raises(ValueError, match="no range point"):
+        project(net, x, cfg, RngStream(0))
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])

@@ -12,7 +12,8 @@ from genprior import (
     sample_range,
 )
 from genprior.projection import _project_cells
-from conftest import brute_force_project, identity_generator, random_net
+from conftest import (brute_force_project, identity_generator, random_net,
+                      relu_unit_net)
 
 
 def project_from(net, x, cfg, z0, rng=None):
@@ -134,9 +135,10 @@ def test_project_raises_when_no_finite_range_point(desk_net):
 
 def test_dead_restart_never_counts_again():
     # G(z) = 1e300 relu(z).  Restart 0 starts at z = 1e9, where G overflows,
-    # so it is dead from step 0; its gradient step lands at z = -inf, where
-    # G = 0 is finite again.  Restart 1 starts below 0 and holds G = 0 at a
-    # finite latent, which must win the tie.
+    # and its gradient step would land at z = -inf, where G = 0 is finite
+    # again; that step is refused, so the row freezes at its start.
+    # Restart 1 starts below 0 and holds G = 0 at a finite latent, which
+    # must win the tie.
     net = GeneratorNet(layers=(
         Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
         Layer(weights=[[1e300]], bias=[0.0], activation="identity"),
@@ -147,14 +149,6 @@ def test_dead_restart_never_counts_again():
     res = project_from(net, np.array([1.0]), cfg, np.array([1e9]))
     assert np.array_equal(res.z_hat, start)
     assert res.residual == 1.0
-
-
-def relu_unit_net():
-    """G(z) = relu(z) on R: one relu unit with an identity output."""
-    return GeneratorNet(layers=(
-        Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
-        Layer(weights=[[1.0]], bias=[0.0], activation="identity"),
-    ))
 
 
 def test_overflowed_latent_is_never_returned():
@@ -169,9 +163,10 @@ def test_overflowed_latent_is_never_returned():
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_overflowed_latent_row_is_dead(restarts):
     # Restart 0 starts at z = 1 (residual 1 to x = 0); its first step
-    # overflows to z = -inf, where G = 0 would fit x exactly.  That row is
-    # dead instead: alone it returns its start, and beside restart 1 (a
-    # negative start, also at G = 0) the finite latent of restart 1 wins.
+    # overflows to z = -inf, where G = 0 would fit x exactly.  The step is
+    # refused and the row freezes instead: alone it returns its start, and
+    # beside restart 1 (a negative start, also at G = 0) the finite latent
+    # of restart 1 wins.
     cfg = ProjectionConfig(inner_steps=3, inner_rate=1e308, restarts=restarts)
     res = project_from(relu_unit_net(), np.array([0.0]), cfg, np.array([1.0]))
     assert np.all(np.isfinite(res.z_hat))

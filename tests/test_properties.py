@@ -1,9 +1,9 @@
 """Property tests of the boundary contract: bad weight files and any small
 projection problem either raise ValueError or give finite, repeatable
 results, alone or as a cell of a lockstep block, and any config drawn from
-the declared key bounds either solves and diagnoses to finite outputs or is
-refused with a ConfigError before any solve.  Examples are derandomized, so
-every run checks the same ones."""
+the declared key bounds either solves, sweeps and diagnoses to finite
+outputs or is refused with a ConfigError before any solve.  Examples are
+derandomized, so every run checks the same ones."""
 
 import csv
 import math
@@ -199,8 +199,11 @@ TINY_SOLVE = {"latent_dim": 2, "hidden_dims": 4, "output_dim": 9, "m": 5,
 NOT_DRAWN = {"latent_dim", "hidden_dims", "output_dim", "problem", "solver",
              "m_list", "seeds", "solvers", "weights_path", "weights_out", "out",
              "workers"}
+# A sweep's cells: two m and two seeds.
+TINY_SWEEP = {"m_list": "5,3", "seeds": "1,2"}
 SIGNAL_LENGTH = TINY_SOLVE["output_dim"]
-FLOAT_EXTREMES = (5e-324, 0.5, 1e300, 1e308)
+# The band 1e150-1e156 puts squared norms near the float64 limit.
+FLOAT_EXTREMES = (5e-324, 0.5, 1e150, 3e153, 1e156, 1e300, 1e308)
 
 
 def declared_values(f):
@@ -219,7 +222,7 @@ def declared_values(f):
             accepted += [SIGNAL_LENGTH, SIGNAL_LENGTH + 1]
         return accepted, [least - 1]
     if low is None:
-        return [-1e308, -1.0, 0.0, *FLOAT_EXTREMES], []
+        return [-1e308, -5e153, -1.0, 0.0, *FLOAT_EXTREMES], []
     accepted = [*([] if strict else [low]), *(low + v for v in FLOAT_EXTREMES)]
     if f.name == "eta":
         accepted.append("auto")
@@ -238,12 +241,16 @@ ALWAYS_DRAWN = ("eta", "weight_scale", "phase_init_strategy", "phase_delta0")
 
 
 @st.composite
-def solve_configs(draw):
-    """--set items: a problem with a solver that applies to it, ALWAYS_DRAWN
-    and up to four other keys drawn from the values their declarations
-    accept, and in one config of five a key drawn below its bound."""
+def solve_configs(draw, sweep=False):
+    """--set items: a problem with a solver that applies to it (for a sweep,
+    every solver that applies, over the TINY_SWEEP cells), ALWAYS_DRAWN and
+    up to four other keys drawn from the values their declarations accept,
+    and in one config of five a key drawn below its bound."""
     problem, solver = draw(st.sampled_from(PROBLEM_SOLVERS))
     sets = {**TINY_SOLVE, "problem": problem, "solver": solver}
+    if sweep:
+        del sets["solver"]
+        sets.update(TINY_SWEEP, solvers=",".join(cli.SOLVERS_FOR_PROBLEM[problem]))
     others = sorted(set(DECLARED) - set(ALWAYS_DRAWN))
     for key in ALWAYS_DRAWN + tuple(draw(st.lists(st.sampled_from(others),
                                                    max_size=4, unique=True))):
@@ -265,6 +272,34 @@ def recording(fn, raised):
     return wrapper
 
 
+def run_drawn(command, out, sets):
+    """Run ``genprior <command> --out out`` on the drawn --set items in this
+    process (one usable CPU: no fork, so every raise is seen here), with
+    RuntimeWarnings as errors.  A non-zero exit must be 1, from a single
+    ConfigError.  Returns the exit code and whether a solver group started.
+    """
+    raised, entered = [], []
+    solve_group = cli._solve_group
+    cmd = getattr(cli, f"cmd_{command}")
+
+    def entering(*args):
+        entered.append(True)
+        return solve_group(*args)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cli, "_solve_group", entering)
+        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        mp.setattr(cli, "load_config", recording(cli.load_config, raised))
+        mp.setattr(cli, f"cmd_{command}", recording(cmd, raised))
+        code = cli.main([command, "--out", str(out),
+                         *[a for s in sets for a in ("--set", s)]])
+    if code:
+        assert code == 1
+        assert len(raised) == 1 and isinstance(raised[0], cli.ConfigError), raised
+    return code, bool(entered)
+
+
 # The documented NaN columns: no projection (t = 0, a held step, a latent
 # baseline) and no phase (every solver but phase_pgd).
 NAN_COLUMNS = {"proj_residual", "phase_flips"}
@@ -274,26 +309,10 @@ NAN_COLUMNS = {"proj_residual", "phase_flips"}
 @given(sets=solve_configs())
 def test_every_accepted_config_solves_to_finite_outputs(tmp_dir, sets):
     out = tmp_dir / "solve"
-    raised, entered = [], []
-    solve_group = cli._solve_group
-
-    def entering(*args):
-        entered.append(True)
-        return solve_group(*args)
-
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(cli, "_solve_group", entering)
-        mp.setattr(cli, "load_config", recording(cli.load_config, raised))
-        mp.setattr(cli, "cmd_solve", recording(cli.cmd_solve, raised))
-        code = cli.main(["solve", "--out", str(out),
-                         *[a for s in sets for a in ("--set", s)]])
+    code, entered = run_drawn("solve", out, sets)
+    assert entered == (code == 0)
     if code:
-        assert code == 1
-        assert len(raised) == 1 and isinstance(raised[0], cli.ConfigError), raised
-        assert not entered
         return
-    assert entered
     with open(out / "trace.csv") as f:
         for row in csv.DictReader(f):
             for col, v in row.items():
@@ -307,6 +326,24 @@ def test_every_accepted_config_solves_to_finite_outputs(tmp_dir, sets):
     assert summary["alpha_fit"] == "nan" or math.isfinite(float(summary["alpha_fit"]))
 
 
+@settings(PROPERTY, max_examples=200)  # each example is a (tiny) sweep
+@given(sets=solve_configs(sweep=True))
+def test_every_accepted_config_sweeps_to_finite_results(tmp_dir, sets):
+    out = tmp_dir / "sweep"
+    code, entered = run_drawn("sweep", out, sets)
+    assert entered == (code == 0)
+    if code:
+        return
+    with open(out / "results.csv") as f:
+        rows = list(csv.DictReader(f))
+    solvers = next(s for s in sets if s.startswith("solvers=")).split(",")
+    assert len(rows) == 6 * len(solvers)  # 2 m x (2 seeds + a median) each
+    for row in rows:
+        for col in ("final_per_pixel_error", "final_objective", "total_inner_updates"):
+            assert math.isfinite(float(row[col])), (col, row)
+        assert row["alpha_fit"] == "nan" or math.isfinite(float(row["alpha_fit"])), row
+
+
 # The documented non-finite diagnose rows: no rate fit, and the predicted
 # factors whose denominators reach 0.
 DIAGNOSE_NONFINITE = {"fitted_alpha": "nan", "predicted_mismatch_factor": "inf",
@@ -317,17 +354,8 @@ DIAGNOSE_NONFINITE = {"fitted_alpha": "nan", "predicted_mismatch_factor": "inf",
 @given(sets=solve_configs())
 def test_every_accepted_config_diagnoses_to_finite_outputs(tmp_dir, sets):
     out = tmp_dir / "diagnose"
-    raised = []
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(cli, "_usable_cpus", lambda: 1)  # no fork: see every raise
-        mp.setattr(cli, "load_config", recording(cli.load_config, raised))
-        mp.setattr(cli, "cmd_diagnose", recording(cli.cmd_diagnose, raised))
-        code = cli.main(["diagnose", "--out", str(out),
-                         *[a for s in sets for a in ("--set", s)]])
+    code, _ = run_drawn("diagnose", out, sets)
     if code:
-        assert code == 1
-        assert len(raised) == 1 and isinstance(raised[0], cli.ConfigError), raised
         return
     with open(out / "diagnostics.csv") as f:
         for row in csv.DictReader(f):

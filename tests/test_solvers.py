@@ -23,7 +23,7 @@ from genprior import (
 )
 from genprior import objectives, solvers
 from genprior.solvers import _TraceBuilder
-from conftest import identity_generator, planted_linear
+from conftest import identity_generator, planted_linear, relu_unit_net
 
 
 def desk_cfg(seed, x_star=None, eta=0.7, outer=15, inner=200, rate=0.05,
@@ -502,6 +502,18 @@ def test_dpr_stationary_at_planted_latent(desk_net):
     assert trace.objective[0] < 1e-24
     assert trace.objective[-1] < 1e-24
     assert np.max(np.abs(x_hat - x_star)) < 1e-10
+
+
+@pytest.mark.parametrize("solver", [csgm_baseline, dpr_baseline])
+def test_baseline_freezes_an_overflowed_latent(solver):
+    # The projection's rule: from z = 1 (objective 1 against y = 0) the
+    # first step overflows to z = -inf, where G = relu(z) = 0 would fit y
+    # exactly.  The step is refused, so the latent stays at its start.
+    x_hat, trace = solver(np.zeros(1), np.eye(1), relu_unit_net(), steps=3,
+                          rate=1e308, rng=RngStream(0), z0=np.ones(1))
+    assert np.array_equal(trace.z_hat, [1.0])
+    assert np.array_equal(x_hat, [1.0])
+    assert np.array_equal(trace.objective, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_dpr_rejects_negative_observations(desk_net):

@@ -41,8 +41,8 @@ def main():
         print(f"{t:3d} {trace.objective[t]:12.4e} "
               f"{trace.per_pixel_error[t]:14.4e} {trace.proj_residual[t]:14.4e}")
 
-    fit = gp.convergence_rate(trace, 1e-8)
-    print(f"\nfitted per-iteration objective factor: {fit.alpha_fit:.3f}")
+    alpha_fit = gp.convergence_rate(trace, 1e-8)
+    print(f"\nfitted per-iteration objective factor: {alpha_fit:.3f}")
 
     # Head-to-head on the same 3000-update budget.  Individual seeds are
     # noisy either way (latent descent sometimes gets lucky, sometimes

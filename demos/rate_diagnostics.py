@@ -48,8 +48,8 @@ def main():
         projection=gp.ProjectionConfig(inner_steps=T_IN, inner_rate=ETA_IN),
         seed=SEED, ground_truth=x_star)
     _, trace = gp.pgd_linear(y, a, net, cfg)
-    fit = gp.convergence_rate(trace, 1e-8)
-    print(f"fitted factor over F > 1e-8: {fit.alpha_fit:.3f} "
+    alpha_fit = gp.convergence_rate(trace, 1e-8)
+    print(f"fitted factor over F > 1e-8: {alpha_fit:.3f} "
           f"(final per-pixel error {trace.final_per_pixel_error:.2e})")
 
     obj = gp.Objective(gp.MeasurementModel(matrix=a, link="linear"), y)

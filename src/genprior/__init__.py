@@ -23,18 +23,8 @@ from .generator import (
     save_weights,
 )
 from .measurement import MeasurementModel, Observation, observe, observe_noisy
-from .objectives import (
-    GRADIENT_SCALE,
-    Objective,
-    gradient,
-    sign_pm,
-    value,
-)
-from .projection import (
-    ProjectionConfig,
-    ProjectionResult,
-    project,
-)
+from .objectives import GRADIENT_SCALE, Objective
+from .projection import ProjectionConfig, ProjectionResult
 from .solvers import (
     SolveTrace,
     SolverConfig,
@@ -45,10 +35,8 @@ from .solvers import (
     pgd_linear,
     phase_init,
     phase_pgd,
-    thresh_in_basis,
 )
 from .diagnostics import (
-    RateFit,
     RscRssEstimate,
     SrecEstimate,
     WindowReport,

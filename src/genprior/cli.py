@@ -507,7 +507,7 @@ def _run_group(cfg, net, basis, solver, cells):
     rows = []
     for (m, seed, _, eta), trace in zip(cells, traces):
         try:
-            alpha_fit = diag.convergence_rate(trace, RATE_FLOOR).alpha_fit
+            alpha_fit = diag.convergence_rate(trace, RATE_FLOOR)
         except ValueError:
             alpha_fit = float("nan")
         rows.append({

@@ -26,7 +26,6 @@ from .objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 __all__ = [
     "SrecEstimate",
     "RscRssEstimate",
-    "RateFit",
     "WindowReport",
     "empirical_srec",
     "rsc_rss_estimate",
@@ -67,34 +66,12 @@ class RscRssEstimate:
 
 
 @dataclass(frozen=True)
-class RateFit:
-    """Least-squares contraction factor of an objective trace.
-
-    alpha_fit = exp(slope of log F versus iteration), fitted only over
-    iterations with F above the floor; delta_fit is the smallest objective
-    seen in the trace (clamped at 0), the empirical convergence floor.
-    """
-
-    alpha_fit: float
-    delta_fit: float
-    iterations_used: int
-    fit_residual: float
-
-
-@dataclass(frozen=True)
 class WindowReport:
     """Step-size window check against sampled restricted constants."""
 
-    eta: float
-    gamma: float
-    rho: float
     in_window: bool          # 1/(2 gamma) < eta < 1/gamma
     predicted_factor: float  # 1/(eta gamma) - 1; inf when eta gamma underflows
     rho_sq_ok: bool          # rho^2 < 1/eta
-
-    @property
-    def passed(self):
-        return self.in_window and self.rho_sq_ok
 
 
 def _range_pairs(net, count, rng):
@@ -162,12 +139,12 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
 
 
 def convergence_rate(trace, floor):
-    """Fit F_{t+1} ~= alpha * F_t on the log scale, above the given floor.
-
-    Accepts a SolveTrace or a plain 1-D array of objective values.  Raises
-    if fewer than 3 records sit above the floor.
+    """Fit F_{t+1} ~= alpha * F_t on the log scale to a SolveTrace's
+    objective records above the given floor, and return alpha =
+    exp(slope of log F versus iteration).  Raises if fewer than 3 records
+    sit above the floor.
     """
-    f = np.asarray(getattr(trace, "objective", trace), dtype=np.float64)
+    f = trace.objective
     if floor < 0:
         raise ValueError("floor must be nonnegative")
     t = np.arange(f.shape[0], dtype=np.float64)
@@ -177,15 +154,8 @@ def convergence_rate(trace, floor):
         raise ValueError(
             f"need at least 3 records above the floor, got {used}"
         )
-    logf = np.log(f[mask])
-    slope, intercept = np.polyfit(t[mask], logf, 1)
-    resid = logf - (slope * t[mask] + intercept)
-    return RateFit(
-        alpha_fit=float(np.exp(slope)),
-        delta_fit=float(max(np.min(f), 0.0)),
-        iterations_used=used,
-        fit_residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    slope, _ = np.polyfit(t[mask], np.log(f[mask]), 1)
+    return float(np.exp(slope))
 
 
 def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
@@ -237,14 +207,11 @@ def step_size_window_check(srec, eta):
     """
     if srec.gamma <= 0:
         raise ValueError("window check needs gamma > 0")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     lo, hi = 1.0 / (2.0 * srec.gamma), 1.0 / srec.gamma
     eta_gamma = eta * srec.gamma
     return WindowReport(
-        eta=float(eta),
-        gamma=srec.gamma,
-        rho=srec.rho,
         in_window=bool(lo < eta < hi),
         predicted_factor=float(1.0 / eta_gamma - 1.0) if eta_gamma else float("inf"),
         rho_sq_ok=bool(srec.rho**2 < 1.0 / eta),

@@ -1,12 +1,12 @@
 """Loss functions with analytic gradients, one per forward model.
 
 Every loss is a function of the measurements u = Ax and is written once,
-in ``_loss_terms``, which returns the loss F and its cotangent c.  F
-denotes the reported ``value``; the gradient is the exact gradient of
-``scale * F`` where ``scale`` comes from :data:`GRADIENT_SCALE`, and equals
-A.T c, divided by m for the averaged sigmoid loss:
+in ``_loss_terms``, which returns the loss F and its cotangent c.  The
+solvers step along ``_adjoint`` of c, A.T c (divided by m for the averaged
+sigmoid loss), which is the exact gradient of ``scale * F`` where ``scale``
+comes from :data:`GRADIENT_SCALE`:
 
-    kind             value F                                 gradient            scale
+    kind             loss F                                  gradient            scale
     squared          ||y - Ax||^2                            A.T (Ax - y)        1/2
     sim_sigmoid      (1/m) sum softplus(a_i.x) - y_i a_i.x   (1/m) A.T (sigmoid(Ax) - y)   1
     sinusoid_l2      ||y - (Ax + sin Ax)||^2                 A.T [(1+cos Ax) * (Ax + sin Ax - y)]  1/2
@@ -21,11 +21,11 @@ objective kind.  Its subgradient of |u| at u = 0 is 0 (numpy's sign),
 where ``phase_corrected`` with p = sign_pm(Ax) takes +1.
 
 Dropping the factor 2 from the squared-family gradients makes the plain
-descent step ``x - eta * gradient(x)`` equal to ``x + eta A.T (y - Ax)``,
-so the published step sizes (eta = 0.5 linear, 0.9 phase) apply verbatim;
-the constant is absorbed into eta.  Anything that needs the mathematically
-paired gradient of F itself (finite-difference checks, curvature
-estimates, the latent baselines) divides by ``scale``.
+descent step ``x - eta * A.T c`` equal to ``x + eta A.T (y - Ax)``, so the
+published step sizes (eta = 0.5 linear, 0.9 phase) apply verbatim; the
+constant is absorbed into eta.  Anything that needs the mathematically
+paired gradient of F itself (curvature estimates, the latent baselines)
+divides by ``scale``.
 
 softplus is evaluated as log(1 + e^u) in the overflow-safe form
 max(u, 0) + log1p(e^{-|u|}) via ``numpy.logaddexp``.
@@ -42,14 +42,10 @@ from .numerics import as_vector
 
 __all__ = [
     "GRADIENT_SCALE",
-    "KIND_FOR_LINK",
     "Objective",
-    "value",
-    "gradient",
-    "sign_pm",
 ]
 
-# gradient == grad of (scale * value); see module docstring.
+# The solvers' gradient is the gradient of (scale * F); see module docstring.
 GRADIENT_SCALE = {
     "squared": 0.5,
     "sim_sigmoid": 1.0,
@@ -148,26 +144,3 @@ def _adjoint(kind, a, c):
     averaged sigmoid loss), with every row's bits of its own A.T @ c."""
     g = _apply(a.mT, c)
     return g / a.shape[-2] if kind == "sim_sigmoid" else g
-
-
-def _measurements(obj, x):
-    x = as_vector(x, "x")
-    if x.shape[0] != obj.model.signal_dim:
-        raise ValueError(
-            f"x length {x.shape[0]} does not match model n={obj.model.signal_dim}"
-        )
-    return obj.model.matrix @ x
-
-
-def value(obj, x):
-    """Scalar loss F(x); see the module docstring for each kind's formula."""
-    f, _ = _loss_terms(obj.kind, _measurements(obj, x), obj.y, obj.phase)
-    return float(f)
-
-
-def gradient(obj, x):
-    """Gradient of scale*F; the step x - eta*gradient matches the solvers'
-    published update rules."""
-    _, c = _loss_terms(obj.kind, _measurements(obj, x), obj.y, obj.phase)
-    return _adjoint(obj.kind, obj.model.matrix, c)
-

@@ -7,10 +7,14 @@ The achieved squared distance is reported as ``residual`` so callers can
 audit how close to an exact projection the oracle got; there is no
 certified approximation guarantee for nonconvex generators.
 
-Block shape: a lockstep group of S cells with R restarts each (``project``
-is one cell; a sweep solver steps all its cells) projects as one (S, R, k)
+Restart 0 starts from the solvers' warm latent or from cfg.init, every
+other restart from its own N(0, I_k) draw; ties in residual go to the
+lowest restart, then to the earliest iterate.
+
+Block shape: a lockstep group of S cells with R restarts each (a solve is
+one cell; a sweep solver steps all its cells) projects as one (S, R, k)
 latent block, never (S * R, k): the stacked layer products give every cell
-the bits of its own ``project`` call, where one 2-D product over the rows
+the bits of its own one-cell block, where one 2-D product over the rows
 would not.  The one exception is S = R = 1, a default solve's projection,
 which steps its latent as a vector (k,), with the same bits and less
 per-call cost.
@@ -23,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import _descend
-from .numerics import as_vector
 
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
-    "project",
 ]
 
 INIT_MODES = ("zero", "random")
@@ -131,31 +133,3 @@ def _project_cells(net, xs, cfg, rngs, warms):
                                         residual=float(best_res[i, r]))
                        if np.isfinite(best_res[i, r]) else None)
     return results
-
-
-def project(net, x, cfg, rng):
-    """Best range point found by ``cfg.restarts`` inner descents.
-
-    Restart 0 starts from cfg.init (zero or a fresh random draw); every
-    further restart starts from an independent N(0, I_k) draw.  The
-    restarts step together as one (1, restarts, k) block (one restart as a
-    vector), one forward and one backward layer sweep per step; each row
-    keeps its own best iterate, and a row steps only while its latent and
-    residual stay finite (it freezes at its last finite step), so ``z_hat``
-    is always finite.  Ties in residual resolve to the lowest restart index,
-    then to the earliest iterate, so the result is deterministic given (rng
-    state, cfg).  Raises ``ValueError`` when no iterate of any restart lies
-    at a finite distance from ``x``.
-    """
-    x = as_vector(x, "x")
-    if x.shape[0] != net.output_dim:
-        raise ValueError(
-            f"x length {x.shape[0]} does not match generator n={net.output_dim}"
-        )
-    (res,) = _project_cells(net, [x], cfg, [rng], [None])
-    if res is None:
-        raise ValueError(
-            "projection found no range point at a finite distance from x "
-            "(x too large, or inner_rate diverges)"
-        )
-    return res

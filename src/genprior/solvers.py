@@ -65,7 +65,6 @@ __all__ = [
     "eps_pgd",
     "phase_pgd",
     "phase_init",
-    "thresh_in_basis",
     "myopic_eps_pgd",
     "csgm_baseline",
     "dpr_baseline",
@@ -340,7 +339,8 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
     """Initial point for phase retrieval.
 
     ``best_of_samples`` draws ``count`` range points from unit-norm latents
-    and keeps the one with the lowest phaseless misfit ||y - |Ax|||^2.
+    and keeps the one with the lowest phaseless misfit ||y - |Ax|||^2; it
+    raises ``ValueError`` when no sample's misfit is finite.
     ``oracle_perturb`` returns x* + delta0*||x*||*u for a uniformly random
     unit direction u; it needs the ground truth and exists for controlled
     local-convergence studies.
@@ -355,18 +355,28 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
         u /= np.linalg.norm(u)
         return x_star + delta0 * np.linalg.norm(x_star) * u
     if strategy == "best_of_samples":
+        count = int(count)
+        if count < 1:
+            raise ValueError("best_of_samples needs count >= 1")
         best_x, best_loss = None, np.inf
-        for _ in range(int(count)):
+        for _ in range(count):
             s = sample_range(net, rng, unit_norm=True)
             loss, _ = _loss_terms("magnitude", a @ s.x, y)
             if loss < best_loss:
                 best_x, best_loss = s.x, loss
+        if best_x is None:
+            raise ValueError("no sampled range point has a finite misfit to y")
         return best_x
     raise ValueError(f"unknown phase_init strategy {strategy!r}")
 
 
 def _thresh(w, b, l):
-    """thresh_in_basis without the argument checks (solver inner loop)."""
+    """Keep the l largest-magnitude coefficients of w in basis B.
+
+    Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
+    the lowest index), and returns B c.  l >= n returns a copy of w.  The
+    arguments are checked once per solve, by ``_check_basis``.
+    """
     n = w.shape[0]
     if l >= n:
         return w.copy()
@@ -387,16 +397,6 @@ def _check_basis(b, n, l):
     if l < 0:
         raise ValueError("sparsity level must be nonnegative")
     return b, l
-
-
-def thresh_in_basis(w, b, l):
-    """Keep the l largest-magnitude coefficients of w in basis B.
-
-    Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
-    the lowest index), and returns B c.  l >= n returns w unchanged.
-    """
-    w = as_vector(w, "w")
-    return _thresh(w, *_check_basis(b, w.shape[0], l))
 
 
 def myopic_eps_pgd(obj, net, b, l, cfg):

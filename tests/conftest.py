@@ -10,6 +10,8 @@ from genprior import (
     gaussian_matrix,
     random_generator,
 )
+from genprior.objectives import _adjoint, _loss_terms
+from genprior.projection import _project_cells
 
 
 @pytest.fixture
@@ -51,6 +53,27 @@ def relu_unit_net():
         Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
         Layer(weights=[[1.0]], bias=[0.0], activation="identity"),
     ))
+
+
+def loss_at(obj, x):
+    """The loss F of an objective at one x, from the loss table."""
+    return float(_loss_terms(obj.kind, obj.model.matrix @ x, obj.y, obj.phase)[0])
+
+
+def gradient_at(obj, x):
+    """The solvers' gradient A.T c of an objective at one x: the exact
+    gradient of GRADIENT_SCALE[kind] * F."""
+    a = obj.model.matrix
+    return _adjoint(obj.kind, a, _loss_terms(obj.kind, a @ x, obj.y, obj.phase)[1])
+
+
+def project_one(net, x, cfg, rng, z0=None):
+    """The projection of x as a block of one cell, restart 0 started at
+    the latent z0 (as the solvers start it from the last outer step) or,
+    when None, from cfg.init; None when no iterate lies at a finite
+    distance from x."""
+    (res,) = _project_cells(net, [x], cfg, [rng], [z0])
+    return res
 
 
 def brute_force_project(net, x, grid_bounds, grid_points_per_dim):

@@ -27,18 +27,15 @@ from genprior import (
     eps_pgd,
     forward,
     gaussian_matrix,
-    gradient,
     myopic_eps_pgd,
     observe,
     pgd_linear,
     phase_init,
-    project,
     random_generator,
-    sign_pm,
     step_size_window_check,
-    value,
 )
 from genprior.cli import main as cli_main
+from genprior.objectives import sign_pm
 from genprior.solvers import (
     _Cell,
     _LatentCell,
@@ -46,7 +43,7 @@ from genprior.solvers import (
     _phase_cell,
     _projected_descent,
 )
-from conftest import brute_force_project
+from conftest import brute_force_project, gradient_at, loss_at, project_one
 
 DESK = dict(k=8, hidden=(64,), n=128, m=64)
 SWEEP_TOY = dict(k=8, hidden=(32, 32), n=128)
@@ -92,14 +89,14 @@ def test_criterion_1_gradient_correctness():
             phase = sign_pm(rng.standard_normal(30)) if kind == "phase_corrected" else None
             obj = Objective(model=model, y=y, phase=phase)
             x = rng.standard_normal(20)
-            analytic = gradient(obj, x)
+            analytic = gradient_at(obj, x)
             scale = GRADIENT_SCALE[kind]
             fd = np.zeros(20)
             for j in range(20):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += 1e-6
                 xm[j] -= 1e-6
-                fd[j] = scale * (value(obj, xp) - value(obj, xm)) / 2e-6
+                fd[j] = scale * (loss_at(obj, xp) - loss_at(obj, xm)) / 2e-6
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, rel)
     report(1, "gradient correctness", worst <= 1e-5,
@@ -120,7 +117,7 @@ def test_criterion_2_projection_oracle():
         rng = RngStream(200 + i)
         x = 0.7 * rng.derive(0).standard_normal(net.output_dim)
         grid = brute_force_project(net, x, (-3.0, 3.0), 201)
-        desc = project(net, x, cfg, rng.derive(1))
+        desc = project_one(net, x, cfg, rng.derive(1))
         worst_gap = max(worst_gap, desc.residual - grid.residual)
     report(2, "projection oracle", worst_gap <= 1e-2,
            f"worst residual gap vs 201x201 grid {worst_gap:.2e} (<= 1e-2, 25 targets)",
@@ -147,10 +144,9 @@ def window_runs():
                                                        inner_rate=0.05),
                            seed=seed, ground_truth=x_star)
         _, trace = pgd_linear(y, a, net, cfg)
-        fit = convergence_rate(trace, 1e-8)
         window = step_size_window_check(srec, eta)
         rows.append(dict(seed=seed, eta=eta, srec=srec, window=window,
-                         alpha_fit=fit.alpha_fit,
+                         alpha_fit=convergence_rate(trace, 1e-8),
                          ppe=trace.final_per_pixel_error,
                          inner=trace.inner_updates))
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
@@ -341,7 +337,7 @@ def test_criterion_7_myopic():
 def test_criterion_8_window_consistency(window_runs):
     t0 = time.perf_counter()
     window_runs = window_runs["rows"]
-    passes = sum(r["window"].passed for r in window_runs)
+    passes = sum(r["window"].in_window and r["window"].rho_sq_ok for r in window_runs)
     med_alpha = float(np.median([r["alpha_fit"] for r in window_runs]))
     med_pred = float(np.median([r["window"].predicted_factor for r in window_runs]))
     ok = passes >= 5 and med_alpha <= med_pred + 0.1

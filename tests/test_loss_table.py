@@ -14,14 +14,11 @@ from genprior import (
     RngStream,
     forward,
     gaussian_matrix,
-    gradient,
     observe,
     rsc_rss_estimate,
-    sign_pm,
-    value,
 )
-from genprior.objectives import KIND_FOR_LINK, _loss_terms
-from conftest import random_net
+from genprior.objectives import KIND_FOR_LINK, _loss_terms, sign_pm
+from conftest import gradient_at, loss_at, random_net
 
 KIND_LINK = {kind: link for link, kind in KIND_FOR_LINK.items()}
 ENTRIES = (*KIND_LINK, "magnitude")
@@ -58,8 +55,8 @@ def test_magnitude_cotangent_is_zero_at_zero():
 
 
 def reference_rsc_rss(obj, net, num_pairs, rng):
-    """The per-pair loop the batched probe replaced, written against the
-    public value and gradient."""
+    """The per-pair loop the batched probe replaced, one loss and one
+    gradient per point."""
     zs = rng.standard_normal((2 * num_pairs, net.latent_dim))
     pts = forward(net, zs)
     qs = []
@@ -68,8 +65,8 @@ def reference_rsc_rss(obj, net, num_pairs, rng):
         nd2 = float(d @ d)
         if nd2 <= 1e-18:
             continue
-        true_grad = gradient(obj, x) / GRADIENT_SCALE[obj.kind]
-        bregman = value(obj, xp) - value(obj, x) - float(true_grad @ d)
+        true_grad = gradient_at(obj, x) / GRADIENT_SCALE[obj.kind]
+        bregman = loss_at(obj, xp) - loss_at(obj, x) - float(true_grad @ d)
         qs.append(2.0 * bregman / nd2)
     return float(np.min(qs)), float(np.max(qs)), len(qs)
 

@@ -1,8 +1,9 @@
 """Losses: closed-form spot checks, the finite-difference oracle, and the
 phase-rebinding algebra (a phase_corrected objective without a phase
-re-binds p = sign_pm(Ax) at every evaluation).
+re-binds p = sign_pm(Ax) at every evaluation), through the loss table's
+kernels ``_loss_terms`` and ``_adjoint``.
 
-The finite-difference oracle differences the potential scale*value that
+The finite-difference oracle differences the potential scale*F that
 each kind's gradient is the exact gradient of (scale = 1/2 for the
 squared-family kinds, 1 for the averaged sigmoid loss; the factor is
 absorbed into the solvers' step sizes).
@@ -18,11 +19,10 @@ from genprior import (
     MeasurementModel,
     Objective,
     RngStream,
-    gradient,
     observe,
-    sign_pm,
-    value,
 )
+from genprior.objectives import sign_pm
+from conftest import gradient_at, loss_at
 
 KIND_LINK = {
     "squared": "linear",
@@ -50,7 +50,7 @@ def fd_gradient(obj, x, h=1e-6):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        g[j] = scale * (value(obj, xp) - value(obj, xm)) / (2 * h)
+        g[j] = scale * (loss_at(obj, xp) - loss_at(obj, xm)) / (2 * h)
     return g
 
 
@@ -60,8 +60,8 @@ def test_squared_zero_at_exact_fit():
     x = rng.standard_normal(4)
     model = MeasurementModel(matrix=a, link="linear")
     obj = Objective(model=model, y=a @ x)
-    assert value(obj, x) == 0.0
-    assert np.max(np.abs(gradient(obj, x))) < 1e-12
+    assert loss_at(obj, x) == 0.0
+    assert np.max(np.abs(gradient_at(obj, x))) < 1e-12
 
 
 def test_sim_sigmoid_closed_form_at_origin():
@@ -69,13 +69,13 @@ def test_sim_sigmoid_closed_form_at_origin():
     model = MeasurementModel(matrix=RngStream(2).standard_normal((5, 3)),
                              link="sigmoid")
     obj = Objective(model=model, y=np.full(5, 0.5))
-    assert abs(value(obj, np.zeros(3)) - np.log(2.0)) < 1e-15
+    assert abs(loss_at(obj, np.zeros(3)) - np.log(2.0)) < 1e-15
 
 
 def test_sim_sigmoid_zero_gradient_when_centered():
     model = MeasurementModel(matrix=np.zeros((4, 3)), link="sigmoid")
     obj = Objective(model=model, y=np.full(4, 0.5))
-    assert np.max(np.abs(gradient(obj, np.ones(3)))) == 0.0
+    assert np.max(np.abs(gradient_at(obj, np.ones(3)))) == 0.0
 
 
 def test_phase_corrected_zero_at_truth():
@@ -85,7 +85,7 @@ def test_phase_corrected_zero_at_truth():
     y = np.abs(a @ x_star)
     obj = Objective(model=MeasurementModel(matrix=a, link="magnitude"),
                     y=y, phase=sign_pm(a @ x_star))
-    assert value(obj, x_star) < 1e-24
+    assert loss_at(obj, x_star) < 1e-24
 
 
 def test_kind_link_compatibility_enforced():
@@ -109,7 +109,7 @@ def test_gradient_matches_finite_differences(kind):
     for trial in range(20):
         obj = make_objective(kind, m=30, n=20, rng=rng)
         x = rng.standard_normal(20)
-        analytic = gradient(obj, x)
+        analytic = gradient_at(obj, x)
         fd = fd_gradient(obj, x)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(analytic - fd) / denom <= 1e-5
@@ -125,10 +125,10 @@ def test_rebind_same_phase_is_identity():
     for _ in range(5):
         x = rng.standard_normal(4)
         bound = replace(pinned, phase=sign_pm(a @ x))
-        assert value(free, x) == value(bound, x)
-        assert np.array_equal(gradient(free, x), gradient(bound, x))
+        assert loss_at(free, x) == loss_at(bound, x)
+        assert np.array_equal(gradient_at(free, x), gradient_at(bound, x))
         misfit = np.sum((free.y - np.abs(a @ x)) ** 2)
-        assert abs(value(free, x) - misfit) <= 1e-12 * max(1.0, misfit)
+        assert abs(loss_at(free, x) - misfit) <= 1e-12 * max(1.0, misfit)
 
 
 def test_rebind_true_phase_zeroes_loss_at_truth():
@@ -138,9 +138,9 @@ def test_rebind_true_phase_zeroes_loss_at_truth():
     y = np.abs(a @ x_star)
     model = MeasurementModel(matrix=a, link="magnitude")
     pinned = Objective(model=model, y=y, phase=np.ones(9))
-    assert value(pinned, x_star) > 1e-6
+    assert loss_at(pinned, x_star) > 1e-6
     # Re-bound at the truth, the phase is the true one.
-    assert value(Objective(model=model, y=y), x_star) < 1e-24
+    assert loss_at(Objective(model=model, y=y), x_star) < 1e-24
 
 
 def test_single_phase_flip_changes_value_by_closed_form():
@@ -149,12 +149,12 @@ def test_single_phase_flip_changes_value_by_closed_form():
     rng = RngStream(7)
     obj = make_objective("phase_corrected", 10, 6, rng)
     x = rng.standard_normal(6)
-    base = value(obj, x)
+    base = loss_at(obj, x)
     u = obj.model.matrix @ x
     for i in range(10):
         p_new = obj.phase.copy()
         p_new[i] = -p_new[i]
-        delta = value(replace(obj, phase=p_new), x) - base
+        delta = loss_at(replace(obj, phase=p_new), x) - base
         expected = 4.0 * obj.y[i] * obj.phase[i] * u[i]
         assert abs(delta - expected) < 1e-10 * max(1.0, abs(expected))
 
@@ -170,7 +170,7 @@ def test_nonnegative_values_for_l2_kinds():
     for kind in ("squared", "sinusoid_l2", "phase_corrected"):
         obj = make_objective(kind, 8, 5, rng)
         for _ in range(10):
-            assert value(obj, rng.standard_normal(5)) >= 0.0
+            assert loss_at(obj, rng.standard_normal(5)) >= 0.0
 
 
 def test_sim_sigmoid_bounded_below_and_midpoint_convex():
@@ -179,14 +179,14 @@ def test_sim_sigmoid_bounded_below_and_midpoint_convex():
     rng = RngStream(10)
     obj = make_objective("sim_sigmoid", 12, 2, rng)
     grid = np.linspace(-8.0, 8.0, 161)
-    vals = np.array([[value(obj, np.array([u, v])) for v in grid] for u in grid])
+    vals = np.array([[loss_at(obj, np.array([u, v])) for v in grid] for u in grid])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     assert 0 < i < 160 and 0 < j < 160
     for _ in range(20):
         a = rng.standard_normal(2) * 4
         b = rng.standard_normal(2) * 4
-        mid = value(obj, (a + b) / 2)
-        assert mid <= (value(obj, a) + value(obj, b)) / 2 + 1e-12
+        mid = loss_at(obj, (a + b) / 2)
+        assert mid <= (loss_at(obj, a) + loss_at(obj, b)) / 2 + 1e-12
 
 
 def test_linear_truth_is_gradient_fixed_point():
@@ -195,5 +195,5 @@ def test_linear_truth_is_gradient_fixed_point():
     x_star = rng.standard_normal(4)
     obj = Objective(model=MeasurementModel(matrix=a, link="linear"),
                     y=a @ x_star)
-    step = x_star - 0.5 * gradient(obj, x_star)
+    step = x_star - 0.5 * gradient_at(obj, x_star)
     assert np.max(np.abs(step - x_star)) < 1e-12

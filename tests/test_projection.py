@@ -7,20 +7,11 @@ from genprior import (
     ProjectionConfig,
     RngStream,
     forward,
-    project,
     random_generator,
     sample_range,
 )
-from genprior.projection import _project_cells
-from conftest import (brute_force_project, identity_generator, random_net,
-                      relu_unit_net)
-
-
-def project_from(net, x, cfg, z0, rng=None):
-    """The projection of x with restart 0 started at the latent z0, as the
-    solvers start it from the previous outer step's latent."""
-    (res,) = _project_cells(net, [x], cfg, [rng or RngStream(0)], [z0])
-    return res
+from conftest import (brute_force_project, identity_generator, project_one,
+                      random_net, relu_unit_net)
 
 
 def test_warm_start_on_range_point_is_exact():
@@ -28,7 +19,7 @@ def test_warm_start_on_range_point_is_exact():
     z0 = RngStream(2).standard_normal(net.latent_dim)
     x = forward(net, z0)
     cfg = ProjectionConfig(inner_steps=5, inner_rate=0.01)
-    res = project_from(net, x, cfg, z0, RngStream(3))
+    res = project_one(net, x, cfg, RngStream(3), z0)
     assert res.residual == 0.0
     assert np.array_equal(res.x_proj, x)
 
@@ -38,7 +29,7 @@ def test_identity_generator_one_exact_step():
     net = identity_generator(6)
     x = RngStream(4).standard_normal(6)
     cfg = ProjectionConfig(inner_steps=1, inner_rate=0.5, init="zero")
-    res = project(net, x, cfg, RngStream(5))
+    res = project_one(net, x, cfg, RngStream(5))
     assert np.max(np.abs(res.x_proj - x)) < 1e-15
     assert res.residual < 1e-28
 
@@ -52,7 +43,7 @@ def test_project_beats_grid_oracle(toy2_net):
         rng = RngStream(200 + i)
         x = 0.7 * rng.derive(0).standard_normal(toy2_net.output_dim)
         bees = brute_force_project(toy2_net, x, (-3.0, 3.0), 201)
-        res = project(toy2_net, x, cfg, rng.derive(1))
+        res = project_one(toy2_net, x, cfg, rng.derive(1))
         assert res.residual <= bees.residual + 1e-2
 
 
@@ -87,7 +78,7 @@ def test_best_seen_no_worse_than_init():
         x = rng.standard_normal(16)
         z0 = rng.standard_normal(3)
         cfg = ProjectionConfig(inner_steps=40, inner_rate=5.0)
-        res = project_from(net, x, cfg, z0, RngStream(100 + i))
+        res = project_one(net, x, cfg, RngStream(100 + i), z0)
         init_res = float(np.sum((x - forward(net, z0)) ** 2))
         assert res.residual <= init_res + 1e-12
 
@@ -100,7 +91,7 @@ def test_near_idempotence_on_range_points(desk_net):
     worst = 0.0
     for i in range(20):
         s = sample_range(desk_net, RngStream(50 + i))
-        res = project(desk_net, s.x, cfg, RngStream(1000 + i))
+        res = project_one(desk_net, s.x, cfg, RngStream(1000 + i))
         worst = max(worst, res.residual)
     assert worst <= 1e-4
 
@@ -109,8 +100,8 @@ def test_project_deterministic_given_seed(desk_net):
     x = RngStream(60).standard_normal(desk_net.output_dim)
     cfg = ProjectionConfig(inner_steps=50, inner_rate=0.05, restarts=3,
                            init="random")
-    r1 = project(desk_net, x, cfg, RngStream(61))
-    r2 = project(desk_net, x, cfg, RngStream(61))
+    r1 = project_one(desk_net, x, cfg, RngStream(61))
+    r2 = project_one(desk_net, x, cfg, RngStream(61))
     assert np.array_equal(r1.z_hat, r2.z_hat)
     assert r1.residual == r2.residual
 
@@ -118,19 +109,18 @@ def test_project_deterministic_given_seed(desk_net):
 def test_result_consistency_fields(desk_net):
     x = RngStream(62).standard_normal(desk_net.output_dim)
     cfg = ProjectionConfig(inner_steps=30, inner_rate=0.05)
-    res = project(desk_net, x, cfg, RngStream(63))
+    res = project_one(desk_net, x, cfg, RngStream(63))
     assert np.array_equal(res.x_proj, forward(desk_net, res.z_hat))
     d = x - res.x_proj
     assert res.residual == pytest.approx(float(d @ d), rel=1e-12)
 
 
-def test_project_raises_when_no_finite_range_point(desk_net):
+def test_project_returns_none_when_no_finite_range_point(desk_net):
     # Every range point is ~1e300 away: the squared distance overflows for
     # every iterate of every restart, so there is nothing to return.
     x = 1e300 * np.ones(desk_net.output_dim)
     cfg = ProjectionConfig(inner_steps=5, inner_rate=0.05, restarts=2)
-    with pytest.raises(ValueError, match="no range point"):
-        project(desk_net, x, cfg, RngStream(64))
+    assert project_one(desk_net, x, cfg, RngStream(64)) is None
 
 
 def test_dead_restart_never_counts_again():
@@ -146,7 +136,7 @@ def test_dead_restart_never_counts_again():
     cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0, restarts=2)
     start = RngStream(0).standard_normal((1, 1))[0]
     assert start[0] < 0.0
-    res = project_from(net, np.array([1.0]), cfg, np.array([1e9]))
+    res = project_one(net, np.array([1.0]), cfg, RngStream(0), np.array([1e9]))
     assert np.array_equal(res.z_hat, start)
     assert res.residual == 1.0
 
@@ -156,8 +146,8 @@ def test_overflowed_latent_is_never_returned():
     # to G = 0 at residual 1.  The start itself lies at an infinite distance,
     # so no iterate with a finite latent is left to return.
     cfg = ProjectionConfig(inner_steps=3, inner_rate=1.0)
-    assert project_from(relu_unit_net(), np.array([1.0]), cfg,
-                        np.array([1e308])) is None
+    assert project_one(relu_unit_net(), np.array([1.0]), cfg, RngStream(0),
+                       np.array([1e308])) is None
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
@@ -168,7 +158,8 @@ def test_overflowed_latent_row_is_dead(restarts):
     # beside restart 1 (a negative start, also at G = 0) the finite latent
     # of restart 1 wins.
     cfg = ProjectionConfig(inner_steps=3, inner_rate=1e308, restarts=restarts)
-    res = project_from(relu_unit_net(), np.array([0.0]), cfg, np.array([1.0]))
+    res = project_one(relu_unit_net(), np.array([0.0]), cfg, RngStream(0),
+                      np.array([1.0]))
     assert np.all(np.isfinite(res.z_hat))
     if restarts == 1:
         assert res.z_hat[0] == 1.0 and res.residual == 1.0

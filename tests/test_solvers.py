@@ -18,11 +18,10 @@ from genprior import (
     phase_init,
     phase_pgd,
     sample_range,
-    sign_pm,
-    thresh_in_basis,
 )
 from genprior import objectives, solvers
-from genprior.solvers import _TraceBuilder
+from genprior.objectives import sign_pm
+from genprior.solvers import _TraceBuilder, _check_basis, _thresh
 from conftest import identity_generator, planted_linear, relu_unit_net
 
 
@@ -333,6 +332,16 @@ def test_phase_init_oracle_requires_truth(desk_net):
                    delta0=0.1)
 
 
+@pytest.mark.parametrize("scale, count, match", [
+    (1.0, 0, "count >= 1"), (1e300, 3, "finite misfit")])
+def test_phase_init_raises_without_a_finite_sample(desk_net, scale, count, match):
+    # It returned None here (no sample, or every misfit overflowed), and
+    # phase_pgd then failed with "x0 must be 1-D".
+    _, a, y = phase_instance(desk_net, 32, seed=12)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+        phase_init(y, scale * a, desk_net, RngStream(12), count=count)
+
+
 def test_phase_init_single_sample_matches_sample_range(desk_net):
     x_star, a, y = phase_instance(desk_net, 32, seed=12)
     x0 = phase_init(y, a, desk_net, RngStream(12), strategy="best_of_samples",
@@ -361,34 +370,39 @@ def test_phase_init_many_samples_beat_median_single(desk_net):
     assert wins == 10
 
 
-# --- thresh_in_basis ----------------------------------------------------
+# --- hard thresholding in a basis ---------------------------------------
+
+
+def thresh(w, b, l):
+    """The myopic solver's threshold, with the checks it makes once per solve."""
+    return _thresh(w, *_check_basis(b, w.shape[0], l))
 
 
 def test_thresh_identity_basis_keeps_largest():
-    out = thresh_in_basis(np.array([3.0, -5.0, 1.0]), np.eye(3), 1)
+    out = thresh(np.array([3.0, -5.0, 1.0]), np.eye(3), 1)
     assert np.array_equal(out, np.array([0.0, -5.0, 0.0]))
 
 
 def test_thresh_full_sparsity_returns_unchanged():
     w = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(thresh_in_basis(w, np.eye(3), 3), w)
-    assert np.array_equal(thresh_in_basis(w, np.eye(3), 7), w)
+    assert np.array_equal(thresh(w, np.eye(3), 3), w)
+    assert np.array_equal(thresh(w, np.eye(3), 7), w)
 
 
 def test_thresh_tie_breaks_toward_lowest_index():
-    out = thresh_in_basis(np.array([2.0, -2.0]), np.eye(2), 1)
+    out = thresh(np.array([2.0, -2.0]), np.eye(2), 1)
     assert np.array_equal(out, np.array([2.0, 0.0]))
 
 
 def test_thresh_zero_sparsity_is_zero():
-    assert np.array_equal(thresh_in_basis(np.ones(4), np.eye(4), 0), np.zeros(4))
+    assert np.array_equal(thresh(np.ones(4), np.eye(4), 0), np.zeros(4))
 
 
 def test_thresh_rejects_non_orthonormal():
     b = np.eye(3)
     b[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        thresh_in_basis(np.ones(3), b, 1)
+        thresh(np.ones(3), b, 1)
 
 
 def test_thresh_sparsity_bound_in_rotated_basis():
@@ -396,7 +410,7 @@ def test_thresh_sparsity_bound_in_rotated_basis():
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     b = q * np.sign(np.diag(r))
     for l in range(9):
-        out = thresh_in_basis(rng.standard_normal(8), b, l)
+        out = thresh(rng.standard_normal(8), b, l)
         coeffs = b.T @ out
         assert np.sum(np.abs(coeffs) > 1e-10) <= l
 

@@ -13,13 +13,11 @@ from .numerics import RngStream, gaussian_matrix
 from .generator import (
     GeneratorNet,
     Layer,
-    RangeSample,
     estimate_diameter,
     forward,
     latent_gradient,
     load_weights,
     random_generator,
-    sample_range,
     save_weights,
 )
 from .measurement import MeasurementModel, Observation, observe, observe_noisy

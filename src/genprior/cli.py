@@ -99,14 +99,7 @@ PROBLEM_LINK = {
     "mismatch": "linear",
 }
 
-DEFAULT_SOLVER = {
-    "linear": "pgd",
-    "sinusoid": "eps_pgd",
-    "sigmoid": "eps_pgd",
-    "phase": "phase_pgd",
-    "mismatch": "myopic",
-}
-
+# The solvers each problem accepts; the first is its default.
 SOLVERS_FOR_PROBLEM = {
     "linear": ("pgd", "eps_pgd", "csgm"),
     "sinusoid": ("eps_pgd",),
@@ -188,7 +181,6 @@ class ExperimentConfig:
     inner_steps: int = _key(200, low=1)
     inner_rate: float = _key(0.01, low=0, strict=True)
     restarts: int = _key(1, low=1)
-    proj_init: str = _key("random", choices=("zero", "random"))
     seed: int = _key(0, low=0)
     seeds: tuple = _key((), _parse_int_list, low=0, unique=True)
     unit_norm_latent: bool = _key(False, _parse_bool)
@@ -210,11 +202,14 @@ class ExperimentConfig:
     workers: int = _key(1, low=1)  # unused: a sweep shards over the usable CPUs
 
     def solver_list(self):
-        if self.solvers:
-            return self.solvers
-        if self.solver:
-            return (self.solver,)
-        return (DEFAULT_SOLVER[self.problem],)
+        """The solvers a sweep runs: ``solvers``, else ``solver``, else the
+        problem's default."""
+        return self.solvers or (self.solver or SOLVERS_FOR_PROBLEM[self.problem][0],)
+
+    def single_solver(self):
+        """The solver ``solve`` and ``diagnose`` run: ``solver``, else the
+        first of ``solver_list()`` (as they read ``m`` over ``m_list``)."""
+        return self.solver or self.solver_list()[0]
 
     def eta_value(self):
         """Configured step size; problem-dependent default when unset."""
@@ -246,7 +241,7 @@ _CROSS_RULES = (
                if c.problem == "phase" and c.noise_std > 0 else None),
     lambda c: next((f"solver {s!r} does not apply to problem {c.problem!r} "
                     f"(choose from {SOLVERS_FOR_PROBLEM[c.problem]})"
-                    for s in c.solver_list()
+                    for s in (c.single_solver(), *c.solver_list())
                     if s not in SOLVERS_FOR_PROBLEM[c.problem]), None),
 )
 
@@ -349,7 +344,7 @@ def check_signal_length(cfg, n):
     if cfg.problem == "mismatch" and cfg.sparsity > n:
         raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
                           f"({n}) for problem 'mismatch'")
-    if cfg.matrix_kind == "orthonormal" and max(cfg.m_values()) > n:
+    if cfg.matrix_kind == "orthonormal" and max((cfg.m, *cfg.m_list)) > n:
         raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
 
 
@@ -427,11 +422,12 @@ def build_instance(cfg, net, m, seed, basis=None):
         y = observe(model, x_star)
     if not np.isfinite(HEADROOM * (y @ y)):
         raise _not_finite(f"y at m={m}, seed {seed}", keys)
-    if ("phase_pgd" in cfg.solver_list() and cfg.phase_init_strategy == "oracle_perturb"
+    if ("phase_pgd" in (cfg.single_solver(), *cfg.solver_list())
+            and cfg.phase_init_strategy == "oracle_perturb"
             and not np.isfinite((cfg.phase_delta0 * np.linalg.norm(x_star)) ** 2)):
         raise _not_finite(f"the oracle phase start's distance from x* at seed {seed}",
                           ["phase_delta0"])
-    return Observation(y=y, model=model, x_star=x_star, z_star=z_star)
+    return Observation(y=y, model=model, x_star=x_star)
 
 
 def _diagnostic_objective(model, y):
@@ -477,7 +473,7 @@ def _solve_group(cfg, net, basis, solver, cells):
                         x_star=o.x_star)
             for _, seed, o, _ in cells])
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
-                            restarts=cfg.restarts, init=cfg.proj_init)
+                            restarts=cfg.restarts)
     if solver == "phase_pgd":
         group = [_phase_cell(o.y, o.model.matrix, net,
                              phase_init(o.y, o.model.matrix, net,
@@ -600,7 +596,7 @@ def cmd_solve(cfg):
     basis = _command_basis(cfg, net)
     obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
-    (row,) = _run_group(cfg, net, basis, cfg.solver_list()[0], [cell])
+    (row,) = _run_group(cfg, net, basis, cfg.single_solver(), [cell])
     trace = row["trace"]
     trace_path = out / "trace.csv"
     write_trace_csv(trace_path, trace)
@@ -773,7 +769,7 @@ def cmd_diagnose(cfg):
 
     def solve():
         cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
-        (row,) = _run_group(cfg, net, basis, cfg.solver_list()[0], [cell])
+        (row,) = _run_group(cfg, net, basis, cfg.single_solver(), [cell])
         return {k: row[k] for k in ("eta", "solver", "alpha_fit",
                                     "final_per_pixel_error")}
 

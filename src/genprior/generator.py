@@ -34,10 +34,8 @@ from .numerics import as_matrix, as_vector
 __all__ = [
     "Layer",
     "GeneratorNet",
-    "RangeSample",
     "forward",
     "latent_gradient",
-    "sample_range",
     "random_generator",
     "save_weights",
     "load_weights",
@@ -111,14 +109,6 @@ class GeneratorNet:
     @property
     def depth(self):
         return len(self.layers)
-
-
-@dataclass(frozen=True)
-class RangeSample:
-    """A latent draw together with its image under the generator."""
-
-    z: np.ndarray
-    x: np.ndarray
 
 
 def _apply_activation(name, u):
@@ -237,16 +227,6 @@ def latent_gradient(net, z, cotangent):
             f"and output dim {net.output_dim}"
         )
     return _backward(net, _forward_cached(net, z)[1], g)
-
-
-def sample_range(net, rng, unit_norm=False):
-    """Draw z ~ N(0, I_k), optionally rescale it to unit norm, return (z, G(z))."""
-    z = rng.standard_normal(net.latent_dim)
-    if unit_norm:
-        nz = np.linalg.norm(z)
-        if nz > 0:
-            z = z / nz
-    return RangeSample(z=z, x=forward(net, z))
 
 
 def random_generator(k, hidden_dims, n, activation, rng, weight_scale=1.0,

@@ -48,14 +48,13 @@ class MeasurementModel:
 class Observation:
     """Measurements plus the model that produced them.
 
-    For synthetic instances the planted ground truth (x_star, and z_star
-    when the target is in range) rides along so traces can report errors.
+    For synthetic instances the planted ground truth x_star rides along
+    so traces can report errors.
     """
 
     y: np.ndarray
     model: MeasurementModel
     x_star: np.ndarray | None = None
-    z_star: np.ndarray | None = None
 
 
 def _sigmoid(u):

@@ -7,9 +7,10 @@ The achieved squared distance is reported as ``residual`` so callers can
 audit how close to an exact projection the oracle got; there is no
 certified approximation guarantee for nonconvex generators.
 
-Restart 0 starts from the solvers' warm latent or from cfg.init, every
-other restart from its own N(0, I_k) draw; ties in residual go to the
-lowest restart, then to the earliest iterate.
+Restart 0 starts from the solvers' warm latent (the last outer step's
+latent) when it has one, and every other start is its own N(0, I_k) draw
+from the cell's stream; ties in residual go to the lowest restart, then to
+the earliest iterate.
 
 Block shape: a lockstep group of S cells with R restarts each (a solve is
 one cell; a sweep solver steps all its cells) projects as one (S, R, k)
@@ -33,8 +34,6 @@ __all__ = [
     "ProjectionResult",
 ]
 
-INIT_MODES = ("zero", "random")
-
 
 @dataclass(frozen=True)
 class ProjectionConfig:
@@ -43,9 +42,6 @@ class ProjectionConfig:
     inner_steps: int = 200
     inner_rate: float = 0.01
     restarts: int = 1
-    # Random init by default: relu stacks without biases have a dead latent
-    # gradient at z = 0, so a zero start can never leave the origin.
-    init: str = "random"
 
     def __post_init__(self):
         if self.inner_steps < 1:
@@ -54,8 +50,6 @@ class ProjectionConfig:
             raise ValueError("inner_rate must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +60,11 @@ class ProjectionResult:
 
 
 def _start_block(cfg, k, rng, warm):
-    """The (restarts, k) start block: row 0 from the warm latent (when not
-    None) or from cfg.init, the other rows from one N(0, I) draw (the same
-    bits as one draw per restart)."""
+    """The (restarts, k) start block: row 0 the warm latent, or when it is
+    None one N(0, I) draw; the other rows one N(0, I) draw (the same bits as
+    one draw per restart)."""
     z = np.empty((cfg.restarts, k))
-    if warm is not None:
-        z[0] = warm
-    elif cfg.init == "zero":
-        z[0] = 0.0
-    else:
-        z[0] = rng.standard_normal(k)
+    z[0] = rng.standard_normal(k) if warm is None else warm
     if cfg.restarts > 1:
         z[1:] = rng.standard_normal((cfg.restarts - 1, k))
     return z
@@ -83,7 +72,7 @@ def _start_block(cfg, k, rng, warm):
 
 def _project_cells(net, xs, cfg, rngs, warms):
     """Project each ``xs[i]`` under one shared config, with its own stream
-    and warm latent (None: start from cfg), as one (S, R, k) block, or as a
+    and warm latent (None: a random start), as one (S, R, k) block, or as a
     vector for one cell with one restart.
 
     Each cell draws its start block from its own stream, and the S cells

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generator import _descend, sample_range
+from .generator import _descend, forward
 from .measurement import MeasurementModel
 from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
 from .objectives import (
@@ -360,10 +360,12 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
             raise ValueError("best_of_samples needs count >= 1")
         best_x, best_loss = None, np.inf
         for _ in range(count):
-            s = sample_range(net, rng, unit_norm=True)
-            loss, _ = _loss_terms("magnitude", a @ s.x, y)
+            z = rng.standard_normal(net.latent_dim)
+            nz = np.linalg.norm(z)
+            x = forward(net, z / nz if nz > 0 else z)
+            loss, _ = _loss_terms("magnitude", a @ x, y)
             if loss < best_loss:
-                best_x, best_loss = s.x, loss
+                best_x, best_loss = x, loss
         if best_x is None:
             raise ValueError("no sampled range point has a finite misfit to y")
         return best_x

@@ -70,7 +70,7 @@ def gradient_at(obj, x):
 def project_one(net, x, cfg, rng, z0=None):
     """The projection of x as a block of one cell, restart 0 started at
     the latent z0 (as the solvers start it from the last outer step) or,
-    when None, from cfg.init; None when no iterate lies at a finite
+    when None, from a draw from rng; None when no iterate lies at a finite
     distance from x."""
     (res,) = _project_cells(net, [x], cfg, [rng], [z0])
     return res

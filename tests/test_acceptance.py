@@ -110,8 +110,7 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_projection_oracle():
     t0 = time.perf_counter()
     net = random_generator(2, [16], 32, "tanh", RngStream(11, spawn_key=(901,)))
-    cfg = ProjectionConfig(inner_steps=300, inner_rate=0.02, restarts=8,
-                           init="random")
+    cfg = ProjectionConfig(inner_steps=300, inner_rate=0.02, restarts=8)
     worst_gap = -np.inf
     for i in range(25):
         rng = RngStream(200 + i)

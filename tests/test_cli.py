@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genprior import cli, forward, load_weights, save_weights
+from genprior import RngStream, cli, forward, load_weights, save_weights
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from genprior.numerics import _check_orthonormal, blas_threads
 from conftest import identity_generator
@@ -83,10 +83,25 @@ def test_bad_value_reports_line(tmp_path):
 
 
 def test_solver_problem_compatibility_checked(tmp_path):
+    # With solvers set, solver went unchecked.
     path = tmp_path / "bad.txt"
-    path.write_text("problem = phase\nsolver = csgm\n")
-    with pytest.raises(ConfigError, match="does not apply"):
-        load_config(path)
+    for text in ("solver = csgm\n", "solver = pgd\nsolvers = phase_pgd\n"):
+        path.write_text("problem = phase\n" + text)
+        with pytest.raises(ConfigError, match="solver '(csgm|pgd)' does not apply"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("command, output, line", [
+    ("solve", "summary.txt", " solver=csgm "),
+    ("diagnose", "diagnostics.csv", "\nsolver,csgm\n")], ids=["solve", "diagnose"])
+def test_solve_and_diagnose_run_solver_over_solvers(lin_config, tmp_path, command,
+                                                   output, line):
+    # solver is one solve's solver, as m is one solve's m and m_list a
+    # sweep's; with solvers set as well, the first of solvers used to run.
+    assert run_cli(command, "--config", str(lin_config), "--out", str(tmp_path),
+                   "--set", "solver=csgm", "--set", "solvers=pgd",
+                   "--set", "csgm_steps=20", "--set", "num_pairs=10") == 0
+    assert line in (tmp_path / output).read_text()
 
 
 def test_overrides_and_flag_precedence(lin_config):
@@ -173,7 +188,10 @@ def test_mismatch_sparsity_above_output_dim_is_rejected(tmp_path, monkeypatch,
 def test_orthonormal_m_above_output_dim_is_rejected_before_any_instance(
         tmp_path, monkeypatch, capsys):
     # With weights_path the signal length comes from the file: the rule is
-    # checked with the sparsity rule, once the generator has loaded.
+    # checked with the sparsity rule, once the generator has loaded.  It
+    # checks m beside m_list: solve and diagnose use m, and with m_list set
+    # an m = 17 used to pass, and solve ran a 16-row matrix while its
+    # summary read m=17.
     def no_instance(*args):
         raise AssertionError("an instance was built")
 
@@ -181,10 +199,10 @@ def test_orthonormal_m_above_output_dim_is_rejected_before_any_instance(
     wpath = tmp_path / "id.gpw"
     save_weights(identity_generator(16), wpath)
     for command in ("solve", "sweep", "diagnose"):
-        for m_key in ("m=17", "m_list=8,17"):
-            assert run_cli(command, "--out", str(tmp_path / "o"),
-                           "--set", f"weights_path={wpath}",
-                           "--set", "matrix_kind=orthonormal", "--set", m_key) == 1
+        for m_keys in (["m=17"], ["m_list=8,17"], ["m=17", "m_list=8"]):
+            sets = [a for k in (f"weights_path={wpath}", "matrix_kind=orthonormal",
+                                *m_keys) for a in ("--set", k)]
+            assert run_cli(command, "--out", str(tmp_path / "o"), *sets) == 1
             assert ("error: orthonormal matrix_kind needs m <= output_dim"
                     in capsys.readouterr().err)
 
@@ -208,10 +226,14 @@ TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
                "num_pairs=3"], "eta=auto .* no finite positive step size"),
     ("solve", ["problem=phase", "phase_init_strategy=oracle_perturb",
                "phase_delta0=1e308"], "phase start.* phase_delta0$"),
+    ("solve", ["problem=phase", "solver=phase_pgd", "solvers=dpr",
+               "phase_init_strategy=oracle_perturb", "phase_delta0=1e308"],
+     "phase start.* phase_delta0$"),
     ("diagnose", ["weight_scale=0"],
      "diagnose .* estimates .* degenerate; change weight_scale or bias_scale$"),
 ], ids=["weights", "bias", "spikes", "noise", "sigmoid-norm", "tanh-norm",
         "bias-headroom", "tanh-headroom", "auto-eta-degenerate", "auto-eta-negative", "oracle-phase-start",
+        "oracle-phase-start-of-solver",
         "diagnose-degenerate"])
 def test_broken_instances_are_refused_before_any_solve(
         tmp_path, monkeypatch, command, sets, match):
@@ -240,17 +262,31 @@ def test_broken_instances_are_refused_before_any_solve(
             getattr(cli, f"cmd_{command}")(cfg)
 
 
-def test_readme_key_table_states_each_declaration():
-    # The accepts column is taken from the declarations: every key with a
-    # closed set of values or a bound is listed with each value, its bound
-    # and "no repeats"; a float without a bound must be finite.  The unused
-    # workers key is left out of the table.
+def readme_key_table():
+    """{key: its accepts cell} of the README's config key table."""
     readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
     accepts = {}
     for line in readme.splitlines():
         cells = line.split("|")
         if line.startswith("| `") and len(cells) == 6:  # key, default, accepts, meaning
             accepts.update((key, cells[3]) for key in re.findall(r"`(\w+)`", cells[1]))
+    return accepts
+
+
+def test_readme_key_table_lists_every_key():
+    # The README leaves out only the paths, booleans and the unused workers
+    # key it names as unlisted; a deleted key must leave the table too.
+    unlisted = {"weights_out", "out", "image", "unit_norm_latent", "workers"}
+    assert (set(readme_key_table()) | unlisted
+            == {f.name for f in fields(cli.ExperimentConfig)})
+
+
+def test_readme_key_table_states_each_declaration():
+    # The accepts column is taken from the declarations: every key with a
+    # closed set of values or a bound is listed with each value, its bound
+    # and "no repeats"; a float without a bound must be finite.  The unused
+    # workers key is left out of the table.
+    accepts = readme_key_table()
     for f in fields(cli.ExperimentConfig):
         meta, low = f.metadata, f.metadata.get("low")
         if f.name == "workers" or not (meta.get("choices") or low is not None
@@ -447,7 +483,7 @@ def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
     alone = cli.build_instance(cfg, net, cfg.m, cfg.seed)
     given = cli.build_instance(cfg, net, cfg.m, cfg.seed,
                                cli._command_basis(cfg, net))
-    for name in ("y", "x_star", "z_star"):
+    for name in ("y", "x_star"):
         assert np.array_equal(getattr(alone, name), getattr(given, name))
     assert np.array_equal(alone.model.matrix, given.model.matrix)
     plain = cli.build_instance(load_config(lin_config, ["problem=mismatch",
@@ -460,10 +496,12 @@ def test_unit_norm_latent_plants_a_unit_latent(lin_config):
     cfg = load_config(lin_config, ["unit_norm_latent=true"])
     net = cli.build_generator(cfg)
     obs = cli.build_instance(cfg, net, cfg.m, cfg.seed)
-    assert abs(np.linalg.norm(obs.z_star) - 1.0) <= 1e-15
-    assert np.array_equal(obs.x_star, forward(net, obs.z_star))
+    # z* is the instance stream's first draw, scaled to unit norm.
+    z = RngStream(cfg.seed).derive(0).standard_normal(net.latent_dim)
+    assert abs(np.linalg.norm(z) - 1.0) > 1e-3
+    assert np.array_equal(obs.x_star, forward(net, z / np.linalg.norm(z)))
     plain = cli.build_instance(load_config(lin_config), net, cfg.m, cfg.seed)
-    assert abs(np.linalg.norm(plain.z_star) - 1.0) > 1e-3
+    assert np.array_equal(plain.x_star, forward(net, z))
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -623,7 +661,7 @@ def test_diagnose_orthonormal_identity_reports_unit_constants(tmp_path):
     cfgpath.write_text(
         f"problem = linear\nweights_path = {wpath}\nm = 16\n"
         "matrix_kind = orthonormal\nnum_pairs = 50\n"
-        "outer_steps = 2\ninner_steps = 1\ninner_rate = 0.5\nproj_init = zero\n"
+        "outer_steps = 2\ninner_steps = 1\ninner_rate = 0.5\n"
         "eta = 0.75\nimage = false\n")
     out = tmp_path / "d"
     assert run_cli("diagnose", "--config", str(cfgpath), "--out", str(out)) == 0

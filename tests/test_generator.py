@@ -10,7 +10,6 @@ from genprior import (
     latent_gradient,
     load_weights,
     random_generator,
-    sample_range,
     save_weights,
 )
 from conftest import identity_generator, random_net
@@ -121,22 +120,6 @@ def test_relu_subgradient_at_zero_is_zero():
         Layer(weights=np.array([[1.0]]), bias=np.zeros(1), activation="relu"),
     ))
     assert latent_gradient(net, np.zeros(1), np.ones(1))[0] == 0.0
-
-
-def test_sample_range_unit_norm_and_determinism():
-    net = random_net(3)
-    s = sample_range(net, RngStream(8), unit_norm=True)
-    assert abs(np.linalg.norm(s.z) - 1.0) < 1e-12
-    s2 = sample_range(net, RngStream(8), unit_norm=True)
-    assert np.array_equal(s.z, s2.z) and np.array_equal(s.x, s2.x)
-    assert np.array_equal(s.x, forward(net, s.z))
-
-
-def test_sample_range_latent_mean_near_zero():
-    net = random_net(4, k=5)
-    rng = RngStream(15)
-    zs = np.array([sample_range(net, rng).z for _ in range(1000)])
-    assert np.max(np.abs(zs.mean(axis=0))) < 0.15
 
 
 def test_random_generator_zero_weight_scale_composes_biases():

@@ -33,18 +33,12 @@ TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
                  "phase_flips")
 
 
-def start_latent(cfg, k, rng):
-    if cfg.init == "zero":
-        return np.zeros(k)
-    return rng.standard_normal(k)
-
-
 def two_pass_project(net, x, cfg, rng):
     """One restart, stepped as a vector.  A step to a non-finite latent or
     residual is refused; since the row then stays where it is, the same step
     is refused every time, and the descent ends there."""
     assert cfg.restarts == 1
-    z = start_latent(cfg, net.latent_dim, rng)
+    z = rng.standard_normal(net.latent_dim)
     gx = forward(net, z)
     d = x - gx
     best_res, best_z, best_gx = float(d @ d), z.copy(), gx
@@ -66,9 +60,7 @@ def block_rows_project(net, x, cfg, rng):
     (residual, z, G(z)) in restart order.  A row takes a step only to a
     finite latent and residual, and otherwise stays where it is."""
     k = net.latent_dim
-    starts = [start_latent(cfg, k, rng)]
-    starts += [rng.standard_normal(k) for _ in range(cfg.restarts - 1)]
-    z = np.array(starts)
+    z = np.array([rng.standard_normal(k) for _ in range(cfg.restarts)])
     best = [(np.inf, None, None)] * cfg.restarts
     gx = forward(net, z)
     for step in range(cfg.inner_steps + 1):

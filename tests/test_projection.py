@@ -8,7 +8,6 @@ from genprior import (
     RngStream,
     forward,
     random_generator,
-    sample_range,
 )
 from conftest import (brute_force_project, identity_generator, project_one,
                       random_net, relu_unit_net)
@@ -28,8 +27,8 @@ def test_identity_generator_one_exact_step():
     # G(z) = z: the inner loss is ||x - z||^2, solved in one step at rate 1/2.
     net = identity_generator(6)
     x = RngStream(4).standard_normal(6)
-    cfg = ProjectionConfig(inner_steps=1, inner_rate=0.5, init="zero")
-    res = project_one(net, x, cfg, RngStream(5))
+    cfg = ProjectionConfig(inner_steps=1, inner_rate=0.5)
+    res = project_one(net, x, cfg, RngStream(5), np.zeros(6))
     assert np.max(np.abs(res.x_proj - x)) < 1e-15
     assert res.residual < 1e-28
 
@@ -37,8 +36,7 @@ def test_identity_generator_one_exact_step():
 def test_project_beats_grid_oracle(toy2_net):
     # Small version of the acceptance check: descent with restarts lands
     # at or below the 201x201 lattice optimum (+ 1e-2 slack).
-    cfg = ProjectionConfig(inner_steps=300, inner_rate=0.02, restarts=8,
-                           init="random")
+    cfg = ProjectionConfig(inner_steps=300, inner_rate=0.02, restarts=8)
     for i in range(5):
         rng = RngStream(200 + i)
         x = 0.7 * rng.derive(0).standard_normal(toy2_net.output_dim)
@@ -86,20 +84,18 @@ def test_best_seen_no_worse_than_init():
 def test_near_idempotence_on_range_points(desk_net):
     # Range points project back onto themselves to (measured) eps <= 1e-4;
     # this measured slack is what the solvers' bookkeeping budgets for.
-    cfg = ProjectionConfig(inner_steps=500, inner_rate=0.02, restarts=6,
-                           init="random")
+    cfg = ProjectionConfig(inner_steps=500, inner_rate=0.02, restarts=6)
     worst = 0.0
     for i in range(20):
-        s = sample_range(desk_net, RngStream(50 + i))
-        res = project_one(desk_net, s.x, cfg, RngStream(1000 + i))
+        x = forward(desk_net, RngStream(50 + i).standard_normal(desk_net.latent_dim))
+        res = project_one(desk_net, x, cfg, RngStream(1000 + i))
         worst = max(worst, res.residual)
     assert worst <= 1e-4
 
 
 def test_project_deterministic_given_seed(desk_net):
     x = RngStream(60).standard_normal(desk_net.output_dim)
-    cfg = ProjectionConfig(inner_steps=50, inner_rate=0.05, restarts=3,
-                           init="random")
+    cfg = ProjectionConfig(inner_steps=50, inner_rate=0.05, restarts=3)
     r1 = project_one(desk_net, x, cfg, RngStream(61))
     r2 = project_one(desk_net, x, cfg, RngStream(61))
     assert np.array_equal(r1.z_hat, r2.z_hat)
@@ -174,6 +170,5 @@ def test_config_validation():
         ProjectionConfig(inner_steps=0)
     with pytest.raises(ValueError):
         ProjectionConfig(inner_rate=0.0)
-    for init in ("warm", "sideways"):
-        with pytest.raises(ValueError, match="unknown init mode"):
-            ProjectionConfig(init=init)
+    with pytest.raises(ValueError):
+        ProjectionConfig(restarts=0)

@@ -120,10 +120,10 @@ def test_mutated_depth_names_the_problem(tmp_dir):
 @given(net=nets(), cells=st.integers(1, 4), restarts=st.integers(1, 4),
        steps=st.integers(1, 12), rate_exp=st.integers(-4, 6),
        x_exps=st.lists(st.sampled_from([0, 3, 150, 300]), min_size=4, max_size=4),
-       init=st.sampled_from(["zero", "random", "warm"]),
+       start=st.sampled_from(["zero", "random", "warm"]),
        warm_exp=st.sampled_from([0, 307]), seed=st.integers(0, 2**16))
 def test_project_returns_none_or_finite_repeatable(net, cells, restarts, steps,
-                                                   rate_exp, x_exps, init,
+                                                   rate_exp, x_exps, start,
                                                    warm_exp, seed):
     # A warm latent (the solvers' start from the last outer step) near the
     # float64 limit overflows on its first step.  A block of cells, each
@@ -131,14 +131,15 @@ def test_project_returns_none_or_finite_repeatable(net, cells, restarts, steps,
     # gets alone, as a block of one; None means no range point lies at a
     # finite distance from x.
     cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
-                           restarts=restarts, init="random" if init == "warm" else init)
+                           restarts=restarts)
     xs, warms = [], []
     for i in range(cells):
         xs.append(10.0**x_exps[i] * RngStream(seed + i, spawn_key=(1,))
                   .standard_normal(net.output_dim))
         warm = 10.0**warm_exp * RngStream(seed + i, spawn_key=(2,)).standard_normal(
             net.latent_dim)
-        warms.append(warm if init == "warm" else None)
+        warms.append({"zero": np.zeros(net.latent_dim), "random": None,
+                      "warm": warm}[start])
     block = _project_cells(net, xs, cfg, [RngStream(seed + i) for i in range(cells)],
                            warms)
     for i, (x, warm, in_block) in enumerate(zip(xs, warms, block)):

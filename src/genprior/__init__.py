@@ -20,9 +20,9 @@ from .generator import (
     random_generator,
     save_weights,
 )
-from .measurement import MeasurementModel, Observation, observe, observe_noisy
+from .measurement import MeasurementModel, observe, observe_noisy
 from .objectives import GRADIENT_SCALE, Objective
-from .projection import ProjectionConfig, ProjectionResult
+from .projection import ProjectionConfig
 from .solvers import (
     SolveTrace,
     SolverConfig,

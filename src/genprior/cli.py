@@ -21,12 +21,12 @@ Any key can be overridden on the command line with ``--set key=value``;
 same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
-Every command runs its cells one way.  A cell is one (m, seed, instance,
-eta) record, built and resolved once before any solve, and each solver
-runs as one lockstep group over its cells: phase starts are made one cell
-at a time, then the solver steps every cell together (see ``solvers``).
-``solve`` and ``diagnose`` run one cell; a sweep runs one group per solver
-over each shard of its cells.
+Every command runs its cells one way.  A cell is one ``solvers._Cell``
+(an (m, seed) instance's objective, step size, seed and x*), built once
+before any solve, and each solver runs as one lockstep group over its
+cells: phase starts are made one cell at a time, then the solver steps
+every cell together (see ``solvers``).  ``solve`` and ``diagnose`` run
+one cell; a sweep runs one group per solver over each shard of its cells.
 
 ``_run_forked`` deals a command's items round-robin into one shard per
 usable CPU (at most one per item).  Shard 0 runs in this process and the
@@ -60,7 +60,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,23 +73,17 @@ from .generator import (
     random_generator,
     save_weights,
 )
-from .measurement import MeasurementModel, Observation, observe, observe_noisy
+from .measurement import MeasurementModel, observe, observe_noisy
 from .numerics import RngStream, _check_orthonormal, blas_threads, gaussian_matrix
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
-from .solvers import (
-    _Cell,
-    _LatentCell,
-    _latent_descent,
-    _phase_cell,
-    _projected_descent,
-    phase_init,
-)
+from .solvers import _Cell, _LatentCell, _latent_descent, _projected_descent, phase_init
 
 __all__ = ["main", "entrypoint", "ConfigError", "ExperimentConfig", "load_config"]
 
 PROBLEMS = ("linear", "sinusoid", "sigmoid", "phase", "mismatch")
 SOLVERS = ("pgd", "eps_pgd", "phase_pgd", "myopic", "csgm", "dpr")
+BASELINES = ("csgm", "dpr")  # the latent-descent solvers, which never read eta
 
 PROBLEM_LINK = {
     "linear": "linear",
@@ -99,9 +93,10 @@ PROBLEM_LINK = {
     "mismatch": "linear",
 }
 
-# The solvers each problem accepts; the first is its default.
+# The solvers each problem accepts; the first is its default.  On the
+# linear problem eps_pgd would run exactly what pgd runs.
 SOLVERS_FOR_PROBLEM = {
-    "linear": ("pgd", "eps_pgd", "csgm"),
+    "linear": ("pgd", "csgm"),
     "sinusoid": ("eps_pgd",),
     "sigmoid": ("eps_pgd",),
     "phase": ("phase_pgd", "dpr"),
@@ -378,8 +373,9 @@ def _not_finite(what, keys):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflows raise ConfigError
 def build_instance(cfg, net, m, seed, basis=None):
-    """The Observation of a planted problem: x* = G(z*) (+ sparse spikes in
-    ``basis`` for mismatch, built here when not given).
+    """The (objective, x*) of a planted problem: x* = G(z*) (+ sparse spikes
+    in ``basis`` for mismatch, built here when not given), and the
+    objective of its observations y.
 
     The target depends only on the seed; the sensing matrix depends on
     (seed, m) so each sweep column sees fresh measurements of the same
@@ -427,24 +423,25 @@ def build_instance(cfg, net, m, seed, basis=None):
             and not np.isfinite((cfg.phase_delta0 * np.linalg.norm(x_star)) ** 2)):
         raise _not_finite(f"the oracle phase start's distance from x* at seed {seed}",
                           ["phase_delta0"])
-    return Observation(y=y, model=model, x_star=x_star)
+    return Objective(model, y), x_star
 
 
-def _diagnostic_objective(model, y):
+def _diagnostic_objective(obj):
     """Objective for curvature probes; magnitude links get a unit phase
     (the quadratic curvature of ||y*p - Ax||^2 does not depend on p)."""
-    if model.link == "magnitude":
-        return Objective(model, y, phase=np.ones(model.num_measurements))
-    return Objective(model, y)
+    if obj.kind == "phase_corrected":
+        return Objective(obj.model, obj.y, phase=np.ones(obj.model.num_measurements))
+    return obj
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a failed probe raises ConfigError
-def resolve_eta(cfg, obs, net, seed):
-    """Step size from config; 'auto' uses 1/beta of the solver's potential."""
+def resolve_eta(cfg, obj, net, seed):
+    """Step size from config; 'auto' uses 1/beta of the objective's
+    potential (``_cell`` asks for it only for a projected solver)."""
     eta = cfg.eta_value()
     if eta != "auto":
         return float(eta)
-    obj = _diagnostic_objective(obs.model, obs.y)
+    obj = _diagnostic_objective(obj)
     probe = (f"eta=auto at seed {seed}: the curvature probe over num_pairs "
              f"({cfg.num_pairs}) range pairs")
     try:
@@ -460,38 +457,41 @@ def resolve_eta(cfg, obs, net, seed):
     return eta
 
 
+def _cell(cfg, net, solvers, seed, obj, x_star):
+    """The cell of one planted instance, for a command that runs
+    ``solvers``: ``eta=auto`` probes the curvature only when one of them is
+    a projected solver, and otherwise reads as unset."""
+    if cfg.eta == "auto" and set(solvers) <= set(BASELINES):
+        cfg = replace(cfg, eta=None)
+    return _Cell(obj, resolve_eta(cfg, obj, net, seed), seed, x_star=x_star)
+
+
 def _solve_group(cfg, net, basis, solver, cells):
-    """The traces of one solver on the given (m, seed, instance, eta) cells,
-    stepped in lockstep; ``basis`` is the command's mismatch basis, which
-    myopic thresholds in."""
-    if solver in ("csgm", "dpr"):
+    """The traces of one solver on the given cells, stepped in lockstep;
+    ``basis`` is the command's mismatch basis, which myopic thresholds
+    in."""
+    if solver in BASELINES:
         steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
                              if solver == "csgm" else
                              (cfg.dpr_steps, cfg.dpr_rate, "magnitude"))
         return _latent_descent(net, steps, rate, kind, [
-            _LatentCell(o.y, o.model.matrix, RngStream(seed, spawn_key=(905,)),
-                        x_star=o.x_star)
-            for _, seed, o, _ in cells])
+            _LatentCell(c.obj.y, c.obj.model.matrix,
+                        RngStream(c.seed, spawn_key=(905,)), x_star=c.x_star)
+            for c in cells])
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts)
     if solver == "phase_pgd":
-        group = [_phase_cell(o.y, o.model.matrix, net,
-                             phase_init(o.y, o.model.matrix, net,
-                                        RngStream(seed, spawn_key=(904,)),
-                                        cfg.phase_init_strategy, cfg.phase_init_count,
-                                        cfg.phase_delta0, o.x_star),
-                             eta, seed, o.x_star)
-                 for _, seed, o, eta in cells]
-    else:
-        group = [_Cell(Objective(o.model, o.y), eta, seed, x_star=o.x_star)
-                 for _, seed, o, eta in cells]
+        cells = [c._replace(x0=phase_init(
+            c.obj.y, c.obj.model.matrix, net, RngStream(c.seed, spawn_key=(904,)),
+            cfg.phase_init_strategy, cfg.phase_init_count, cfg.phase_delta0,
+            c.x_star)) for c in cells]
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
-    return _projected_descent(net, group, cfg.outer_steps, proj, sparse)
+    return _projected_descent(net, cells, cfg.outer_steps, proj, sparse)
 
 
 def _run_group(cfg, net, basis, solver, cells):
-    """The summary rows of one solver's lockstep group over its cells, each
-    an (m, seed, instance, eta) record, given the command's basis.
+    """The summary rows of one solver's lockstep group over its cells,
+    given the command's basis.
 
     Phase starts are made one cell at a time; then the solver steps every
     cell of the group in lockstep, with the bits each cell has on its own.
@@ -501,17 +501,17 @@ def _run_group(cfg, net, basis, solver, cells):
     traces = _solve_group(cfg, net, basis, solver, cells)
     wall = time.perf_counter() - t0
     rows = []
-    for (m, seed, _, eta), trace in zip(cells, traces):
+    for c, trace in zip(cells, traces):
         try:
             alpha_fit = diag.convergence_rate(trace, RATE_FLOOR)
         except ValueError:
             alpha_fit = float("nan")
         rows.append({
-            "m": m,
-            "seed": seed,
+            "m": c.obj.model.num_measurements,
+            "seed": c.seed,
             "solver": solver,
             "trace": trace,
-            "eta": eta,
+            "eta": c.step_size,
             "final_per_pixel_error": trace.final_per_pixel_error,
             "final_objective": trace.final_objective,
             "alpha_fit": alpha_fit,
@@ -594,9 +594,10 @@ def cmd_gen(cfg):
 def cmd_solve(cfg):
     out, net = _setup(cfg)
     basis = _command_basis(cfg, net)
-    obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
-    cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
-    (row,) = _run_group(cfg, net, basis, cfg.single_solver(), [cell])
+    solver = cfg.single_solver()
+    cell = _cell(cfg, net, (solver,), cfg.seed,
+                 *build_instance(cfg, net, cfg.m, cfg.seed, basis))
+    (row,) = _run_group(cfg, net, basis, solver, [cell])
     trace = row["trace"]
     trace_path = out / "trace.csv"
     write_trace_csv(trace_path, trace)
@@ -708,9 +709,9 @@ def cmd_sweep(cfg):
     basis = _command_basis(cfg, net)
     solvers = cfg.solver_list()
     pairs = [(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()]
-    obs = [build_instance(cfg, net, m, seed, basis) for m, seed in pairs]
-    cells = [(m, seed, o, resolve_eta(cfg, o, net, seed))
-             for (m, seed), o in zip(pairs, obs)]
+    instances = [build_instance(cfg, net, m, seed, basis) for m, seed in pairs]
+    cells = [_cell(cfg, net, solvers, seed, *instance)
+             for (_, seed), instance in zip(pairs, instances)]
     # Cells are independent, so any split keeps their bytes.  The round-robin
     # deal balances the shards and keeps runs of equal m together.
     results = _run_forked(lambda shard: _sweep_shard(cfg, net, basis, solvers, shard),
@@ -746,15 +747,15 @@ def cmd_sweep(cfg):
 def cmd_diagnose(cfg):
     out, net = _setup(cfg)
     basis = _command_basis(cfg, net)
-    obs = build_instance(cfg, net, cfg.m, cfg.seed, basis)
+    obj, x_star = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))
 
     def estimates():
         try:
-            srec = diag.empirical_srec(obs.model.matrix, net, cfg.num_pairs,
+            srec = diag.empirical_srec(obj.model.matrix, net, cfg.num_pairs,
                                        rng.derive(0))
-            est = diag.rsc_rss_estimate(_diagnostic_objective(obs.model, obs.y),
-                                        net, cfg.num_pairs, rng.derive(1))
+            est = diag.rsc_rss_estimate(_diagnostic_objective(obj), net,
+                                        cfg.num_pairs, rng.derive(1))
         except ValueError as exc:  # every pair is degenerate or not finite
             raise ConfigError(
                 f"diagnose at seed {cfg.seed}: the estimates over num_pairs "
@@ -768,8 +769,9 @@ def cmd_diagnose(cfg):
         return srec, est, mu
 
     def solve():
-        cell = (cfg.m, cfg.seed, obs, resolve_eta(cfg, obs, net, cfg.seed))
-        (row,) = _run_group(cfg, net, basis, cfg.single_solver(), [cell])
+        solver = cfg.single_solver()
+        cell = _cell(cfg, net, (solver,), cfg.seed, obj, x_star)
+        (row,) = _run_group(cfg, net, basis, solver, [cell])
         return {k: row[k] for k in ("eta", "solver", "alpha_fit",
                                     "final_per_pixel_error")}
 

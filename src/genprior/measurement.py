@@ -19,7 +19,7 @@ import numpy as np
 
 from .numerics import as_matrix, as_vector
 
-__all__ = ["LINKS", "MeasurementModel", "Observation", "observe", "observe_noisy"]
+__all__ = ["LINKS", "MeasurementModel", "observe", "observe_noisy"]
 
 LINKS = ("linear", "sinusoid", "sigmoid", "magnitude")
 
@@ -42,19 +42,6 @@ class MeasurementModel:
     @property
     def signal_dim(self):
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Measurements plus the model that produced them.
-
-    For synthetic instances the planted ground truth x_star rides along
-    so traces can report errors.
-    """
-
-    y: np.ndarray
-    model: MeasurementModel
-    x_star: np.ndarray | None = None
 
 
 def _sigmoid(u):

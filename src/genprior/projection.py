@@ -3,9 +3,11 @@
 The oracle runs gradient descent over the latent space on the inner loss
 ||x - G(z)||^2 and returns the best iterate seen anywhere along the
 trajectory (the last iterate can overshoot on nonconvex inner landscapes).
-The achieved squared distance is reported as ``residual`` so callers can
-audit how close to an exact projection the oracle got; there is no
-certified approximation guarantee for nonconvex generators.
+It answers with one row per cell of three arrays: the latents, their range
+points and the squared distances achieved (inf where no range point was
+finite), so callers can audit how close to an exact projection the oracle
+got; there is no certified approximation guarantee for nonconvex
+generators.
 
 Restart 0 starts from the solvers' warm latent (the last outer step's
 latent) when it has one, and every other start is its own N(0, I_k) draw
@@ -29,10 +31,7 @@ import numpy as np
 
 from .generator import _descend
 
-__all__ = [
-    "ProjectionConfig",
-    "ProjectionResult",
-]
+__all__ = ["ProjectionConfig"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,6 @@ class ProjectionConfig:
             raise ValueError("inner_rate must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    z_hat: np.ndarray
-    x_proj: np.ndarray  # forward(G, z_hat), cached
-    residual: float     # ||x - x_proj||^2
 
 
 def _start_block(cfg, k, rng, warm):
@@ -77,8 +69,10 @@ def _project_cells(net, xs, cfg, rngs, warms):
 
     Each cell draws its start block from its own stream, and the S cells
     step together: stacked layer products, so every cell has the bits of
-    its own descent.  Returns one ``ProjectionResult`` per cell, or None
-    for a cell with no iterate at a finite distance from its x.
+    its own descent.  Returns the block's answer as arrays: each cell's
+    best latent z (S, k), its range point G(z) (S, n) and its residual
+    ||x - G(z)||^2 (S,), which is inf for a cell with no iterate at a
+    finite distance from its x.
     """
     x = np.stack(xs)[:, None]
     z = np.stack([_start_block(cfg, net.latent_dim, rng, warm)
@@ -90,8 +84,8 @@ def _project_cells(net, xs, cfg, rngs, warms):
         # default-size projection 5-10% slower (2-vCPU Xeon, numpy 2.4).
         x, z = x[0, 0], z[0, 0]
 
-    # A row's best stays at inf until it first improves; such rows are
-    # never returned, so their zero iterates are placeholders.
+    # A row's best stays at inf until it first improves; such a row is
+    # returned only with its inf, so its iterates are placeholders.
     best_res = np.full(z.shape[:-1], np.inf)
     best_z, best_gx = z, np.zeros(z.shape[:-1] + (net.output_dim,))
 
@@ -114,11 +108,7 @@ def _project_cells(net, xs, cfg, rngs, warms):
 
     _descend(net, z, cfg.inner_steps, cfg.inner_rate, measure, visit)
     best_res = best_res.reshape(shape[:2])
-    best_z = best_z.reshape(shape)
-    best_gx = best_gx.reshape(shape[:2] + (-1,))
-    results = []
-    for i, r in enumerate(np.argmin(best_res, axis=1)):  # lowest restart wins a tie
-        results.append(ProjectionResult(z_hat=best_z[i, r], x_proj=best_gx[i, r],
-                                        residual=float(best_res[i, r]))
-                       if np.isfinite(best_res[i, r]) else None)
-    return results
+    cells = np.arange(shape[0])
+    won = np.argmin(best_res, axis=1)  # the lowest restart wins a tie
+    return (best_z.reshape(shape)[cells, won],
+            best_gx.reshape(shape[:2] + (-1,))[cells, won], best_res[cells, won])

@@ -267,13 +267,13 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
             if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
                 inner[i] += proj.restarts * proj.inner_steps
                 moves.append((i, wu, wv))
-        results = _project_cells(
+        block = _project_cells(
             net, [wu for _, wu, _ in moves], proj, [rngs[i] for i, _, _ in moves],
-            [z_prev[i] for i, _, _ in moves]) if moves else []
-        for (i, _, wv), res in zip(moves, results):
-            if res is None:
+            [z_prev[i] for i, _, _ in moves]) if moves else ((), (), ())
+        for (i, _, wv), z, gx, res in zip(moves, *block):
+            if not np.isfinite(res):
                 continue  # no finite range point: hold the iterate
-            us[i], z_prev[i], residual[i] = res.x_proj, res.z_hat, res.residual
+            us[i], z_prev[i], residual[i] = gx, z, res
             if wv is not None:
                 vs[i] = _thresh(wv, *sparse)
             xs[i] = us[i] if vs[i] is None else us[i] + vs[i]

@@ -1,10 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from genprior import (
     GeneratorNet,
     Layer,
-    ProjectionResult,
     RngStream,
     forward,
     gaussian_matrix,
@@ -67,12 +68,27 @@ def gradient_at(obj, x):
     return _adjoint(obj.kind, a, _loss_terms(obj.kind, a @ x, obj.y, obj.phase)[1])
 
 
+class Projected(NamedTuple):
+    """One cell's row of a projection block."""
+
+    z_hat: np.ndarray
+    x_proj: np.ndarray  # forward(G, z_hat)
+    residual: float     # ||x - x_proj||^2
+
+
+def project_cells(net, xs, cfg, rngs, warms):
+    """``_project_cells``'s block as one Projected per cell, or None for a
+    cell with no iterate at a finite distance from its x."""
+    return [Projected(*row) if np.isfinite(row[2]) else None
+            for row in zip(*_project_cells(net, xs, cfg, rngs, warms))]
+
+
 def project_one(net, x, cfg, rng, z0=None):
     """The projection of x as a block of one cell, restart 0 started at
     the latent z0 (as the solvers start it from the last outer step) or,
     when None, from a draw from rng; None when no iterate lies at a finite
     distance from x."""
-    (res,) = _project_cells(net, [x], cfg, [rng], [z0])
+    (res,) = project_cells(net, [x], cfg, [rng], [z0])
     return res
 
 
@@ -96,4 +112,4 @@ def brute_force_project(net, x, grid_bounds, grid_points_per_dim):
     xs = forward(net, zs)
     res = np.sum((xs - x[None, :]) ** 2, axis=1)
     idx = int(np.argmin(res))
-    return ProjectionResult(z_hat=zs[idx], x_proj=xs[idx], residual=float(res[idx]))
+    return Projected(z_hat=zs[idx], x_proj=xs[idx], residual=float(res[idx]))

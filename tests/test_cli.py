@@ -83,11 +83,15 @@ def test_bad_value_reports_line(tmp_path):
 
 
 def test_solver_problem_compatibility_checked(tmp_path):
-    # With solvers set, solver went unchecked.
+    # With solvers set, solver went unchecked.  On the linear problem eps_pgd
+    # ran exactly what pgd runs, and wrote the same numbers on its rows.
     path = tmp_path / "bad.txt"
-    for text in ("solver = csgm\n", "solver = pgd\nsolvers = phase_pgd\n"):
-        path.write_text("problem = phase\n" + text)
-        with pytest.raises(ConfigError, match="solver '(csgm|pgd)' does not apply"):
+    for text in ("problem = phase\nsolver = csgm\n",
+                 "problem = phase\nsolver = pgd\nsolvers = phase_pgd\n",
+                 "problem = linear\nsolvers = pgd,eps_pgd\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match="solver '(csgm|pgd|eps_pgd)' does not apply"):
             load_config(path)
 
 
@@ -451,6 +455,31 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch,
         assert probed == [3]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("problem, solver, eta", [("linear", "csgm", "0.5"),
+                                                  ("phase", "dpr", "0.9")])
+def test_eta_auto_probes_only_for_a_projected_solver(tmp_path, command, problem,
+                                                     solver, eta):
+    # csgm and dpr never read the step size, yet eta=auto ran the curvature
+    # probe for them, and a generator that maps every latent to 0 failed it
+    # ("all sampled pairs are degenerate").  With no projected solver to
+    # run, auto reads as unset: the problem's default step size.
+    outputs = []
+    for value in ("auto", eta):
+        out = tmp_path / value
+        assert run_cli(command, "--out", str(out), "--set", f"problem={problem}",
+                       "--set", f"solvers={solver}", "--set", "weight_scale=0",
+                       "--set", f"eta={value}", "--set", "csgm_steps=3",
+                       "--set", "dpr_steps=3",
+                       *[a for k in TINY_NET for a in ("--set", k)]) == 0
+        if command == "solve":
+            outputs.append([kv for kv in (out / "summary.txt").read_text().split()
+                            if not kv.startswith("wall_time_s=")])
+        else:
+            outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_mismatch_solve_in_random_ortho_basis(tmp_path):
     # The random orthonormal basis is a canonical QR draw: a valid basis
     # other than the identity, and a rerun keeps every output byte.
@@ -480,28 +509,28 @@ def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
     cfg = load_config(lin_config, ["problem=mismatch", "basis=random_ortho",
                                    "sparsity=3"])
     net = cli.build_generator(cfg)
-    alone = cli.build_instance(cfg, net, cfg.m, cfg.seed)
-    given = cli.build_instance(cfg, net, cfg.m, cfg.seed,
-                               cli._command_basis(cfg, net))
-    for name in ("y", "x_star"):
-        assert np.array_equal(getattr(alone, name), getattr(given, name))
+    (alone, alone_x), (given, given_x) = (
+        cli.build_instance(cfg, net, cfg.m, cfg.seed, *basis)
+        for basis in ((), (cli._command_basis(cfg, net),)))
+    assert np.array_equal(alone.y, given.y)
+    assert np.array_equal(alone_x, given_x)
     assert np.array_equal(alone.model.matrix, given.model.matrix)
-    plain = cli.build_instance(load_config(lin_config, ["problem=mismatch",
-                                                        "sparsity=3"]),
-                               net, cfg.m, cfg.seed)
-    assert not np.array_equal(alone.x_star, plain.x_star)
+    _, plain_x = cli.build_instance(load_config(lin_config, ["problem=mismatch",
+                                                             "sparsity=3"]),
+                                    net, cfg.m, cfg.seed)
+    assert not np.array_equal(alone_x, plain_x)
 
 
 def test_unit_norm_latent_plants_a_unit_latent(lin_config):
     cfg = load_config(lin_config, ["unit_norm_latent=true"])
     net = cli.build_generator(cfg)
-    obs = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    _, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed)
     # z* is the instance stream's first draw, scaled to unit norm.
     z = RngStream(cfg.seed).derive(0).standard_normal(net.latent_dim)
     assert abs(np.linalg.norm(z) - 1.0) > 1e-3
-    assert np.array_equal(obs.x_star, forward(net, z / np.linalg.norm(z)))
-    plain = cli.build_instance(load_config(lin_config), net, cfg.m, cfg.seed)
-    assert np.array_equal(plain.x_star, forward(net, z))
+    assert np.array_equal(x_star, forward(net, z / np.linalg.norm(z)))
+    _, plain_x = cli.build_instance(load_config(lin_config), net, cfg.m, cfg.seed)
+    assert np.array_equal(plain_x, forward(net, z))
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -588,7 +617,7 @@ def test_sweep_shard_failure_leaves_no_process(lin_config, tmp_path, monkeypatch
     solve = cli._solve_group
 
     def failing(cfg, net, basis, solver, cells):
-        seed = cells[0][1]
+        seed = cells[0].seed
         how = plan.get(seed)
         if how == "exit":
             os._exit(3)
@@ -911,7 +940,7 @@ def test_diagnose_reports_inf_window_factor_when_eta_gamma_underflows(tmp_path):
     # the window factor 1/(eta gamma) - 1 is +inf, and the report is written.
     report = diagnose_report(
         tmp_path / "d", "latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",
-        "outer_steps=3", "inner_steps=3", "num_pairs=3", "solver=eps_pgd",
+        "outer_steps=3", "inner_steps=3", "num_pairs=3", "solver=pgd",
         "eta=5e-324", "weight_scale=-1.0")
     assert 0.0 < float(report["gamma_hat"]) < 1.0
     assert report["window_predicted_factor"] == "inf"

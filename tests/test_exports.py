@@ -1,11 +1,13 @@
-"""Every name the package exports has a use outside the tests.
+"""Every name the package exports, and every private name a module of it
+defines at top level, has a use outside the tests.
 
 A reference counts when it is in ``src/genprior/`` (``__init__.py``
 aside), ``demos/`` or ``perfbench/``: an attribute ``<anything>.name``,
 or a load of ``name`` in a module that imports it from the package or
 defines it at top level.  A definition, an ``__all__`` entry (a string)
 and a docstring are no reference, and neither is a local variable that
-only shares the name.  The files are parsed, not run.
+only shares the name, nor a private name's use inside its own
+definition.  The files are parsed, not run.
 """
 
 import ast
@@ -22,7 +24,8 @@ SOURCES = ([p for p in sorted((ROOT / "src" / "genprior").glob("*.py"))
 
 
 def references(path):
-    """The package-level names one file refers to."""
+    """The package-level names one file refers to, by the top-level
+    statement they occur in."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom)
@@ -33,19 +36,45 @@ def references(path):
             bound[node.name] = node.name
         elif isinstance(node, ast.Assign):
             bound.update((t.id, t.id) for t in node.targets if isinstance(t, ast.Name))
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-              and node.id in bound):
-            refs.add(bound[node.id])
-    return refs
+    by_statement = {}
+    for statement in tree.body:
+        refs = by_statement[statement] = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and node.id in bound):
+                refs.add(bound[node.id])
+    return by_statement
+
+
+def defined(statement):
+    """The names one top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    return set()
 
 
 def test_every_export_is_used_outside_the_tests():
-    used = set().union(*(references(path) for path in SOURCES))
+    used = set().union(*(refs for path in SOURCES
+                         for refs in references(path).values()))
     exports = [name for name in genprior.__all__
                if not isinstance(getattr(genprior, name), types.ModuleType)]
     unused = sorted(name for name in exports if name not in used)
     assert not unused, f"exported, but used only by the tests: {unused}"
+
+
+def test_every_private_name_is_used_outside_the_tests():
+    used, private = set(), set()
+    for path in SOURCES:
+        for statement, refs in references(path).items():
+            names = defined(statement)
+            used |= refs - names
+            if path.parent.name == "genprior":
+                private |= {n for n in names
+                            if n.startswith("_") and not n.startswith("__")}
+    unused = sorted(private - used)
+    assert len(private) > 40, sorted(private)  # the scan found the modules
+    assert not unused, f"defined, but used only by the tests: {unused}"

@@ -25,7 +25,6 @@ from genprior import (
     forward,
     latent_gradient,
 )
-from genprior.projection import _project_cells
 from genprior.solvers import _TraceBuilder
 from conftest import identity_generator, planted_linear, project_one, random_net
 
@@ -164,8 +163,8 @@ def test_block_rows_match_serial_restarts(activation):
     starts = [rng.standard_normal(net.latent_dim) for _ in range(cfg.restarts)]
     rows = block_rows_project(net, x, cfg, RngStream(701))
     for start, (res, z, gx) in zip(starts, rows):
-        (serial,) = _project_cells(net, [x], ProjectionConfig(
-            inner_steps=60, inner_rate=0.05), [RngStream(0)], [start])
+        serial = project_one(net, x, ProjectionConfig(
+            inner_steps=60, inner_rate=0.05), RngStream(0), start)
         assert res == pytest.approx(serial.residual, rel=1e-9)
         for got, want in ((z, serial.z_hat), (gx, serial.x_proj)):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)

@@ -27,7 +27,7 @@ from genprior import (
     save_weights,
 )
 from genprior import cli
-from genprior.projection import _project_cells
+from conftest import project_cells
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -140,10 +140,10 @@ def test_project_returns_none_or_finite_repeatable(net, cells, restarts, steps,
             net.latent_dim)
         warms.append({"zero": np.zeros(net.latent_dim), "random": None,
                       "warm": warm}[start])
-    block = _project_cells(net, xs, cfg, [RngStream(seed + i) for i in range(cells)],
-                           warms)
+    block = project_cells(net, xs, cfg, [RngStream(seed + i) for i in range(cells)],
+                          warms)
     for i, (x, warm, in_block) in enumerate(zip(xs, warms, block)):
-        first, again = (_project_cells(net, [x], cfg, [RngStream(seed + i)], [warm])[0]
+        first, again = (project_cells(net, [x], cfg, [RngStream(seed + i)], [warm])[0]
                         for _ in range(2))
         if first is None:
             assert again is None and in_block is None
@@ -177,8 +177,8 @@ def test_project_never_returns_an_overflowed_latent(k, hidden, n, restarts,
     warm = 1e307 * np.abs(rng.standard_normal(k))
     cfg = ProjectionConfig(inner_steps=steps, inner_rate=10.0**rate_exp,
                            restarts=restarts)
-    (res,) = _project_cells(net, [rng.standard_normal(n)], cfg, [RngStream(seed)],
-                            [warm])
+    (res,) = project_cells(net, [rng.standard_normal(n)], cfg, [RngStream(seed)],
+                           [warm])
     if res is not None:  # None: no range point at a finite distance
         assert np.all(np.isfinite(res.z_hat)) and np.all(np.isfinite(res.x_proj))
 

@@ -47,6 +47,23 @@ _ACT_TAG = {"identity": 0, "relu": 1, "tanh": 2}
 _TAG_ACT = {v: k for k, v in _ACT_TAG.items()}
 
 _MAGIC = b"GPRIORW1"
+_ALIGN = 64  # bytes: one cache line
+
+
+def _aligned_copy(a):
+    """A C-ordered copy of ``a`` whose data starts on a cache line.
+
+    Plain copies start wherever the heap has room, which varies with what
+    the process allocated before.  A 784x200 weight matrix at 32 bytes past
+    a line made each default-size projection step 10-30% slower than one on
+    a line (2-vCPU Xeon, OpenBLAS 0.3.31), so a command's speed depended on
+    its process's allocation history.  Values and bits are unchanged.
+    """
+    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,7 +83,7 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         # Read-only copies: one net is shared by every solve and sweep
         # worker, and a copy leaves the caller's arrays writable.
-        w, b = w.copy(), b.copy()
+        w, b = _aligned_copy(w), b.copy()
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)

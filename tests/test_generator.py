@@ -146,6 +146,19 @@ def test_layer_arrays_read_only_copies():
     assert net.layers[0].weights[0, 0] == 1.0 and net.layers[0].bias[0] == 0.0
 
 
+def test_layer_weights_start_on_a_cache_line():
+    # Whatever the heap gave the caller's array, the layer's copy starts on
+    # a 64-byte line, C-ordered, with the same values.
+    for start in range(0, 64, 8):
+        buf = np.zeros(200 * 20 + 16)
+        w = buf[start // 8:start // 8 + 200 * 20].reshape(200, 20)
+        w[...] = np.arange(w.size).reshape(w.shape)
+        layer = Layer(weights=w, bias=np.zeros(200), activation="relu")
+        assert layer.weights.ctypes.data % 64 == 0
+        assert layer.weights.flags.c_contiguous
+        assert np.array_equal(layer.weights, w)
+
+
 def test_weight_file_round_trip_bitwise(tmp_path):
     net = random_generator(4, [7, 5], 9, "tanh", RngStream(42), bias_scale=0.3)
     path = tmp_path / "net.gpw"

@@ -54,6 +54,7 @@ recorded in the summary.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import pickle
@@ -268,25 +269,16 @@ def _validate(cfg):
 def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
     """Assemble an ExperimentConfig from file, --set overrides and flags."""
     values = {}
-    if path:
-        for lineno, key, raw in _read_config_lines(path):
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _parse(key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
+    # Lazy: the first broken line, in file then --set order, is reported.
+    lines = itertools.chain(_read_config_lines(path) if path else (),
+                            map(_read_override, overrides))
+    for where, key, raw in lines:
         if key not in _KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            values[key] = _parse(key, raw.strip())
+            values[key] = _parse(key, raw)
         except ValueError as exc:
-            raise ConfigError(f"--set {key}: bad value: {exc}")
+            raise ConfigError(f"{where}: bad value for {key}: {exc}")
     if seed is not None:
         values["seed"] = int(seed)
     if out is not None:
@@ -298,7 +290,16 @@ def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
     return _validate(ExperimentConfig(**values))
 
 
+def _read_override(item):
+    """One ``--set key=value`` item as (where, key, raw)."""
+    if "=" not in item:
+        raise ConfigError(f"--set expects key=value, got {item!r}")
+    key, raw = item.split("=", 1)
+    return "--set", key.strip(), raw.strip()
+
+
 def _read_config_lines(path):
+    """Each setting of the config file as (path:line, key, raw)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -310,7 +311,7 @@ def _read_config_lines(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
-        yield lineno, key.strip(), raw.strip()
+        yield f"{path}:{lineno}", key.strip(), raw.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +476,7 @@ def _solve_group(cfg, net, basis, solver, cells):
                              if solver == "csgm" else
                              (cfg.dpr_steps, cfg.dpr_rate, "magnitude"))
         return _latent_descent(net, steps, rate, kind, [
-            _LatentCell(c.obj.y, c.obj.model.matrix,
-                        RngStream(c.seed, spawn_key=(905,)), x_star=c.x_star)
+            _LatentCell(c.obj, RngStream(c.seed, spawn_key=(905,)), x_star=c.x_star)
             for c in cells])
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts)

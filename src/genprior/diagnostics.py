@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import forward
-from .numerics import _check_orthonormal, as_matrix
+from .numerics import _check_orthonormal, as_count, as_matrix
 from .objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 
 __all__ = [
@@ -85,10 +85,8 @@ def _range_pairs(net, count, rng):
 
 def empirical_srec(a, net, num_pairs, rng):
     """Sample extremes of ||A(x1-x2)|| / ||x1-x2|| over range-point pairs."""
-    a = as_matrix(a, "A")
-    num_pairs = int(num_pairs)
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
+    a = as_matrix(a, "A", cols=net.output_dim)
+    num_pairs = as_count(num_pairs, "num_pairs")
     x1, x2 = _range_pairs(net, num_pairs, rng)
     d = x1 - x2
     norms = np.linalg.norm(d, axis=1)
@@ -113,9 +111,8 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
     (min q, max q).  All pairs are evaluated as one block; each pair's
     quotient has the bits of evaluating it on its own.
     """
-    num_pairs = int(num_pairs)
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
+    as_matrix(obj.model.matrix, "A", cols=net.output_dim)
+    num_pairs = as_count(num_pairs, "num_pairs")
     xs, xps = _range_pairs(net, num_pairs, rng)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xps))):
         raise ValueError("range points contain non-finite entries")
@@ -167,12 +164,10 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
     |<u - u', v - v'>| / norms over all combinations of one range pair with
     one sparse pair.
     """
-    b = _check_orthonormal(b)
-    n = b.shape[0]
-    num_samples = int(num_samples)
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    sparsity = int(sparsity)
+    n = net.output_dim
+    b = _check_orthonormal(b, n)
+    num_samples = as_count(num_samples, "num_samples")
+    sparsity = as_count(sparsity, "sparsity", low=0)
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, n={n}]")
 

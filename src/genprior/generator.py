@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_count, as_matrix, as_vector
 
 __all__ = [
     "Layer",
@@ -74,11 +74,7 @@ class Layer:
 
     def __post_init__(self):
         w = as_matrix(self.weights, "layer weights")
-        b = as_vector(self.bias, "layer bias")
-        if b.shape[0] != w.shape[0]:
-            raise ValueError(
-                f"bias length {b.shape[0]} does not match weight rows {w.shape[0]}"
-            )
+        b = as_vector(self.bias, "layer bias", w.shape[0])
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         # Read-only copies: one net is shared by every solve and sweep
@@ -254,9 +250,8 @@ def random_generator(k, hidden_dims, n, activation, rng, weight_scale=1.0,
     activation).  Weights are i.i.d. Gaussian(0, weight_scale^2 / fan_in),
     biases Gaussian(0, bias_scale^2); bias_scale defaults to 0 (bias-free).
     """
-    dims = [int(k)] + [int(h) for h in hidden_dims] + [int(n)]
-    if any(d < 1 for d in dims):
-        raise ValueError(f"all layer dimensions must be positive, got {dims}")
+    dims = ([as_count(k, "k")] + [as_count(h, "hidden_dims entry")
+                                  for h in hidden_dims] + [as_count(n, "n")])
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     layers = []
@@ -316,9 +311,7 @@ def load_weights(path):
 def estimate_diameter(net, num_samples, rng):
     """Max pairwise distance among sampled range points (lower bound on the
     true range diameter)."""
-    num_samples = int(num_samples)
-    if num_samples < 2:
-        raise ValueError("need at least two samples to estimate a diameter")
+    num_samples = as_count(num_samples, "num_samples", low=2)
     xs = forward(net, rng.standard_normal((num_samples, net.latent_dim)))
     # Pairwise squared distances via the Gram expansion.
     sq = np.sum(xs**2, axis=1)

@@ -64,11 +64,7 @@ def apply_link(link, u):
 
 def observe(model, x):
     """Clean measurements: the link applied entrywise to Ax."""
-    x = as_vector(x, "x")
-    if x.shape[0] != model.signal_dim:
-        raise ValueError(
-            f"signal length {x.shape[0]} does not match model n={model.signal_dim}"
-        )
+    x = as_vector(x, "x", model.signal_dim)
     return apply_link(model.link, model.matrix @ x)
 
 

@@ -5,7 +5,12 @@ Conventions used throughout the package:
 * vectors are 1-D ``numpy.float64`` arrays,
 * matrices are 2-D ``numpy.float64`` arrays in row-major (C) order,
 * every public operation keeps entries finite; NaN/Inf in an input is a
-  caller error and is rejected at the API boundary.
+  caller error and is rejected at the API boundary,
+* counts (steps, samples, dimensions, seeds) are integers: a float, even
+  2.0, is refused by :func:`as_count`, never truncated,
+* an array is checked against the length (:func:`as_vector`) or width
+  (:func:`as_matrix`) it must match where it enters, not where numpy
+  would first trip over it.
 
 Randomness is always drawn from an explicit :class:`RngStream`, never from
 global state.  The stream is backed by numpy's Philox counter-based bit
@@ -20,12 +25,14 @@ numpy loaded, so processes that share the CPUs need not oversubscribe them.
 from __future__ import annotations
 
 import ctypes
+import operator
 
 import numpy as np
 
 __all__ = [
     "RngStream",
     "blas_threads",
+    "as_count",
     "as_vector",
     "as_matrix",
     "gaussian_matrix",
@@ -44,8 +51,9 @@ class RngStream:
     """
 
     def __init__(self, seed, spawn_key=()):
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        self.seed = as_count(seed, "seed", low=0)
+        self.spawn_key = tuple(as_count(k, "spawn_key entry", low=0)
+                               for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))
 
@@ -68,23 +76,41 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def as_vector(x, name="vector"):
-    """Coerce to a finite 1-D float64 array, rejecting bad shapes/values."""
+def as_count(v, name, low=1):
+    """``v`` as a Python int >= ``low``.  Python and numpy integers pass; a
+    float (even 2.0) or a string raises ValueError rather than truncate."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+    if v < low:
+        raise ValueError(f"need {name} >= {low}, got {v}")
+    return v
+
+
+def as_vector(x, name="vector", length=None):
+    """Coerce to a finite 1-D float64 array of ``length`` entries when
+    given, rejecting bad shapes/values."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+    if length is not None and v.shape[0] != length:
+        raise ValueError(f"{name} length {v.shape[0]} does not match {length}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite 2-D float64 array, rejecting bad shapes/values."""
+def as_matrix(a, name="matrix", cols=None):
+    """Coerce to a finite 2-D float64 array of ``cols`` columns when given,
+    rejecting bad shapes/values."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
+    if cols is not None and m.shape[1] != cols:
+        raise ValueError(f"{name} width {m.shape[1]} does not match n={cols}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -97,17 +123,16 @@ def gaussian_matrix(m, n, variance, rng):
     ``variance = 1/m`` so that measurement energy matches signal energy in
     expectation.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m}x{n}")
+    m, n = as_count(m, "m"), as_count(n, "n")
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     return np.sqrt(variance) * rng.standard_normal((m, n))
 
 
-def _check_orthonormal(b):
-    """Coerce to a finite square matrix with orthonormal columns."""
-    b = as_matrix(b, "B")
+def _check_orthonormal(b, n=None):
+    """Coerce to a finite square matrix with orthonormal columns (``n`` of
+    them when given)."""
+    b = as_matrix(b, "B", cols=n)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"basis must be square, got {b.shape}")
     if np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) > _ORTHO_TOL:
@@ -131,6 +156,7 @@ def blas_threads(n=None):
     The count decides only how BLAS splits a product across threads: the
     package makes no call whose bits depend on it (see README, Determinism).
     """
+    n = None if n is None else as_count(n, "n")
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split(None, 5)[-1].strip() for line in maps}
@@ -146,6 +172,6 @@ def blas_threads(n=None):
                 put.argtypes, put.restype = [ctypes.c_int], None
                 before = get()
                 if n is not None:
-                    put(int(n))
+                    put(n)
                 return before
     return None

@@ -63,7 +63,8 @@ KIND_FOR_LINK = {
 
 @dataclass(frozen=True)
 class Objective:
-    """The loss of a measurement model's link, bound to observations y.
+    """The loss of a measurement model's link, bound to observations y,
+    which the magnitude link needs entrywise nonnegative.
 
     ``phase`` is a pinned +-1 phase vector, allowed only when the kind is
     "phase_corrected" (the magnitude link); None there re-binds p =
@@ -75,18 +76,13 @@ class Objective:
     phase: np.ndarray | None = None
 
     def __post_init__(self):
-        y = as_vector(self.y, "y")
-        if y.shape[0] != self.model.num_measurements:
-            raise ValueError(
-                f"y length {y.shape[0]} does not match model m="
-                f"{self.model.num_measurements}"
-            )
+        y = as_vector(self.y, "y", self.model.num_measurements)
+        if self.model.link == "magnitude" and np.any(y < 0):
+            raise ValueError("magnitude observations y must be nonnegative")
         if self.phase is not None:
             if self.kind != "phase_corrected":
                 raise ValueError(f"kind {self.kind!r} takes no phase vector")
-            p = as_vector(self.phase, "phase")
-            if p.shape[0] != y.shape[0]:
-                raise ValueError("phase length does not match y")
+            p = as_vector(self.phase, "phase", y.shape[0])
             if not np.all(np.abs(p) == 1.0):
                 raise ValueError("phase entries must be exactly +-1")
             object.__setattr__(self, "phase", p)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import _descend
+from .numerics import as_count
 
 __all__ = ["ProjectionConfig"]
 
@@ -43,12 +44,10 @@ class ProjectionConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
+        as_count(self.inner_steps, "inner_steps")
+        as_count(self.restarts, "restarts")
         if not 0 < self.inner_rate < np.inf:
             raise ValueError("inner_rate must be positive and finite")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 def _start_block(cfg, k, rng, warm):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .generator import _descend, forward
 from .measurement import MeasurementModel
-from .numerics import RngStream, _check_orthonormal, as_matrix, as_vector
+from .numerics import RngStream, _check_orthonormal, as_count, as_matrix, as_vector
 from .objectives import (
     Objective,
     _adjoint,
@@ -80,8 +80,7 @@ class SolverConfig:
     ground_truth: np.ndarray | None = None  # x*, trace enrichment only
 
     def __post_init__(self):
-        if self.outer_steps < 1:
-            raise ValueError("outer_steps must be >= 1")
+        as_count(self.outer_steps, "outer_steps")
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
 
@@ -195,7 +194,7 @@ def _truth_block(truths, n):
     if all(t is None for t in truths):
         return None
     return np.stack([np.full(n, np.nan) if t is None
-                     else as_vector(t, "ground_truth") for t in truths])
+                     else as_vector(t, "ground_truth", n) for t in truths])
 
 
 class _Cell(NamedTuple):
@@ -228,8 +227,8 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
     proj_residual = NaN.
     """
     n = net.output_dim
-    if any(c.obj.model.signal_dim != n for c in cells):
-        raise ValueError(f"measurement matrix width does not match generator n={n}")
+    for c in cells:
+        as_matrix(c.obj.model.matrix, "A", cols=n)
     us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
     vs = [None if sparse is None else np.zeros(n) for _ in cells]
     xs = [u if v is None else u + v for u, v in zip(us, vs)]
@@ -311,12 +310,7 @@ def pgd_linear(y, a, net, cfg):
 
 def _phase_cell(y, a, net, x0, step_size, seed, x_star=None):
     """The cell of one ``phase_pgd`` solve; see there."""
-    y = as_vector(y, "y")
-    if np.any(y < 0):
-        raise ValueError("magnitude observations must be entrywise nonnegative")
-    x0 = as_vector(x0, "x0").copy()
-    if x0.shape[0] != net.output_dim:
-        raise ValueError("x0 length does not match generator output dim")
+    x0 = as_vector(x0, "x0", net.output_dim).copy()
     model = MeasurementModel(matrix=a, link="magnitude")
     return _Cell(Objective(model, y), step_size, seed, x0, x_star)
 
@@ -345,19 +339,17 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
     unit direction u; it needs the ground truth and exists for controlled
     local-convergence studies.
     """
-    y = as_vector(y, "y")
-    a = as_matrix(a, "A")
+    a = as_matrix(a, "A", cols=net.output_dim)
+    y = as_vector(y, "y", a.shape[0])
     if strategy == "oracle_perturb":
         if x_star is None or delta0 is None:
             raise ValueError("oracle_perturb needs x_star and delta0")
-        x_star = as_vector(x_star, "x_star")
+        x_star = as_vector(x_star, "x_star", net.output_dim)
         u = rng.standard_normal(x_star.shape[0])
         u /= np.linalg.norm(u)
         return x_star + delta0 * np.linalg.norm(x_star) * u
     if strategy == "best_of_samples":
-        count = int(count)
-        if count < 1:
-            raise ValueError("best_of_samples needs count >= 1")
+        count = as_count(count, "count")
         best_x, best_loss = None, np.inf
         for _ in range(count):
             z = rng.standard_normal(net.latent_dim)
@@ -392,13 +384,7 @@ def _thresh(w, b, l):
 
 
 def _check_basis(b, n, l):
-    b = _check_orthonormal(b)
-    if b.shape[0] != n:
-        raise ValueError(f"basis size {b.shape[0]} does not match length {n}")
-    l = int(l)
-    if l < 0:
-        raise ValueError("sparsity level must be nonnegative")
-    return b, l
+    return _check_orthonormal(b, n), as_count(l, "sparsity level l", low=0)
 
 
 def myopic_eps_pgd(obj, net, b, l, cfg):
@@ -418,11 +404,11 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
 
 
 class _LatentCell(NamedTuple):
-    """One latent-descent baseline solve: observations y = A x, its own
-    start stream, and optional ground truth and start latent."""
+    """One latent-descent baseline solve: the Objective holding its checked
+    y and A (its loss is the group's ``kind``), its own start stream, and
+    optional ground truth and start latent."""
 
-    y: np.ndarray
-    a: np.ndarray
+    obj: Objective
     rng: RngStream
     x_star: np.ndarray | None = None
     z0: np.ndarray | None = None
@@ -439,18 +425,18 @@ def _latent_descent(net, steps, rate, kind, cells):
     sensing matrices.  Stacked matrix-vector products, so every cell has
     the bits of its own descent.  Both baseline losses
     have scale 1/2, so 2 A.T c is the exact signal-space gradient; it
-    backpropagates through the net.
+    backpropagates through the net.  Each cell's Objective has checked its
+    y and A (y >= 0 on the magnitude link); here A must have the net's n
+    columns and a z0 the net's k entries.
     """
-    ys = [as_vector(cell.y, "y") for cell in cells]
-    mats = [as_matrix(cell.a, "A") for cell in cells]
-    if kind == "magnitude" and any(np.any(y < 0) for y in ys):
-        raise ValueError("magnitude observations must be entrywise nonnegative")
-    if int(steps) < 1:
-        raise ValueError("steps must be >= 1")
+    steps = as_count(steps, "steps")
     if not 0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
+    ys = [cell.obj.y for cell in cells]
+    mats = [as_matrix(cell.obj.model.matrix, "A", cols=net.output_dim)
+            for cell in cells]
     zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
-          else as_vector(cell.z0, "z0").copy() for cell in cells]
+          else as_vector(cell.z0, "z0", net.latent_dim).copy() for cell in cells]
     cuts = [0] + [i for i in range(1, len(cells))
                   if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
     runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
@@ -467,19 +453,20 @@ def _latent_descent(net, steps, rate, kind, cells):
             return parts[0]
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    tb = _TraceBuilder(int(steps) + 1, _truth_block(
+    tb = _TraceBuilder(steps + 1, _truth_block(
         [cell.x_star for cell in cells], net.output_dim))
-    z, gx = _descend(net, np.stack(zs)[:, None], int(steps), rate, measure,
+    z, gx = _descend(net, np.stack(zs)[:, None], steps, rate, measure,
                      lambda loss, z, gx: tb.add(loss, gx))
     n_cells = len(cells)
     return tb.build(gx.reshape(n_cells, -1), z.reshape(n_cells, -1),
-                    [int(steps)] * n_cells)
+                    [steps] * n_cells)
 
 
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     """Plain latent-space gradient descent on ||y - A G(z)||^2."""
+    obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
     (trace,) = _latent_descent(net, steps, rate, "squared",
-                               [_LatentCell(y, a, rng, x_star, z0)])
+                               [_LatentCell(obj, rng, x_star, z0)])
     return trace.x_hat, trace
 
 
@@ -488,6 +475,7 @@ def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
 
     The subgradient of |u| at 0 is taken as 0 (numpy sign convention).
     """
+    obj = Objective(MeasurementModel(matrix=a, link="magnitude"), y)
     (trace,) = _latent_descent(net, steps, rate, "magnitude",
-                               [_LatentCell(y, a, rng, x_star, z0)])
+                               [_LatentCell(obj, rng, x_star, z0)])
     return trace.x_hat, trace

@@ -190,7 +190,8 @@ def test_criterion_4_m_sweep_trend():
             y = a @ x_star
             pgd_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), 0.7,
                                    seed, x_star=x_star))
-            csgm_cells.append(_LatentCell(y, a, RngStream(seed, spawn_key=(905,)),
+            csgm_cells.append(_LatentCell(Objective(MeasurementModel(a, "linear"), y),
+                                          RngStream(seed, spawn_key=(905,)),
                                           x_star=x_star))
 
     def medians(traces):

@@ -86,7 +86,9 @@ def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
         y = np.abs(y) if kind == "magnitude" else y
         if i == 1:
             y = 1e155 * y
-        cells.append(_LatentCell(y, a, RngStream(seed), x_star=x_star))
+        link = "linear" if kind == "squared" else "magnitude"
+        cells.append(_LatentCell(Objective(MeasurementModel(a, link), y),
+                                 RngStream(seed), x_star=x_star))
         refs.append(baseline(y, a, desk_net, 60, 0.01, RngStream(seed),
                              x_star=x_star))
     traces = _latent_descent(desk_net, 60, 0.01, kind, cells)

@@ -560,7 +560,8 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
                 rng = RngStream(seed, spawn_key=(905,))
                 z0 = rng.standard_normal(k)
                 z0 /= np.linalg.norm(z0)
-                cells.append(solvers._LatentCell(y, a, rng, x_star, z0))
+                obj = Objective(MeasurementModel(a, "magnitude"), y)
+                cells.append(solvers._LatentCell(obj, rng, x_star, z0))
         if solver == "phase":
             traces = solvers._projected_descent(
                 desk_net, cells, 50, ProjectionConfig(inner_steps=50, inner_rate=0.05))

@@ -75,7 +75,8 @@ from .generator import (
     save_weights,
 )
 from .measurement import MeasurementModel, observe, observe_noisy
-from .numerics import RngStream, _check_orthonormal, blas_threads, gaussian_matrix
+from .numerics import (RngStream, _check_orthonormal, as_count, blas_threads,
+                       gaussian_matrix)
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import _Cell, _LatentCell, _latent_descent, _projected_descent, phase_init
@@ -244,14 +245,20 @@ _CROSS_RULES = (
 
 def _validate(cfg):
     """cfg, once every key holds its declaration and every cross-key rule
-    holds; the rules that need the signal length are ``check_signal_length``."""
+    holds; ``_setup`` checks the rules that need the signal length."""
     for f in fields(cfg):
         v, meta = getattr(cfg, f.name), f.metadata
         choices, low, strict = meta.get("choices"), meta.get("low"), meta.get("strict")
         name = f"{f.name} entries" if isinstance(v, tuple) else f.name
+        integer = type(f.default) is int or meta.get("parse") is _parse_int_list
         for e in v if isinstance(v, tuple) else (v,):
             if choices and e not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, got {e!r}")
+            if integer:
+                try:
+                    as_count(e, name, low=-math.inf)  # the bound is checked below
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
             if isinstance(e, float) and not math.isfinite(e):
                 raise ConfigError(f"{name} must be finite, got {e!r}")
             if (low is not None and isinstance(e, (int, float))
@@ -279,14 +286,9 @@ def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
             values[key] = _parse(key, raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}")
-    if seed is not None:
-        values["seed"] = int(seed)
-    if out is not None:
-        values["out"] = str(out)
-    if workers is not None:
-        values["workers"] = int(workers)
-    if not values.get("out"):
-        values["out"] = os.environ.get("GENPRIOR_OUT", "out")
+    flags = {"seed": seed, "out": out, "workers": workers}
+    values.update((key, v) for key, v in flags.items() if v is not None)
+    values["out"] = str(values.get("out") or os.environ.get("GENPRIOR_OUT", "out"))
     return _validate(ExperimentConfig(**values))
 
 
@@ -333,26 +335,20 @@ def build_generator(cfg):
                           f"finite: {exc}") from None
 
 
-def check_signal_length(cfg, n):
-    """The rules that need the signal length n, which the generator fixes
-    (``weights_path`` may set it).  Every command checks them right after
-    building the generator, before any instance."""
-    if cfg.problem == "mismatch" and cfg.sparsity > n:
-        raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
-                          f"({n}) for problem 'mismatch'")
-    if cfg.matrix_kind == "orthonormal" and max((cfg.m, *cfg.m_list)) > n:
-        raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
-
-
 def build_basis(cfg, n):
     """The n x n orthonormal basis that mismatch spikes are sparse in: the
     identity, or a checked random draw that depends on ``weight_seed``
     alone.  A command builds it once, after the generator has fixed n."""
     if cfg.basis == "identity":
         return np.eye(n)
-    q, r = np.linalg.qr(RngStream(cfg.weight_seed, spawn_key=(902,))
-                        .standard_normal((n, n)))
-    return _check_orthonormal(q * np.sign(np.diag(r)))  # signs: a canonical draw
+    rng = RngStream(cfg.weight_seed, spawn_key=(902,))
+    return _check_orthonormal(_orthogonal_draw(rng, n))
+
+
+def _orthogonal_draw(rng, n):
+    """Q of an n x n Gaussian draw's QR, its signs made canonical by R's."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 def _command_basis(cfg, net):
@@ -407,8 +403,7 @@ def build_instance(cfg, net, m, seed, basis=None):
         raise _not_finite(f"x* at seed {seed}", keys)
     n = net.output_dim
     if cfg.matrix_kind == "orthonormal":
-        q, r = np.linalg.qr(root.derive(1, m).standard_normal((n, n)))
-        a = (q * np.sign(np.diag(r))).T[:m]
+        a = _orthogonal_draw(root.derive(1, m), n).T[:m]
     else:
         a = gaussian_matrix(m, n, 1.0 / m, root.derive(1, m))
     model = MeasurementModel(matrix=a, link=PROBLEM_LINK[cfg.problem])
@@ -568,11 +563,15 @@ def write_pgm(path, x):
 
 def _setup(cfg):
     """A command's output directory, made, and its generator, built and
-    checked against the rules that need the signal length."""
+    checked against the rules that need the signal length n it fixes."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     net = build_generator(cfg)
-    check_signal_length(cfg, net.output_dim)
+    if cfg.problem == "mismatch" and cfg.sparsity > net.output_dim:
+        raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
+                          f"({net.output_dim}) for problem 'mismatch'")
+    if cfg.matrix_kind == "orthonormal" and max((cfg.m, *cfg.m_list)) > net.output_dim:
+        raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
     return out, net
 
 

@@ -99,7 +99,6 @@ class SolveTrace:
     proj_residual: np.ndarray
     phase_flips: np.ndarray
     x_hat: np.ndarray
-    z_hat: np.ndarray | None
     inner_updates: int
     extras: dict = field(default_factory=dict)
 
@@ -120,81 +119,63 @@ _TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
 
 
 class _TraceBuilder:
-    """Per-step records of one cell, or of a lockstep block of cells.
+    """Per-step records of a lockstep block of cells, each with its ground
+    truth of length n or None.
 
-    ``x_star`` holds the cells' ground truths as rows (NaN for a cell
-    without one), or is None when no cell has one.  ``add`` takes each
-    cell's objective and iterate (the iterates with leading cell axes) and,
-    optionally, each cell's projection residual and phase flips (one value
-    for all cells, or one per cell); ``build`` makes one trace per cell.
-    The ``records`` steps go into one (columns, cells, records) buffer, and
-    each trace column is a contiguous view of it: a latent baseline records
-    thousands of steps, and one small array per value, or a copy per
-    column, would hold several times the memory.
-    The records of up to ``BLOCK`` steps wait in a step-major buffer, and
+    ``add`` takes each cell's objective and iterate (the iterates with
+    leading cell axes) and, optionally, both each cell's projection residual
+    and its phase flips (one value for all cells, or one per cell); ``build``
+    makes one trace per cell.  Each of the ``records`` steps is written into one
+    (columns, cells, records) NaN buffer, and each trace column is a
+    contiguous view of it: a latent baseline records thousands of steps,
+    and one small array per value, or a copy per column, would hold several
+    times the memory.  Only the iterates of up to ``BLOCK`` steps wait, and
     their error columns are computed once per block: eight ufunc calls on a
     few rows per step cost more than their arithmetic.
     """
 
     BLOCK = 64
 
-    def __init__(self, records, x_star=None):
-        self.x_star = None if x_star is None else np.atleast_2d(x_star)
-        self.records = records
-        self.cols = None
+    def __init__(self, records, x_stars, n):
+        self.cols = np.full((len(_TRACE_COLUMNS), len(x_stars), records), np.nan)
+        self.x_star = None
+        if any(x is not None for x in x_stars):
+            self.x_star = np.stack([as_vector(x, "ground_truth", n) if x is not None
+                                    else np.full(n, np.nan) for x in x_stars])
+            self.xs = np.empty((min(self.BLOCK, records), len(x_stars), n))
         self.steps = self.done = 0
 
-    def add(self, objective, x, proj_residual=np.nan, phase_flips=np.nan):
-        x = x.reshape(-1, x.shape[-1])
-        if self.cols is None:
-            block = min(self.BLOCK, self.records)
-            self.cols = np.empty((len(_TRACE_COLUMNS), x.shape[0], self.records))
-            # The steps [done, steps) wait here, step-major.
-            self.rows = np.full((block, len(_TRACE_COLUMNS), x.shape[0]), np.nan)
-            self.xs = None if self.x_star is None else np.empty((block, *x.shape))
-        row = self.rows[self.steps - self.done]
-        row[0] = np.ravel(objective)
-        row[3] = proj_residual
-        row[4] = phase_flips
-        if self.xs is not None:
-            self.xs[self.steps - self.done] = x
+    def add(self, objective, x, proj_residual=None, phase_flips=None):
+        t = self.steps
+        self.cols[0, :, t] = np.ravel(objective)
+        if proj_residual is not None:  # else both stay NaN, as in a latent loop
+            self.cols[3, :, t], self.cols[4, :, t] = proj_residual, phase_flips
         self.steps += 1
-        if self.steps - self.done == len(self.rows):
-            self._flush()
+        if self.x_star is not None:
+            self.xs[t - self.done] = x.reshape(self.x_star.shape)
+            if self.steps - self.done == len(self.xs):
+                self._flush()
 
     def _flush(self):
-        """Move the buffered steps into the columns, with their errors."""
-        b = self.steps - self.done
-        rows = self.rows[:b]
-        if self.xs is not None:
-            # Row-wise dot products have the bits of each row's own d @ d.
-            x = self.xs[:b]
-            d = x - self.x_star
-            s = x + self.x_star
-            dd = np.vecdot(d, d)
-            rows[:, 1] = dd / x.shape[-1]
-            rows[:, 2] = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
-        self.cols[:, :, self.done:self.steps] = rows.transpose(1, 2, 0)
+        """Write the error columns of the waiting iterates."""
+        x = self.xs[:self.steps - self.done]
+        # Row-wise dot products have the bits of each row's own d @ d.
+        d, s = x - self.x_star, x + self.x_star
+        dd = np.vecdot(d, d)
+        span = slice(self.done, self.steps)
+        self.cols[1, :, span] = (dd / x.shape[-1]).T
+        self.cols[2, :, span] = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s))).T
         self.done = self.steps
 
-    def build(self, x_hats, z_hats, inner_updates, extras=None):
-        """One SolveTrace per cell, from the cells' final iterates, latents,
+    def build(self, x_hats, inner_updates, extras=None):
+        """One SolveTrace per cell, from the cells' final iterates,
         inner-update counts and (optional) extras."""
-        if self.done < self.steps:
+        if self.x_star is not None and self.done < self.steps:
             self._flush()
-        return [SolveTrace(x_hat=x_hat, z_hat=z_hat, inner_updates=inner,
+        return [SolveTrace(x_hat=x_hat, inner_updates=inner,
                            extras=extras[i] if extras else {},
                            **dict(zip(_TRACE_COLUMNS, self.cols[:, i])))
-                for i, (x_hat, z_hat, inner)
-                in enumerate(zip(x_hats, z_hats, inner_updates))]
-
-
-def _truth_block(truths, n):
-    """The cells' ground truths as one (cells, n) block for _TraceBuilder."""
-    if all(t is None for t in truths):
-        return None
-    return np.stack([np.full(n, np.nan) if t is None
-                     else as_vector(t, "ground_truth", n) for t in truths])
+                for i, (x_hat, inner) in enumerate(zip(x_hats, inner_updates))]
 
 
 class _Cell(NamedTuple):
@@ -230,18 +211,17 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
     for c in cells:
         as_matrix(c.obj.model.matrix, "A", cols=n)
     us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
-    vs = [None if sparse is None else np.zeros(n) for _ in cells]
-    xs = [u if v is None else u + v for u, v in zip(us, vs)]
+    vs = None if sparse is None else [np.zeros(n) for _ in cells]
     z_prev = [None] * len(cells)
     rngs = [RngStream(c.seed) for c in cells]
-    tb = _TraceBuilder(outer_steps + 1, _truth_block([c.x_star for c in cells], n))
-    cots = [None] * len(cells)    # each cell's cotangent at its iterate
-    phases = [None] * len(cells)  # each phase_corrected cell's phase there
+    tb = _TraceBuilder(outer_steps + 1, [c.x_star for c in cells], n)
+    phases = [None] * len(cells)  # each phase_corrected cell's phase at its iterate
     flips = [np.nan] * len(cells)
     inner = [0] * len(cells)
     residual = [np.nan] * len(cells)
     for t in range(outer_steps + 1):
-        losses = []
+        xs = us if vs is None else [u + v for u, v in zip(us, vs)]
+        losses, moves = [], []  # moves: (cell, w_u, w_v) of each finite step
         for i, c in enumerate(cells):
             o, p = c.obj, None
             u = o.model.matrix @ xs[i]
@@ -249,23 +229,22 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
                 p = _bound_phase(o.phase, u)
                 flips[i] = 0.0 if phases[i] is None else float(np.sum(p != phases[i]))
                 phases[i] = p
-            f, cots[i] = _loss_terms(o.kind, u, o.y, p)
+            f, cot = _loss_terms(o.kind, u, o.y, p)
             losses.append(f)
+            if t == outer_steps:
+                continue
+            # An overflowing step is held by the finiteness check below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = c.step_size * _adjoint(o.kind, o.model.matrix, cot)
+                wu = us[i] - step
+                wv = None if vs is None else vs[i] - step
+            if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
+                inner[i] += proj.restarts * proj.inner_steps
+                moves.append((i, wu, wv))
         tb.add(losses, np.stack(xs), proj_residual=residual, phase_flips=flips)
         if t == outer_steps:
             break
         residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
-        moves = []  # (cell, w_u, w_v) of every finite gradient step
-        for i, c in enumerate(cells):
-            # An overflowing step is held by the finiteness check below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = c.step_size * _adjoint(c.obj.kind, c.obj.model.matrix,
-                                              cots[i])
-                wu = us[i] - step
-                wv = None if vs[i] is None else vs[i] - step
-            if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
-                inner[i] += proj.restarts * proj.inner_steps
-                moves.append((i, wu, wv))
         block = _project_cells(
             net, [wu for _, wu, _ in moves], proj, [rngs[i] for i, _, _ in moves],
             [z_prev[i] for i, _, _ in moves]) if moves else ((), (), ())
@@ -275,9 +254,8 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
             us[i], z_prev[i], residual[i] = gx, z, res
             if wv is not None:
                 vs[i] = _thresh(wv, *sparse)
-            xs[i] = us[i] if vs[i] is None else us[i] + vs[i]
-    extras = None if sparse is None else [{"u": u, "v": v} for u, v in zip(us, vs)]
-    return tb.build(xs, z_prev, inner, extras)
+    extras = None if vs is None else [{"u": u, "v": v} for u, v in zip(us, vs)]
+    return tb.build(xs, inner, extras)
 
 
 def _solve_one(net, cfg, obj, sparse=None):
@@ -453,13 +431,10 @@ def _latent_descent(net, steps, rate, kind, cells):
             return parts[0]
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    tb = _TraceBuilder(steps + 1, _truth_block(
-        [cell.x_star for cell in cells], net.output_dim))
-    z, gx = _descend(net, np.stack(zs)[:, None], steps, rate, measure,
+    tb = _TraceBuilder(steps + 1, [cell.x_star for cell in cells], net.output_dim)
+    _, gx = _descend(net, np.stack(zs)[:, None], steps, rate, measure,
                      lambda loss, z, gx: tb.add(loss, gx))
-    n_cells = len(cells)
-    return tb.build(gx.reshape(n_cells, -1), z.reshape(n_cells, -1),
-                    [steps] * n_cells)
+    return tb.build(gx.reshape(len(cells), -1), [steps] * len(cells))
 
 
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):

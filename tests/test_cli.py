@@ -159,6 +159,19 @@ def test_config_rejects_values_that_make_a_sweep_silently_wrong(lin_config, key,
         load_config(lin_config, overrides=[f"{key}={raw}"])
 
 
+def test_config_refuses_a_non_integer_count():
+    # load_config truncated seed 2.5 to 2 and workers 1.7 to 1, and an int
+    # key or int-tuple entry holding a float loaded: m=50.0 then failed deep
+    # in RngStream.
+    for key, value in (("seed", 2.5), ("workers", 1.7)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(None, **{key: value})
+    for key, value in (("m", 2.5), ("m", 50.0), ("hidden_dims", (200.5,)),
+                       ("seeds", (1, 2.0))):
+        with pytest.raises(ConfigError, match=f"{key}( entries)? must be an integer"):
+            cli._validate(cli.ExperimentConfig(**{key: value}))
+
+
 def test_phase_with_noise_is_rejected_at_the_config_boundary():
     # Noise added to |Ax| makes negative magnitudes, which phase_pgd
     # rejects: every such solve used to fail deep in the solver.

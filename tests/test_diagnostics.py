@@ -137,7 +137,7 @@ def _trace_from(values):
     return SolveTrace(objective=np.asarray(values, dtype=float),
                       per_pixel_error=nanc.copy(), sign_error=nanc.copy(),
                       proj_residual=nanc.copy(), phase_flips=nanc.copy(),
-                      x_hat=np.zeros(1), z_hat=None, inner_updates=0)
+                      x_hat=np.zeros(1), inner_updates=0)
 
 
 def test_rate_fit_exact_geometric():
@@ -192,9 +192,9 @@ def test_incoherence_toy_in_open_interval(desk_net):
 def trace_errors(x, x_star):
     """(per_pixel_error, sign_error) of a one-record trace at x; the trace
     is where the package computes its reconstruction metrics."""
-    tb = _TraceBuilder(1, x_star)
+    tb = _TraceBuilder(1, [x_star], len(x))
     tb.add(0.0, x)
-    (trace,) = tb.build([x], [None], [0])
+    (trace,) = tb.build([x], [0])
     return trace.per_pixel_error[0], trace.sign_error[0]
 
 

@@ -1,5 +1,6 @@
-"""Every name the package exports, and every private name a module of it
-defines at top level, has a use outside the tests.
+"""Every name the package exports, every field of an exported record and
+every private name a module of it defines at top level, has a use outside
+the tests.
 
 A reference counts when it is in ``src/genprior/`` (``__init__.py``
 aside), ``demos/`` or ``perfbench/``: an attribute ``<anything>.name``,
@@ -11,6 +12,8 @@ definition.  The files are parsed, not run.
 """
 
 import ast
+import dataclasses
+import importlib
 import types
 from pathlib import Path
 
@@ -78,3 +81,21 @@ def test_every_private_name_is_used_outside_the_tests():
     unused = sorted(private - used)
     assert len(private) > 40, sorted(private)  # the scan found the modules
     assert not unused, f"defined, but used only by the tests: {unused}"
+
+
+def test_every_field_of_an_exported_record_is_read_outside_the_tests():
+    # A record is a dataclass or NamedTuple that the package or one of its
+    # modules exports; a field counts as read by an attribute of its name.
+    read = set().union(*(refs for path in SOURCES
+                         for refs in references(path).values()))
+    modules = [genprior] + [importlib.import_module(f"genprior.{path.stem}")
+                            for path in SOURCES if path.parent.name == "genprior"]
+    records = {obj for module in modules for name in module.__all__
+               if isinstance(obj := getattr(module, name), type)
+               and (dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"))}
+    unread = sorted(f"{cls.__name__}.{name}" for cls in records
+                    for name in (cls._fields if hasattr(cls, "_fields")
+                                 else [f.name for f in dataclasses.fields(cls)])
+                    if name not in read)
+    assert len(records) > 8, sorted(cls.__name__ for cls in records)
+    assert not unread, f"fields read only by the tests: {unread}"

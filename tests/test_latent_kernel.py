@@ -87,7 +87,7 @@ def block_project(net, x, cfg, rng):
 def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
     z = rng.standard_normal(net.latent_dim) if z0 is None else z0.copy()
     gx = forward(net, z)
-    tb = _TraceBuilder(steps + 1, x_star)
+    tb = _TraceBuilder(steps + 1, [x_star], net.output_dim)
     tb.add(loss_fn(gx), gx)
     for _ in range(steps):
         z_next = z - rate * latent_gradient(net, z, cot_fn(gx))
@@ -97,7 +97,7 @@ def two_pass_latent_descent(net, steps, rate, rng, x_star, z0, cot_fn, loss_fn):
         if np.all(np.isfinite(z_next)) and np.isfinite(loss_fn(gx_next)):
             z, gx = z_next, gx_next
         tb.add(loss_fn(gx), gx)
-    (trace,) = tb.build([gx], [z], [steps])
+    (trace,) = tb.build([gx], [steps])
     return gx, trace
 
 
@@ -186,5 +186,4 @@ def test_baselines_match_two_pass_reference(desk_net, kind, rate):
     for col in TRACE_COLUMNS:
         assert np.array_equal(getattr(trace, col), getattr(ref, col), equal_nan=True)
     assert np.array_equal(x_hat, x_ref)
-    assert np.array_equal(trace.z_hat, ref.z_hat)
     assert trace.inner_updates == ref.inner_updates

@@ -44,10 +44,6 @@ def assert_same_run(trace, ref, x_ref):
     for col in TRACE_COLUMNS:
         assert np.array_equal(getattr(trace, col), getattr(ref, col), equal_nan=True)
     assert np.array_equal(trace.x_hat, x_ref)
-    if ref.z_hat is None:
-        assert trace.z_hat is None
-    else:
-        assert np.array_equal(trace.z_hat, ref.z_hat)
     assert trace.inner_updates == ref.inner_updates
 
 
@@ -155,6 +151,6 @@ def test_projected_group_skips_a_cell_whose_step_overflows(desk_net):
                           cfg))
         refs.append(pgd_linear(y, a, desk_net, cfg))
     traces = _projected_descent(desk_net, cells, cfg.outer_steps, cfg.projection)
-    assert traces[1].inner_updates == 0 and traces[1].z_hat is None
+    assert traces[1].inner_updates == 0
     for trace, (x_ref, ref) in zip(traces, refs):
         assert_same_run(trace, ref, x_ref)

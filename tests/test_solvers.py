@@ -43,10 +43,10 @@ def test_trace_builder_blocks_match_per_step_errors(records):
     x_star[1] = np.nan
     xs = rng.standard_normal((records, 3, 7))
     objs = rng.standard_normal((records, 3))
-    tb = _TraceBuilder(records, x_star)
+    tb = _TraceBuilder(records, [x_star[0], None, x_star[2]], 7)
     for t in range(records):
         tb.add(objs[t], xs[t], proj_residual=[t, np.nan, -t], phase_flips=2.0)
-    traces = tb.build(list(xs[-1]), [None] * 3, [0] * 3)
+    traces = tb.build(list(xs[-1]), [0] * 3)
     for i, trace in enumerate(traces):
         d, s = xs[:, i] - x_star[i], xs[:, i] + x_star[i]
         ppe = [d[t] @ d[t] / 7 for t in range(records)]
@@ -57,10 +57,10 @@ def test_trace_builder_blocks_match_per_step_errors(records):
         np.testing.assert_array_equal(
             trace.proj_residual, [[t, np.nan, -t][i] for t in range(records)])
         np.testing.assert_array_equal(trace.phase_flips, np.full(records, 2.0))
-    tb = _TraceBuilder(records)
+    tb = _TraceBuilder(records, [None], 7)
     for t in range(records):
         tb.add(objs[t, 0], xs[t, 0])
-    (trace,) = tb.build([xs[-1, 0]], [None], [0])
+    (trace,) = tb.build([xs[-1, 0]], [0])
     np.testing.assert_array_equal(trace.objective, objs[:, 0])
     assert np.isnan(trace.per_pixel_error).all() and np.isnan(trace.sign_error).all()
 
@@ -528,7 +528,6 @@ def test_baseline_freezes_an_overflowed_latent(solver):
     # exactly.  The step is refused, so the latent stays at its start.
     x_hat, trace = solver(np.zeros(1), np.eye(1), relu_unit_net(), steps=3,
                           rate=1e308, rng=RngStream(0), z0=np.ones(1))
-    assert np.array_equal(trace.z_hat, [1.0])
     assert np.array_equal(x_hat, [1.0])
     assert np.array_equal(trace.objective, [1.0, 1.0, 1.0, 1.0])
 

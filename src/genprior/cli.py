@@ -475,28 +475,33 @@ def _solve_group(cfg, net, basis, solver, cells):
             for c in cells])
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts)
-    if solver == "phase_pgd":
-        cells = [c._replace(x0=phase_init(
-            c.obj.y, c.obj.model.matrix, net, RngStream(c.seed, spawn_key=(904,)),
-            cfg.phase_init_strategy, cfg.phase_init_count, cfg.phase_delta0,
-            c.x_star)) for c in cells]
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
     return _projected_descent(net, cells, cfg.outer_steps, proj, sparse)
 
 
-def _run_group(cfg, net, basis, solver, cells):
+def _run_group(cfg, net, basis, solver, cells, traced=False):
     """The summary rows of one solver's lockstep group over its cells,
     given the command's basis.
 
     Phase starts are made one cell at a time; then the solver steps every
     cell of the group in lockstep, with the bits each cell has on its own.
-    Every row's ``wall_time_s`` is the wall of the group's solve.
+    The solver sees the cells' x* only when ``traced``: only ``trace.csv``
+    reads the per-step error columns it costs.  Each row's final error has
+    the bits of a traced run's last record, and its ``wall_time_s`` is the
+    wall of the group's solve.
     """
     t0 = time.perf_counter()
-    traces = _solve_group(cfg, net, basis, solver, cells)
+    if solver == "phase_pgd":
+        cells = [c._replace(x0=phase_init(
+            c.obj.y, c.obj.model.matrix, net, RngStream(c.seed, spawn_key=(904,)),
+            cfg.phase_init_strategy, cfg.phase_init_count, cfg.phase_delta0,
+            c.x_star)) for c in cells]
+    traces = _solve_group(cfg, net, basis, solver, cells if traced else
+                          [c._replace(x_star=None) for c in cells])
     wall = time.perf_counter() - t0
     rows = []
     for c, trace in zip(cells, traces):
+        d = trace.x_hat - c.x_star
         try:
             alpha_fit = diag.convergence_rate(trace, RATE_FLOOR)
         except ValueError:
@@ -507,7 +512,7 @@ def _run_group(cfg, net, basis, solver, cells):
             "solver": solver,
             "trace": trace,
             "eta": c.step_size,
-            "final_per_pixel_error": trace.final_per_pixel_error,
+            "final_per_pixel_error": float(np.vecdot(d, d) / d.shape[0]),
             "final_objective": trace.final_objective,
             "alpha_fit": alpha_fit,
             "total_inner_updates": trace.inner_updates,
@@ -596,7 +601,7 @@ def cmd_solve(cfg):
     solver = cfg.single_solver()
     cell = _cell(cfg, net, (solver,), cfg.seed,
                  *build_instance(cfg, net, cfg.m, cfg.seed, basis))
-    (row,) = _run_group(cfg, net, basis, solver, [cell])
+    (row,) = _run_group(cfg, net, basis, solver, [cell], traced=True)
     trace = row["trace"]
     trace_path = out / "trace.csv"
     write_trace_csv(trace_path, trace)

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _DEGENERATE = 1e-9
+_PAIR_BLOCK = 256  # pairs per row block after the one forward product
 
 
 @dataclass(frozen=True)
@@ -77,30 +78,39 @@ class WindowReport:
 def _range_pairs(net, count, rng):
     """count pairs of range points, drawn interleaved so that pair i is the
     same whatever the total count (sample extremes are then monotone in the
-    sample size for a fixed stream)."""
+    sample size for a fixed stream).  The forward of all 2*count latents is
+    one 2-D product, whose bits a forward of a few rows need not have."""
     zs = rng.standard_normal((2 * count, net.latent_dim))
     xs = forward(net, zs)
     return xs[0::2], xs[1::2]
+
+
+def _pair_blocks(x1, x2):
+    """(x1, x2, x1 - x2) over blocks of ``_PAIR_BLOCK`` pairs, each
+    difference written into one reused buffer.  The estimates take only
+    per-row products and reductions, so each row has its whole-block bits."""
+    buf = np.empty((min(_PAIR_BLOCK, len(x1)), x1.shape[1]))
+    for lo in range(0, len(x1), _PAIR_BLOCK):
+        b1, b2 = x1[lo:lo + _PAIR_BLOCK], x2[lo:lo + _PAIR_BLOCK]
+        yield b1, b2, np.subtract(b1, b2, out=buf[:len(b1)])
 
 
 def empirical_srec(a, net, num_pairs, rng):
     """Sample extremes of ||A(x1-x2)|| / ||x1-x2|| over range-point pairs."""
     a = as_matrix(a, "A", cols=net.output_dim)
     num_pairs = as_count(num_pairs, "num_pairs")
-    x1, x2 = _range_pairs(net, num_pairs, rng)
-    d = x1 - x2
-    norms = np.linalg.norm(d, axis=1)
-    keep = norms > _DEGENERATE
-    if not np.any(keep):
+    ratios = []
+    for _, _, d in _pair_blocks(*_range_pairs(net, num_pairs, rng)):
+        norms = np.linalg.norm(d, axis=1)
+        keep = norms > _DEGENERATE
+        # Stacked matrix-vector products: one GEMV per pair, whose bits do
+        # not depend on the BLAS thread count (a plain GEMM's do).
+        ratios.append(np.linalg.norm(_apply(a, d[keep]), axis=1) / norms[keep])
+    ratios = np.concatenate(ratios)
+    if not len(ratios):
         raise ValueError("all sampled pairs are degenerate")
-    # Stacked matrix-vector products: one GEMV per pair, whose bits do not
-    # depend on the BLAS thread count (a plain GEMM's do).
-    ratios = np.linalg.norm(_apply(a, d[keep]), axis=1) / norms[keep]
-    return SrecEstimate(
-        gamma=float(np.min(ratios**2)),
-        rho=float(np.max(ratios)),
-        pairs_used=int(np.sum(keep)),
-    )
+    return SrecEstimate(gamma=float(np.min(ratios**2)), rho=float(np.max(ratios)),
+                        pairs_used=len(ratios))
 
 
 def rsc_rss_estimate(obj, net, num_pairs, rng):
@@ -108,8 +118,8 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
 
     For each sampled pair (x, x') of range points computes
     q = 2 [F(x') - F(x) - <grad F(x), x' - x>] / ||x' - x||^2 and returns
-    (min q, max q).  All pairs are evaluated as one block; each pair's
-    quotient has the bits of evaluating it on its own.
+    (min q, max q).  The pairs run in row blocks after their one forward
+    product; each pair's quotient has the bits of evaluating it on its own.
     """
     as_matrix(obj.model.matrix, "A", cols=net.output_dim)
     num_pairs = as_count(num_pairs, "num_pairs")
@@ -117,20 +127,19 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xps))):
         raise ValueError("range points contain non-finite entries")
     a, kind = obj.model.matrix, obj.kind
-    # Stacked matrix-vector products: one GEMV per pair, so every row has
-    # the bits of the per-pair product (a plain GEMM does not).
-    f, c = _loss_terms(kind, _apply(a, xs), obj.y, obj.phase)
-    fp, _ = _loss_terms(kind, _apply(a, xps), obj.y, obj.phase)
-    d = xps - xs
-    del xs, xps  # free the largest block before the gradients come in
-    nd2 = np.vecdot(d, d)
-    keep = nd2 > _DEGENERATE**2
-    if not np.any(keep):
+    qs = []
+    for xp, x, d in _pair_blocks(xps, xs):
+        # Stacked matrix-vector products: one GEMV per pair, so every row has
+        # the bits of the per-pair product (a plain GEMM does not).
+        f, c = _loss_terms(kind, _apply(a, x), obj.y, obj.phase)
+        fp, _ = _loss_terms(kind, _apply(a, xp), obj.y, obj.phase)
+        nd2 = np.vecdot(d, d)
+        keep = nd2 > _DEGENERATE**2
+        grad = _adjoint(kind, a, c) / GRADIENT_SCALE[kind]
+        qs.append(2.0 * (fp - f - np.vecdot(grad, d))[keep] / nd2[keep])
+    qs = np.concatenate(qs)
+    if not len(qs):
         raise ValueError("all sampled pairs are degenerate")
-    grad = _adjoint(kind, a, c)
-    grad /= GRADIENT_SCALE[kind]
-    bregman = fp - f - np.vecdot(grad, d)
-    qs = 2.0 * bregman[keep] / nd2[keep]
     return RscRssEstimate(alpha=float(np.min(qs)), beta=float(np.max(qs)),
                           samples=len(qs))
 

@@ -124,25 +124,25 @@ class GeneratorNet:
         return len(self.layers)
 
 
-def _apply_activation(name, u):
-    if name == "relu":
-        return np.maximum(u, 0.0)
-    if name == "tanh":
-        return np.tanh(u)
-    return u
-
-
 def _forward_cached(net, z):
     """The forward layer loop: G(z) and the output of every layer.
 
     ``h @ W.T`` serves single latents and batches alike; for a single latent
-    it gives the same bits as ``W @ h``.  The cached layer outputs are the
-    inputs of the next layer, so caching them holds no extra memory.
+    it gives the same bits as ``W @ h``.  Each layer makes one array: the
+    product is always a new one, and the bias and the activation are
+    applied to it in place, with the bits of ``act(h @ W.T + b)``; z and
+    the earlier outputs are never written.  The cached layer outputs are
+    the inputs of the next layer, so caching them holds no extra memory.
     """
     acts = []
     h = z
     for layer in net.layers:
-        h = _apply_activation(layer.activation, h @ layer.weights.T + layer.bias)
+        h = h @ layer.weights.T
+        h += layer.bias
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif layer.activation == "tanh":
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 

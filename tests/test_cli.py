@@ -563,6 +563,23 @@ def test_sweep_single_cell_matches_solve(lin_config, tmp_path, restarts):
     assert row[3] == err and row[4] == obj
 
 
+def test_sweep_final_error_is_the_last_record_of_a_solve_trace(lin_config, tmp_path):
+    # A sweep computes no per-step errors: its final error comes from x_hat
+    # and must have the bits of the last per_pixel_error a solve writes.
+    sets = ["--set", "csgm_steps=300"]
+    assert run_cli("sweep", "--config", str(lin_config), "--out",
+                   str(tmp_path / "sweep"), "--set", "solvers=pgd,csgm", *sets) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep" / "results.csv").read_text().splitlines()[1:]]
+    for solver in ("pgd", "csgm"):
+        out = tmp_path / solver
+        assert run_cli("solve", "--config", str(lin_config), "--out", str(out),
+                       "--set", f"solver={solver}", *sets) == 0
+        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+        (row,) = [r for r in rows if r[1] == "3" and r[2] == solver]
+        assert row[3] == last[2]
+
+
 @pytest.mark.parametrize("restarts", [1, 4])
 def test_sweep_workers_do_not_change_bytes(lin_config, tmp_path, monkeypatch,
                                            restarts):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from genprior import (
     rsc_rss_estimate,
     step_size_window_check,
 )
+from genprior import cli
+from genprior.objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 from genprior.solvers import _TraceBuilder
 from conftest import identity_generator, random_net
 
@@ -126,6 +130,110 @@ def test_rsc_rss_sigmoid_regime_recorded():
     est = rsc_rss_estimate(obj, net, 200, RngStream(20))
     assert 0.0 < est.alpha <= est.beta
     assert est.ratio >= 1.0
+
+
+# --- row blocks against one whole block --------------------------------
+
+
+def whole_block_pairs(net, num_pairs, seed):
+    pts = forward(net, RngStream(seed).standard_normal((2 * num_pairs,
+                                                        net.latent_dim)))
+    return pts[0::2], pts[1::2]
+
+
+def whole_block_srec(a, net, num_pairs, seed):
+    """(gamma, rho, pairs used) of every pair in one block."""
+    x1, x2 = whole_block_pairs(net, num_pairs, seed)
+    d = x1 - x2
+    norms = np.linalg.norm(d, axis=1)
+    keep = norms > 1e-9
+    ratios = np.linalg.norm(_apply(a, d[keep]), axis=1) / norms[keep]
+    return float(np.min(ratios**2)), float(np.max(ratios)), int(np.sum(keep))
+
+
+def whole_block_rsc_rss(obj, net, num_pairs, seed):
+    """(alpha, beta, samples) of every pair in one block."""
+    xs, xps = whole_block_pairs(net, num_pairs, seed)
+    a, kind = obj.model.matrix, obj.kind
+    f, c = _loss_terms(kind, _apply(a, xs), obj.y, obj.phase)
+    fp, _ = _loss_terms(kind, _apply(a, xps), obj.y, obj.phase)
+    d = xps - xs
+    nd2 = np.vecdot(d, d)
+    keep = nd2 > 1e-9**2
+    grad = _adjoint(kind, a, c) / GRADIENT_SCALE[kind]
+    qs = 2.0 * (fp - f - np.vecdot(grad, d))[keep] / nd2[keep]
+    return float(np.min(qs)), float(np.max(qs)), len(qs)
+
+
+def half_dead_net(n):
+    """G(z) = relu(z) w: a pair whose latents are both negative maps to one
+    point, so about a quarter of the pairs are degenerate."""
+    return GeneratorNet(layers=(
+        Layer(weights=[[1.0]], bias=[0.0], activation="relu"),
+        Layer(weights=RngStream(3).standard_normal((n, 1)), bias=np.zeros(n),
+              activation="identity"),
+    ))
+
+
+def block_objective(link, n, pinned=False):
+    a = gaussian_matrix(48, n, 1.0 / 48, RngStream(21))
+    model = MeasurementModel(matrix=a, link=link)
+    y = observe(model, RngStream(22).standard_normal(n))
+    phase = np.where(RngStream(23).standard_normal(48) >= 0, 1.0, -1.0)
+    return Objective(model, y, phase=phase if pinned else None)
+
+
+@pytest.mark.parametrize("num_pairs", [300, 1001, 2000])
+@pytest.mark.parametrize("link, pinned", [
+    ("linear", False), ("sigmoid", False), ("sinusoid", False),
+    ("magnitude", False), ("magnitude", True)])
+@pytest.mark.parametrize("net", [random_net(31, k=6, hidden=(24,), n=40),
+                                 half_dead_net(40)], ids=["relu", "half_dead"])
+def test_estimates_in_row_blocks_match_one_whole_block(num_pairs, link, pinned, net):
+    # Every row of a block is a per-row product or reduction, so the blocked
+    # estimates have the bits of one block over all pairs.
+    obj = block_objective(link, net.output_dim, pinned)
+    srec = empirical_srec(obj.model.matrix, net, num_pairs, RngStream(41))
+    assert (srec.gamma, srec.rho, srec.pairs_used) == whole_block_srec(
+        obj.model.matrix, net, num_pairs, 41)
+    est = rsc_rss_estimate(obj, net, num_pairs, RngStream(42))
+    assert (est.alpha, est.beta, est.samples) == whole_block_rsc_rss(
+        obj, net, num_pairs, 42)
+
+
+def test_half_dead_net_has_some_degenerate_pairs():
+    net = half_dead_net(40)
+    a = block_objective("linear", 40).model.matrix
+    assert 0 < empirical_srec(a, net, 1001, RngStream(41)).pairs_used < 1001
+
+
+def test_estimates_refuse_a_constant_range_across_blocks():
+    constant = random_generator(2, [4], 40, "relu", RngStream(5, spawn_key=(77,)),
+                                weight_scale=0.0, bias_scale=1.0)
+    obj = block_objective("linear", 40)
+    with pytest.raises(ValueError, match="degenerate"):
+        empirical_srec(obj.model.matrix, constant, 1001, RngStream(8))
+    with pytest.raises(ValueError, match="degenerate"):
+        rsc_rss_estimate(obj, constant, 1001, RngStream(8))
+
+
+@pytest.mark.parametrize("estimate", ["srec", "rsc_rss"])
+def test_estimates_hold_one_forward_block_at_default_size(estimate):
+    # 2,000 pairs at k=20 -> 200 -> n=784: the forward of 4,000 latents
+    # holds 30 MiB, and the row blocks add little to it.
+    cfg = cli.load_config()
+    net = cli.build_generator(cfg)
+    obj, _ = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    tracemalloc.start()
+    try:
+        if estimate == "srec":
+            empirical_srec(obj.model.matrix, net, 2000, RngStream(1))
+        else:
+            rsc_rss_estimate(obj, net, 2000, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
 
 
 # --- convergence_rate ---------------------------------------------------

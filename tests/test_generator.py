@@ -12,6 +12,7 @@ from genprior import (
     random_generator,
     save_weights,
 )
+from genprior.generator import _forward_cached
 from conftest import identity_generator, random_net
 
 
@@ -144,6 +145,32 @@ def test_layer_arrays_read_only_copies():
     w[0, 0] = 5.0
     b[0] = 5.0
     assert net.layers[0].weights[0, 0] == 1.0 and net.layers[0].bias[0] == 0.0
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_forward_writes_only_its_own_layer_outputs(activation):
+    # Each layer adds its bias and applies its activation in place on the
+    # product's new array: the bits of act(h @ W.T + b), and neither z nor
+    # the layer arrays nor an earlier cached output is written.
+    net = random_generator(5, [7, 6], 9, activation, RngStream(3, spawn_key=(77,)),
+                           bias_scale=0.5)
+    act = {"relu": lambda u: np.maximum(u, 0.0), "tanh": np.tanh,
+           "identity": lambda u: u}
+    arrays = [(layer.weights.copy(), layer.bias.copy()) for layer in net.layers]
+    for z in (RngStream(4).standard_normal(5), RngStream(5).standard_normal((6, 5))):
+        z.setflags(write=False)
+        z_before = z.copy()
+        expected, h = [], z
+        for layer in net.layers:
+            h = act[layer.activation](h @ layer.weights.T + layer.bias)
+            expected.append(h)
+        out, acts = _forward_cached(net, z)
+        assert forward(net, z).tobytes() == out.tobytes() == h.tobytes()
+        assert [a.tobytes() for a in acts] == [e.tobytes() for e in expected]
+        assert z.tobytes() == z_before.tobytes()
+    for layer, (w, b) in zip(net.layers, arrays):
+        assert layer.weights.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
 
 
 def test_layer_weights_start_on_a_cache_line():

@@ -1,0 +1,136 @@
+"""Compare the output bytes of two source trees over one fixed command list.
+
+    python tools/bytecheck.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository.  Every command below
+runs once per tree, each in a fresh interpreter (``python -m genprior.cli``
+with ``PYTHONPATH=TREE/src``) and its own output directory, and every file
+it writes is compared byte for byte between the trees.  Only wall-clock
+fields are masked: ``timings.txt`` is not compared, and the
+``wall_time_s=`` item of ``summary.txt`` is dropped.  Each file and line
+that differs is named.  The exit status is 0 when every file matches, and
+1 when a file differs, is missing on one side, or a command fails.
+
+Both trees run on one machine in one environment, so no digest is
+recorded: the bits of a GEMM can differ between BLAS builds and thread
+counts, but not between two runs of the same code here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# k=8 -> 32 -> 32 -> n=128 with 4 projection restarts (the bench's
+# sweep_small net).
+SMALL_NET = ("latent_dim=8", "hidden_dims=32,32", "output_dim=128", "restarts=4")
+
+
+def _command(kind, *items, seed=None):
+    argv = [kind]
+    for item in items:
+        argv += ["--set", item]
+    return argv + ([] if seed is None else ["--seed", str(seed)])
+
+
+COMMANDS = {
+    **{f"solve-{p}-101": _command("solve", f"problem={p}", seed=101)
+       for p in ("linear", "sinusoid", "sigmoid", "phase", "mismatch")},
+    "sweep-small-linear": _command(
+        "sweep", *SMALL_NET, "problem=linear", "solvers=pgd,csgm",
+        "m_list=20,40", "seeds=305,306", "csgm_steps=300", "eta=auto"),
+    "sweep-small-phase": _command(
+        "sweep", *SMALL_NET, "problem=phase", "solvers=phase_pgd,dpr",
+        "m_list=40,80", "seeds=301,302", "dpr_steps=300"),
+    "diagnose-mismatch-300": _command(
+        "diagnose", "problem=mismatch", "eta=auto", "num_pairs=300", seed=201),
+    **{f"diagnose-{p}-2000": _command(
+        "diagnose", f"problem={p}", "eta=auto", "num_pairs=2000", seed=201)
+       for p in ("linear", "sinusoid", "sigmoid", "mismatch")},
+    **{f"diagnose-small-{p}-{pairs}": _command(
+        "diagnose", *SMALL_NET, f"problem={p}", "eta=auto", f"num_pairs={pairs}",
+        seed=202)
+       for p, pairs in (("sinusoid", 300), ("phase", 1001))},
+    "solve-mismatch-random-ortho": _command(
+        "solve", "problem=mismatch", "basis=random_ortho", "outer_steps=3", seed=3),
+    "solve-linear-orthonormal": _command(
+        "solve", "problem=linear", "matrix_kind=orthonormal", "outer_steps=3",
+        seed=7),
+    "solve-restarts-unit-norm": _command(
+        "solve", "restarts=3", "unit_norm_latent=true", "outer_steps=4", seed=9),
+}
+
+
+def _masked(name, data):
+    if name == "summary.txt":
+        return b" ".join(t for t in data.split(b" ")
+                         if not t.startswith(b"wall_time_s="))
+    return data
+
+
+def run(tree, argv, out):
+    """The masked output files of one command on one tree, or the failure
+    of the command as a string."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    proc = subprocess.run([sys.executable, "-m", "genprior.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        return f"exit status {proc.returncode}: {proc.stderr.strip()[-400:]}"
+    return {p.name: _masked(p.name, p.read_bytes())
+            for p in sorted(out.iterdir()) if p.is_file() and p.name != "timings.txt"}
+
+
+def differences(a, b, limit=3):
+    """One line per file that differs between the outputs a and b, naming
+    the first ``limit`` lines that differ."""
+    found = []
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            found.append(f"{name}: only in {'CHANGE' if name in b else 'PARENT'}")
+            continue
+        if a[name] == b[name]:
+            continue
+        la, lb = a[name].splitlines(), b[name].splitlines()
+        lines = [i for i in range(max(len(la), len(lb)))
+                 if i >= len(la) or i >= len(lb) or la[i] != lb[i]]
+        found += [f"{name}:{i + 1}: {la[i] if i < len(la) else b'<none>'!r} "
+                  f"!= {lb[i] if i < len(lb) else b'<none>'!r}" for i in lines[:limit]]
+        if len(lines) > limit:
+            found.append(f"{name}: {len(lines) - limit} more lines differ")
+    return found
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    bad = files = 0
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+        for name, command in COMMANDS.items():
+            outs = []
+            for side, tree in (("parent", args.parent), ("change", args.change)):
+                out = Path(tmp) / name / side
+                out.mkdir(parents=True)
+                outs.append(run(tree, command, out))
+            failed = [f"{side} {o}" for side, o in zip(("PARENT", "CHANGE"), outs)
+                      if isinstance(o, str)]
+            found = failed or differences(*outs)
+            if not failed:
+                files += len(outs[0])
+            bad += bool(found)
+            print(f"{'DIFFERS' if found else 'same':8} {name}")
+            for line in found:
+                print(f"         {line}")
+    print(f"{len(COMMANDS) - bad} of {len(COMMANDS)} commands write identical "
+          f"files ({files} files compared; timings.txt and wall_time_s masked)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

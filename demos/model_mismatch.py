@@ -38,7 +38,7 @@ def main():
         projection=gp.ProjectionConfig(inner_steps=T_IN, inner_rate=ETA_IN),
         seed=SEED, ground_truth=x_star)
 
-    basis = np.eye(SIGNAL)
+    basis = None  # the identity basis, which is never built
     x_hat, u_hat, v_hat, trace = gp.myopic_eps_pgd(obj, net, basis, SPARSITY, cfg)
 
     print(f"mismatch instance: n={SIGNAL} m={M} k={LATENT} "

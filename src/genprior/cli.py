@@ -37,7 +37,8 @@ holds the interpreter lock nearly throughout.  ``diagnose``'s two items
 are its restricted-constant estimates and its step size and solve, which
 never meet the estimates.  While shards run side by side, each process's
 OpenBLAS pool is cut to its share of the usable CPUs, and restored when
-they are done.  A command builds the mismatch basis once, before any fork.
+they are done.  A command builds the mismatch basis once, before any fork;
+the identity basis builds nothing (it is None).
 ``--workers`` is accepted and changes nothing.
 
 Outputs are deterministic byte-for-byte given the config, and do not depend
@@ -75,8 +76,8 @@ from .generator import (
     save_weights,
 )
 from .measurement import MeasurementModel, observe, observe_noisy
-from .numerics import (RngStream, _check_orthonormal, as_count, blas_threads,
-                       gaussian_matrix)
+from .numerics import (RngStream, _check_orthonormal, _combination, as_count,
+                       blas_threads, gaussian_matrix)
 from .objectives import GRADIENT_SCALE, Objective
 from .projection import ProjectionConfig
 from .solvers import _Cell, _LatentCell, _latent_descent, _projected_descent, phase_init
@@ -336,11 +337,12 @@ def build_generator(cfg):
 
 
 def build_basis(cfg, n):
-    """The n x n orthonormal basis that mismatch spikes are sparse in: the
-    identity, or a checked random draw that depends on ``weight_seed``
-    alone.  A command builds it once, after the generator has fixed n."""
+    """The n x n orthonormal basis that mismatch spikes are sparse in: None
+    for the identity, which is never built, or a checked random draw that
+    depends on ``weight_seed`` alone.  A command builds it once, after the
+    generator has fixed n."""
     if cfg.basis == "identity":
-        return np.eye(n)
+        return None
     rng = RngStream(cfg.weight_seed, spawn_key=(902,))
     return _check_orthonormal(_orthogonal_draw(rng, n))
 
@@ -398,7 +400,7 @@ def build_instance(cfg, net, m, seed, basis=None):
         coeffs[support] = scale * np.where(
             spike_rng.standard_normal(cfg.sparsity) >= 0, 1.0, -1.0
         )
-        x_star = x_base + basis @ coeffs
+        x_star = x_base + _combination(basis, coeffs)
     if not np.isfinite(HEADROOM * (x_star @ x_star)):
         raise _not_finite(f"x* at seed {seed}", keys)
     n = net.output_dim
@@ -767,8 +769,7 @@ def cmd_diagnose(cfg):
                 f"{' or '.join(_generator_keys(cfg))}") from None
         # A problem without spikes never reads sparsity: bound it by n.
         mu = diag.incoherence_estimate(
-            net, np.eye(net.output_dim) if basis is None else basis,
-            min(cfg.num_pairs, 200), rng.derive(2),
+            net, basis, min(cfg.num_pairs, 200), rng.derive(2),
             sparsity=min(max(cfg.sparsity, 1), net.output_dim))
         return srec, est, mu
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import forward
-from .numerics import _check_orthonormal, as_count, as_matrix
+from .numerics import _check_orthonormal, _combination, as_count, as_matrix
 from .objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 
 __all__ = [
@@ -171,7 +171,7 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
     Samples ``num_samples`` pairs of range points and ``num_samples`` pairs
     of ``sparsity``-sparse combinations of the basis columns and maximizes
     |<u - u', v - v'>| / norms over all combinations of one range pair with
-    one sparse pair.
+    one sparse pair.  ``b`` None is the identity basis.
     """
     n = net.output_dim
     b = _check_orthonormal(b, n)
@@ -185,7 +185,7 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
 
     def sparse_draw():
         support = rng.permutation(n)[:sparsity]
-        return b[:, support] @ rng.standard_normal(sparsity)
+        return _combination(b, rng.standard_normal(sparsity), support, n)
 
     dv = np.array([sparse_draw() - sparse_draw() for _ in range(num_samples)])
 

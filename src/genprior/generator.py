@@ -256,7 +256,8 @@ def random_generator(k, hidden_dims, n, activation, rng, weight_scale=1.0,
         raise ValueError(f"unknown activation {activation!r}")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        w = (weight_scale / np.sqrt(fan_in)) * rng.standard_normal((fan_out, fan_in))
+        w = rng.standard_normal((fan_out, fan_in))
+        w *= weight_scale / np.sqrt(fan_in)  # in place: the bits of the product
         b = bias_scale * rng.standard_normal(fan_out)
         act = activation if i < len(dims) - 2 else "identity"
         layers.append(Layer(weights=w, bias=b, activation=act))

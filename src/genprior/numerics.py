@@ -126,18 +126,45 @@ def gaussian_matrix(m, n, variance, rng):
     m, n = as_count(m, "m"), as_count(n, "n")
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    return np.sqrt(variance) * rng.standard_normal((m, n))
+    g = rng.standard_normal((m, n))
+    g *= np.sqrt(variance)  # in place: the bits of sqrt(variance) * g
+    return g
+
+
+# The identity basis is None, never built.  The helpers below give the bits
+# of its products with the eye, which turn -0.0 into +0.0 (hence + 0.0).
 
 
 def _check_orthonormal(b, n=None):
     """Coerce to a finite square matrix with orthonormal columns (``n`` of
-    them when given)."""
+    them when given); None, the identity, passes as None."""
+    if b is None:
+        return None
     b = as_matrix(b, "B", cols=n)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"basis must be square, got {b.shape}")
-    if np.max(np.abs(b.T @ b - np.eye(b.shape[0]))) > _ORTHO_TOL:
+    gram = b.T @ b
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if np.max(np.abs(gram, out=gram)) > _ORTHO_TOL:
         raise ValueError(f"basis is not orthonormal to tolerance {_ORTHO_TOL:g}")
     return b
+
+
+def _coordinates(b, w):
+    """B.T w, the coordinates of w in basis B (w + 0.0 for the identity)."""
+    return w + 0.0 if b is None else b.T @ w
+
+
+def _combination(b, c, support=None, n=None):
+    """B c, or B[:, support] @ c when c weighs only the columns ``support``;
+    for the identity, c + 0.0, placed at ``support`` in n zeros."""
+    if b is not None:
+        return b @ c if support is None else b[:, support] @ c
+    if support is None:
+        return c + 0.0
+    v = np.zeros(n)
+    v[support] = c + 0.0
+    return v
 
 
 # Thread-count entry points of numpy's OpenBLAS: the symbol-suffixed names of

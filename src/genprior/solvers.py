@@ -48,7 +48,8 @@ import numpy as np
 
 from .generator import _descend, forward
 from .measurement import MeasurementModel
-from .numerics import RngStream, _check_orthonormal, as_count, as_matrix, as_vector
+from .numerics import (RngStream, _check_orthonormal, _combination, _coordinates,
+                       as_count, as_matrix, as_vector)
 from .objectives import (
     Objective,
     _adjoint,
@@ -346,19 +347,20 @@ def _thresh(w, b, l):
     """Keep the l largest-magnitude coefficients of w in basis B.
 
     Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
-    the lowest index), and returns B c.  l >= n returns a copy of w.  The
-    arguments are checked once per solve, by ``_check_basis``.
+    the lowest index), and returns B c.  B None is the identity, which
+    thresholds w's own entries.  l >= n returns a copy of w.  The arguments
+    are checked once per solve, by ``_check_basis``.
     """
     n = w.shape[0]
     if l >= n:
         return w.copy()
     if l == 0:
         return np.zeros(n)
-    c = b.T @ w
+    c = _coordinates(b, w)
     order = np.argsort(-np.abs(c), kind="stable")  # stable: ties keep low index
     kept = np.zeros(n)
     kept[order[:l]] = c[order[:l]]
-    return b @ kept
+    return _combination(b, kept)
 
 
 def _check_basis(b, n, l):
@@ -366,7 +368,8 @@ def _check_basis(b, n, l):
 
 
 def myopic_eps_pgd(obj, net, b, l, cfg):
-    """Block solver for targets x* = G(z) + v with v sparse in basis B.
+    """Block solver for targets x* = G(z) + v with v sparse in basis B
+    (None for the identity).
 
     Both blocks share one gradient evaluation per iteration, taken at the
     combined iterate x_t = u_t + v_t: the range block projects

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from genprior import RngStream, cli, forward, load_weights, save_weights
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from genprior.numerics import _check_orthonormal, blas_threads
+from genprior.solvers import _thresh
 from conftest import identity_generator
 
 LIN_CONFIG = """\
@@ -532,6 +534,43 @@ def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
                                                              "sparsity=3"]),
                                     net, cfg.m, cfg.seed)
     assert not np.array_equal(alone_x, plain_x)
+
+
+def test_identity_mismatch_instance_has_the_bytes_of_the_eye():
+    # The identity basis is None: x* adds the spike coefficients directly,
+    # with the bits of their product with np.eye(n).
+    cfg = load_config(None, ["problem=mismatch"])
+    net = cli.build_generator(cfg)
+    n = net.output_dim
+    assert cli.build_basis(cfg, n) is None and cli._command_basis(cfg, net) is None
+    _, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    root = RngStream(cfg.seed)
+    x_base = forward(net, root.derive(0).standard_normal(net.latent_dim))
+    spike_rng = root.derive(2)
+    support = spike_rng.permutation(n)[: cfg.sparsity]
+    coeffs = np.zeros(n)
+    coeffs[support] = (cfg.spike_scale * np.linalg.norm(x_base) / np.sqrt(n)
+                       * np.where(spike_rng.standard_normal(cfg.sparsity) >= 0,
+                                  1.0, -1.0))
+    assert x_star.tobytes() == (x_base + np.eye(n) @ coeffs).tobytes()
+
+
+def test_identity_mismatch_setup_allocates_no_basis_matrix():
+    # The basis, the instance and one threshold of a default mismatch
+    # command hold no n x n array (4.9 MB at n = 784); with np.eye(784) as
+    # the basis, this peaked at 6.2 MB.
+    cfg = load_config(None, ["problem=mismatch"])
+    net = cli.build_generator(cfg)
+    n = net.output_dim
+    tracemalloc.start()
+    try:
+        basis = cli._command_basis(cfg, net)
+        _, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed, basis)
+        _thresh(x_star, basis, cfg.sparsity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 def test_unit_norm_latent_plants_a_unit_latent(lin_config):

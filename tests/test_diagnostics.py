@@ -294,6 +294,15 @@ def test_incoherence_toy_in_open_interval(desk_net):
     assert 0.0 < mu < 1.0
 
 
+@pytest.mark.parametrize("sparsity", [1, 5, 128])
+def test_incoherence_identity_has_the_bytes_of_the_eye(desk_net, sparsity):
+    n = desk_net.output_dim
+    mu = [incoherence_estimate(desk_net, b, 60, RngStream(24), sparsity=sparsity)
+          for b in (None, np.eye(n))]
+    assert np.float64(mu[0]).tobytes() == np.float64(mu[1]).tobytes()
+    assert 0.0 < mu[0] <= 1.0
+
+
 # --- metrics ------------------------------------------------------------
 
 

@@ -134,6 +134,18 @@ def test_random_generator_zero_weight_scale_composes_biases():
     assert np.max(np.abs(out_a - expected)) < 1e-15
 
 
+def test_random_generator_scales_its_draws_with_their_bits():
+    net = random_generator(3, [6, 5], 4, "tanh", RngStream(5, spawn_key=(77,)),
+                           weight_scale=1.7, bias_scale=0.3)
+    rng = RngStream(5, spawn_key=(77,))
+    for layer in net.layers:
+        fan_out, fan_in = layer.weights.shape
+        w = (1.7 / np.sqrt(fan_in)) * rng.standard_normal((fan_out, fan_in))
+        b = 0.3 * rng.standard_normal(fan_out)
+        assert layer.weights.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
+
+
 def test_layer_arrays_read_only_copies():
     w, b = np.ones((3, 2)), np.zeros(3)
     net = GeneratorNet(layers=(Layer(weights=w, bias=b, activation="relu"),))

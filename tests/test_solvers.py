@@ -408,6 +408,36 @@ def test_thresh_rejects_non_orthonormal():
         thresh(np.ones(3), b, 1)
 
 
+# Signed zeros and ties: the product with the eye turns each -0.0 into +0.0,
+# so np.array_equal (which takes -0.0 == +0.0) cannot tell the two paths
+# apart; their bytes can.
+SIGNED_W = np.array([-0.0, 3.0, -3.0, 0.0, -0.0, 2.0, -2.0, 3.0,
+                     -0.0, 0.0, 1.0, -0.0, 0.0, -0.0, -1.0, -0.0])
+
+
+@pytest.mark.parametrize("l", [0, 1, 8, 16, 17])
+def test_thresh_identity_has_the_bytes_of_the_eye(l):
+    n = SIGNED_W.shape[0]
+    assert _check_basis(None, n, l) == (None, l)
+    out = _thresh(SIGNED_W, None, l)
+    assert out.tobytes() == _thresh(SIGNED_W, np.eye(n), l).tobytes()
+    if l == 8:  # seven nonzeros, then w[0] = -0.0 is kept: as +0.0
+        assert np.count_nonzero(out) == 7
+        assert np.signbit(SIGNED_W[0]) and not np.signbit(out[0])
+
+
+def test_myopic_identity_solve_has_the_bytes_of_the_eye(desk_net):
+    _, x_star, a, y = planted_linear(desk_net, 64, seed=17)
+    obj = Objective(model=MeasurementModel(matrix=a, link="linear"), y=y)
+    cfg = desk_cfg(17, x_star, eta=0.6, outer=6, inner=40)
+    eye = myopic_eps_pgd(obj, desk_net, np.eye(desk_net.output_dim), 5, cfg)
+    none = myopic_eps_pgd(obj, desk_net, None, 5, cfg)
+    for got, want in zip(none[:3], eye[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert none[3].objective.tobytes() == eye[3].objective.tobytes()
+    assert none[3].per_pixel_error.tobytes() == eye[3].per_pixel_error.tobytes()
+
+
 def test_thresh_sparsity_bound_in_rotated_basis():
     rng = RngStream(55)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))

@@ -46,8 +46,14 @@ COMMANDS = {
     "sweep-small-phase": _command(
         "sweep", *SMALL_NET, "problem=phase", "solvers=phase_pgd,dpr",
         "m_list=40,80", "seeds=301,302", "dpr_steps=300"),
+    "sweep-small-mismatch": _command(
+        "sweep", *SMALL_NET, "problem=mismatch", "solvers=myopic", "m_list=40,80",
+        "seeds=301,302"),
     "diagnose-mismatch-300": _command(
         "diagnose", "problem=mismatch", "eta=auto", "num_pairs=300", seed=201),
+    "diagnose-mismatch-random-ortho-300": _command(
+        "diagnose", "problem=mismatch", "basis=random_ortho", "eta=auto",
+        "num_pairs=300", seed=201),
     **{f"diagnose-{p}-2000": _command(
         "diagnose", f"problem={p}", "eta=auto", "num_pairs=2000", seed=201)
        for p in ("linear", "sinusoid", "sigmoid", "mismatch")},

@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 _DEGENERATE = 1e-9
-_PAIR_BLOCK = 256  # pairs per row block after the one forward product
+# Fewest pairs per block, each with its own forward: on the sweep_small net,
+# forwards of fewer than 38 rows differ from the same rows of a long one.
+_PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,18 @@ class WindowReport:
     rho_sq_ok: bool          # rho^2 < 1/eta
 
 
-def _range_pairs(net, count, rng):
-    """count pairs of range points, drawn interleaved so that pair i is the
-    same whatever the total count (sample extremes are then monotone in the
-    sample size for a fixed stream).  The forward of all 2*count latents is
-    one 2-D product, whose bits a forward of a few rows need not have."""
+def _pair_blocks(net, count, rng):
+    """count pairs of range points as (x1, x2, x1 - x2), in count //
+    ``_PAIR_BLOCK`` near-equal blocks (one if count is smaller), each with
+    its own forward.  The latents are drawn interleaved in one call, so pair
+    i is the same whatever the total count (sample extremes are then
+    monotone in the sample size for a fixed stream)."""
     zs = rng.standard_normal((2 * count, net.latent_dim))
-    xs = forward(net, zs)
-    return xs[0::2], xs[1::2]
-
-
-def _pair_blocks(x1, x2):
-    """(x1, x2, x1 - x2) over blocks of ``_PAIR_BLOCK`` pairs, each
-    difference written into one reused buffer.  The estimates take only
-    per-row products and reductions, so each row has its whole-block bits."""
-    buf = np.empty((min(_PAIR_BLOCK, len(x1)), x1.shape[1]))
-    for lo in range(0, len(x1), _PAIR_BLOCK):
-        b1, b2 = x1[lo:lo + _PAIR_BLOCK], x2[lo:lo + _PAIR_BLOCK]
-        yield b1, b2, np.subtract(b1, b2, out=buf[:len(b1)])
+    blocks = max(count // _PAIR_BLOCK, 1)
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        xs = forward(net, zs[2 * lo:2 * hi])
+        yield xs[0::2], xs[1::2], xs[0::2] - xs[1::2]
 
 
 def empirical_srec(a, net, num_pairs, rng):
@@ -100,7 +96,7 @@ def empirical_srec(a, net, num_pairs, rng):
     a = as_matrix(a, "A", cols=net.output_dim)
     num_pairs = as_count(num_pairs, "num_pairs")
     ratios = []
-    for _, _, d in _pair_blocks(*_range_pairs(net, num_pairs, rng)):
+    for _, _, d in _pair_blocks(net, num_pairs, rng):
         norms = np.linalg.norm(d, axis=1)
         keep = norms > _DEGENERATE
         # Stacked matrix-vector products: one GEMV per pair, whose bits do
@@ -118,17 +114,16 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
 
     For each sampled pair (x, x') of range points computes
     q = 2 [F(x') - F(x) - <grad F(x), x' - x>] / ||x' - x||^2 and returns
-    (min q, max q).  The pairs run in row blocks after their one forward
-    product; each pair's quotient has the bits of evaluating it on its own.
+    (min q, max q).  The pairs come one block at a time from
+    ``_pair_blocks``; each quotient has the bits of evaluating it alone.
     """
     as_matrix(obj.model.matrix, "A", cols=net.output_dim)
     num_pairs = as_count(num_pairs, "num_pairs")
-    xs, xps = _range_pairs(net, num_pairs, rng)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xps))):
-        raise ValueError("range points contain non-finite entries")
     a, kind = obj.model.matrix, obj.kind
     qs = []
-    for xp, x, d in _pair_blocks(xps, xs):
+    for x, xp, d in _pair_blocks(net, num_pairs, rng):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
+            raise ValueError("range points contain non-finite entries")
         # Stacked matrix-vector products: one GEMV per pair, so every row has
         # the bits of the per-pair product (a plain GEMM does not).
         f, c = _loss_terms(kind, _apply(a, x), obj.y, obj.phase)
@@ -136,7 +131,8 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
         nd2 = np.vecdot(d, d)
         keep = nd2 > _DEGENERATE**2
         grad = _adjoint(kind, a, c) / GRADIENT_SCALE[kind]
-        qs.append(2.0 * (fp - f - np.vecdot(grad, d))[keep] / nd2[keep])
+        # d = x - x', so <grad, x' - x> = -<grad, d> (negation is exact).
+        qs.append(2.0 * (fp - f + np.vecdot(grad, d))[keep] / nd2[keep])
     qs = np.concatenate(qs)
     if not len(qs):
         raise ValueError("all sampled pairs are degenerate")
@@ -180,8 +176,7 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, n={n}]")
 
-    u1, u2 = _range_pairs(net, num_samples, rng)
-    du = u1 - u2
+    du = np.concatenate([d for _, _, d in _pair_blocks(net, num_samples, rng)])
 
     def sparse_draw():
         support = rng.permutation(n)[:sparsity]

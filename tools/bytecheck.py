@@ -60,7 +60,10 @@ COMMANDS = {
     **{f"diagnose-small-{p}-{pairs}": _command(
         "diagnose", *SMALL_NET, f"problem={p}", "eta=auto", f"num_pairs={pairs}",
         seed=202)
-       for p, pairs in (("sinusoid", 300), ("phase", 1001))},
+       for p, pairs in (("sinusoid", 300), ("phase", 1001), ("sigmoid", 2005),
+                        ("linear", 530))},
+    "diagnose-linear-513": _command(
+        "diagnose", "problem=linear", "eta=auto", "num_pairs=513", seed=201),
     "solve-mismatch-random-ortho": _command(
         "solve", "problem=mismatch", "basis=random_ortho", "outer_steps=3", seed=3),
     "solve-linear-orthonormal": _command(

@@ -568,16 +568,17 @@ def write_pgm(path, x):
     return lo, hi
 
 
-def _setup(cfg):
+def _setup(cfg, ms=()):
     """A command's output directory, made, and its generator, built and
-    checked against the rules that need the signal length n it fixes."""
+    checked against the rules that need the signal length n it fixes (and
+    the measurement counts ``ms`` it builds matrices for)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     net = build_generator(cfg)
     if cfg.problem == "mismatch" and cfg.sparsity > net.output_dim:
         raise ConfigError(f"sparsity ({cfg.sparsity}) must be <= output_dim "
                           f"({net.output_dim}) for problem 'mismatch'")
-    if cfg.matrix_kind == "orthonormal" and max((cfg.m, *cfg.m_list)) > net.output_dim:
+    if cfg.matrix_kind == "orthonormal" and any(m > net.output_dim for m in ms):
         raise ConfigError("orthonormal matrix_kind needs m <= output_dim")
     return out, net
 
@@ -598,7 +599,7 @@ def cmd_gen(cfg):
 
 
 def cmd_solve(cfg):
-    out, net = _setup(cfg)
+    out, net = _setup(cfg, (cfg.m,))
     basis = _command_basis(cfg, net)
     solver = cfg.single_solver()
     cell = _cell(cfg, net, (solver,), cfg.seed,
@@ -711,7 +712,7 @@ def _run_forked(fn, items):
 
 
 def cmd_sweep(cfg):
-    out, net = _setup(cfg)
+    out, net = _setup(cfg, cfg.m_values())
     basis = _command_basis(cfg, net)
     solvers = cfg.solver_list()
     pairs = [(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()]
@@ -751,7 +752,7 @@ def cmd_sweep(cfg):
 
 
 def cmd_diagnose(cfg):
-    out, net = _setup(cfg)
+    out, net = _setup(cfg, (cfg.m,))
     basis = _command_basis(cfg, net)
     obj, x_star = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))

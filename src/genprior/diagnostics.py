@@ -7,6 +7,10 @@ range points drawn from the latent sampling distribution.  Estimates are
 therefore optimistic: adding pairs can only shrink the lower constants and
 grow the upper ones.
 
+Every range pair comes from ``_pair_blocks``, which refuses a range point
+that is not finite and drops a pair with ||x1 - x2|| <= 1e-9, so the
+estimates only compute their statistic.
+
 Curvature estimates pair the reported loss value with its exact gradient
 (the solvers' step direction divided by ``GRADIENT_SCALE``), so quadratic
 losses come out with their textbook constants (e.g. both constants equal 2
@@ -78,33 +82,43 @@ class WindowReport:
 
 
 def _pair_blocks(net, count, rng):
-    """count pairs of range points as (x1, x2, x1 - x2), in count //
-    ``_PAIR_BLOCK`` near-equal blocks (one if count is smaller), each with
-    its own forward.  The latents are drawn interleaved in one call, so pair
-    i is the same whatever the total count (sample extremes are then
-    monotone in the sample size for a fixed stream)."""
+    """The usable ones of count sampled range pairs, as (x1, x2, x1 - x2) in
+    count // ``_PAIR_BLOCK`` near-equal blocks (one if count is smaller),
+    each with its own forward.  The latents are drawn interleaved in one
+    call, so pair i is the same whatever the total count (sample extremes
+    are then monotone in the sample size for a fixed stream).  A non-finite
+    range point raises ValueError, as does a sample left with no pair once
+    those with ||d|| <= ``_DEGENERATE`` are dropped; a block that drops
+    none yields x1 and x2 as views of its forward."""
     zs = rng.standard_normal((2 * count, net.latent_dim))
     blocks = max(count // _PAIR_BLOCK, 1)
     edges = [count * i // blocks for i in range(blocks + 1)]
+    kept = 0
     for lo, hi in zip(edges, edges[1:]):
-        xs = forward(net, zs[2 * lo:2 * hi])
-        yield xs[0::2], xs[1::2], xs[0::2] - xs[1::2]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            xs = forward(net, zs[2 * lo:2 * hi])
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("range points contain non-finite entries")
+        x1, x2 = xs[0::2], xs[1::2]
+        d = x1 - x2
+        keep = np.vecdot(d, d) > _DEGENERATE**2
+        if not np.all(keep):
+            x1, x2, d = x1[keep], x2[keep], d[keep]
+        kept += len(d)
+        yield x1, x2, d
+    if not kept:
+        raise ValueError("all sampled pairs are degenerate")
 
 
 def empirical_srec(a, net, num_pairs, rng):
     """Sample extremes of ||A(x1-x2)|| / ||x1-x2|| over range-point pairs."""
     a = as_matrix(a, "A", cols=net.output_dim)
     num_pairs = as_count(num_pairs, "num_pairs")
-    ratios = []
-    for _, _, d in _pair_blocks(net, num_pairs, rng):
-        norms = np.linalg.norm(d, axis=1)
-        keep = norms > _DEGENERATE
-        # Stacked matrix-vector products: one GEMV per pair, whose bits do
-        # not depend on the BLAS thread count (a plain GEMM's do).
-        ratios.append(np.linalg.norm(_apply(a, d[keep]), axis=1) / norms[keep])
-    ratios = np.concatenate(ratios)
-    if not len(ratios):
-        raise ValueError("all sampled pairs are degenerate")
+    # Stacked matrix-vector products: one GEMV per pair, whose bits do not
+    # depend on the BLAS thread count (a plain GEMM's do).
+    ratios = np.concatenate([
+        np.linalg.norm(_apply(a, d), axis=1) / np.linalg.norm(d, axis=1)
+        for _, _, d in _pair_blocks(net, num_pairs, rng)])
     return SrecEstimate(gamma=float(np.min(ratios**2)), rho=float(np.max(ratios)),
                         pairs_used=len(ratios))
 
@@ -122,20 +136,14 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
     a, kind = obj.model.matrix, obj.kind
     qs = []
     for x, xp, d in _pair_blocks(net, num_pairs, rng):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
-            raise ValueError("range points contain non-finite entries")
         # Stacked matrix-vector products: one GEMV per pair, so every row has
         # the bits of the per-pair product (a plain GEMM does not).
         f, c = _loss_terms(kind, _apply(a, x), obj.y, obj.phase)
         fp, _ = _loss_terms(kind, _apply(a, xp), obj.y, obj.phase)
-        nd2 = np.vecdot(d, d)
-        keep = nd2 > _DEGENERATE**2
         grad = _adjoint(kind, a, c) / GRADIENT_SCALE[kind]
         # d = x - x', so <grad, x' - x> = -<grad, d> (negation is exact).
-        qs.append(2.0 * (fp - f + np.vecdot(grad, d))[keep] / nd2[keep])
+        qs.append(2.0 * (fp - f + np.vecdot(grad, d)) / np.vecdot(d, d))
     qs = np.concatenate(qs)
-    if not len(qs):
-        raise ValueError("all sampled pairs are degenerate")
     return RscRssEstimate(alpha=float(np.min(qs)), beta=float(np.max(qs)),
                           samples=len(qs))
 
@@ -184,11 +192,8 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
 
     dv = np.array([sparse_draw() - sparse_draw() for _ in range(num_samples)])
 
-    nu = np.linalg.norm(du, axis=1)
-    nv = np.linalg.norm(dv, axis=1)
-    du = du[nu > _DEGENERATE]
-    dv = dv[nv > _DEGENERATE]
-    if du.shape[0] == 0 or dv.shape[0] == 0:
+    dv = dv[np.linalg.norm(dv, axis=1) > _DEGENERATE]
+    if not len(dv):
         raise ValueError("all sampled pairs are degenerate")
     du = du / np.linalg.norm(du, axis=1, keepdims=True)
     dv = dv / np.linalg.norm(dv, axis=1, keepdims=True)

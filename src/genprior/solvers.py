@@ -30,9 +30,10 @@ through ``generator._descend``, where a diverging latent freezes.
 Both loops step a lockstep group of S cells (a sweep steps every (m, seed)
 cell of a solver together), take the group's shared settings as arguments
 and each cell's own settings in its cell, and each public solver is the
-one-cell case.  In ``_projected_descent`` every cell keeps its own
-measurements, gradient step, hold, phase, threshold and random stream, and
-the projections of one outer step run as one ``_project_cells`` block.
+one-cell case (every projected one built by ``_solve_one``).  In
+``_projected_descent`` every cell keeps its own measurements, gradient
+step, hold, phase, threshold and random stream, and the projections of one
+outer step run as one ``_project_cells`` block.
 ``_latent_descent`` steps an (S, 1, k) latent block, measures each run of
 cells with equal m against its stacked (s, 1, m, n) sensing matrices, and
 freezes a diverged cell alone.  Stacked matrix-vector products give every
@@ -259,10 +260,10 @@ def _projected_descent(net, cells, outer_steps, proj, sparse=None):
     return tb.build(xs, inner, extras)
 
 
-def _solve_one(net, cfg, obj, sparse=None):
-    """The trace of one public solve from 0: ``cfg`` unpacked into a group
-    of one cell."""
-    cell = _Cell(obj, cfg.step_size, cfg.seed, x_star=cfg.ground_truth)
+def _solve_one(net, cfg, obj, x0=None, sparse=None):
+    """The trace of one public projected solve from x0 (None: 0): ``cfg``
+    unpacked into a group of one cell."""
+    cell = _Cell(obj, cfg.step_size, cfg.seed, x0, cfg.ground_truth)
     (trace,) = _projected_descent(net, [cell], cfg.outer_steps, cfg.projection,
                                   sparse)
     return trace
@@ -282,16 +283,7 @@ def pgd_linear(y, a, net, cfg):
     The squared-loss special case of :func:`eps_pgd`: the gradient step
     expands to w = x + eta * A.T (y - A x).
     """
-    obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
-    trace = _solve_one(net, cfg, obj)
-    return trace.x_hat, trace
-
-
-def _phase_cell(y, a, net, x0, step_size, seed, x_star=None):
-    """The cell of one ``phase_pgd`` solve; see there."""
-    x0 = as_vector(x0, "x0", net.output_dim).copy()
-    model = MeasurementModel(matrix=a, link="magnitude")
-    return _Cell(Objective(model, y), step_size, seed, x0, x_star)
+    return eps_pgd(Objective(MeasurementModel(matrix=a, link="linear"), y), net, cfg)
 
 
 def phase_pgd(y, a, net, cfg, x0):
@@ -302,8 +294,9 @@ def phase_pgd(y, a, net, cfg, x0):
     iterate: the gradient step is w = x + eta * A.T (y*p - Ax), and the
     recorded objective is the phaseless misfit sum (y_i - |(Ax)_i|)^2.
     """
-    cell = _phase_cell(y, a, net, x0, cfg.step_size, cfg.seed, cfg.ground_truth)
-    (trace,) = _projected_descent(net, [cell], cfg.outer_steps, cfg.projection)
+    x0 = as_vector(x0, "x0", net.output_dim).copy()
+    obj = Objective(MeasurementModel(matrix=a, link="magnitude"), y)
+    trace = _solve_one(net, cfg, obj, x0)
     return trace.x_hat, trace
 
 
@@ -349,7 +342,7 @@ def _thresh(w, b, l):
     Computes c = B.T w, zeroes all but the l largest |c| (ties break toward
     the lowest index), and returns B c.  B None is the identity, which
     thresholds w's own entries.  l >= n returns a copy of w.  The arguments
-    are checked once per solve, by ``_check_basis``.
+    are checked once per solve, by ``myopic_eps_pgd``.
     """
     n = w.shape[0]
     if l >= n:
@@ -361,10 +354,6 @@ def _thresh(w, b, l):
     kept = np.zeros(n)
     kept[order[:l]] = c[order[:l]]
     return _combination(b, kept)
-
-
-def _check_basis(b, n, l):
-    return _check_orthonormal(b, n), as_count(l, "sparsity level l", low=0)
 
 
 def myopic_eps_pgd(obj, net, b, l, cfg):
@@ -380,7 +369,9 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     if obj.kind == "phase_corrected":
         raise ValueError("myopic_eps_pgd does not handle phase_corrected; "
                          "use phase_pgd")
-    trace = _solve_one(net, cfg, obj, _check_basis(b, net.output_dim, l))
+    sparse = (_check_orthonormal(b, net.output_dim),
+              as_count(l, "sparsity level l", low=0))
+    trace = _solve_one(net, cfg, obj, sparse=sparse)
     return trace.x_hat, trace.extras["u"], trace.extras["v"], trace
 
 

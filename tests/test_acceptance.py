@@ -40,7 +40,6 @@ from genprior.solvers import (
     _Cell,
     _LatentCell,
     _latent_descent,
-    _phase_cell,
     _projected_descent,
 )
 from conftest import brute_force_project, gradient_at, loss_at, project_one
@@ -261,7 +260,8 @@ def test_criterion_6_phase_contraction():
         x0 = phase_init(y, a, net, RngStream(seed, spawn_key=(904,)),
                         strategy="oracle_perturb", delta0=0.1, x_star=x_star)
         for truth in (x_star, -x_star):
-            cells.append(_phase_cell(y, a, net, x0, 0.9, seed, truth))
+            cells.append(_Cell(Objective(MeasurementModel(a, "magnitude"), y), 0.9,
+                               seed, x0, truth))
     traces = _projected_descent(net, cells, 50,
                                 ProjectionConfig(inner_steps=200, inner_rate=0.05))
     worst_ratios, mirror_ok = [], True

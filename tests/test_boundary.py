@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from genprior import (
+    GeneratorNet,
+    Layer,
     MeasurementModel,
     Objective,
     ProjectionConfig,
@@ -128,3 +130,21 @@ def test_bad_argument_raises_value_error_naming_it(monkeypatch, match, call):
     monkeypatch.setattr(solvers, "_descend", no_descent)
     with pytest.raises(ValueError, match=match):
         call(instance())
+
+
+# G(z) = (1e308 z, z) overflows for |z| > 1.8, so some of 100 sampled range
+# points are infinite.  At the parent empirical_srec returned gamma = nan,
+# incoherence_estimate returned nan, and rsc_rss_estimate failed on the
+# overflow warning (the suite turns warnings into errors).
+OVERFLOW_NET = GeneratorNet((Layer([[1e308], [1.0]], [0.0, 0.0], "identity"),))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda net: empirical_srec(np.eye(2), net, 50, RngStream(0)),
+    lambda net: rsc_rss_estimate(linear(np.eye(2), np.zeros(2)), net, 50,
+                                 RngStream(0)),
+    lambda net: incoherence_estimate(net, None, 50, RngStream(0)),
+], ids=["srec", "rsc_rss", "incoherence"])
+def test_estimates_refuse_a_range_that_overflows(estimate):
+    with pytest.raises(ValueError, match="^range points contain non-finite entries$"):
+        estimate(OVERFLOW_NET)

@@ -208,9 +208,9 @@ def test_orthonormal_m_above_output_dim_is_rejected_before_any_instance(
         tmp_path, monkeypatch, capsys):
     # With weights_path the signal length comes from the file: the rule is
     # checked with the sparsity rule, once the generator has loaded.  It
-    # checks m beside m_list: solve and diagnose use m, and with m_list set
-    # an m = 17 used to pass, and solve ran a 16-row matrix while its
-    # summary read m=17.
+    # checks the m each command builds: solve and diagnose use m even with
+    # m_list set (an m = 17 used to pass, and solve ran a 16-row matrix
+    # while its summary read m=17), and a sweep uses m_list over m.
     def no_instance(*args):
         raise AssertionError("an instance was built")
 
@@ -219,11 +219,31 @@ def test_orthonormal_m_above_output_dim_is_rejected_before_any_instance(
     save_weights(identity_generator(16), wpath)
     for command in ("solve", "sweep", "diagnose"):
         for m_keys in (["m=17"], ["m_list=8,17"], ["m=17", "m_list=8"]):
+            if command == "sweep" and m_keys == ["m=17", "m_list=8"]:
+                continue  # builds only m = 8: runs, below
             sets = [a for k in (f"weights_path={wpath}", "matrix_kind=orthonormal",
                                 *m_keys) for a in ("--set", k)]
             assert run_cli(command, "--out", str(tmp_path / "o"), *sets) == 1
             assert ("error: orthonormal matrix_kind needs m <= output_dim"
                     in capsys.readouterr().err)
+    monkeypatch.undo()
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--out", str(out), "--set", f"weights_path={wpath}",
+                   "--set", "matrix_kind=orthonormal", "--set", "m=17",
+                   "--set", "m_list=8", "--set", "outer_steps=2",
+                   "--set", "inner_steps=5") == 0
+    assert (out / "results.csv").is_file()
+
+
+def test_orthonormal_sweep_with_m_list_ignores_the_default_m(tmp_path):
+    # The default m = 100 is above output_dim = 64, but a sweep with m_list
+    # never builds it.
+    out = tmp_path / "o"
+    sets = ["latent_dim=4", "hidden_dims=16", "output_dim=64",
+            "matrix_kind=orthonormal", "m_list=20,40", "seeds=1,2"]
+    assert run_cli("sweep", "--out", str(out),
+                   *[a for k in sets for a in ("--set", k)]) == 0
+    assert (out / "results.csv").is_file()
 
 
 TINY_NET = ["latent_dim=2", "hidden_dims=4", "output_dim=9", "m=5",

@@ -208,6 +208,24 @@ def test_half_dead_net_has_some_degenerate_pairs():
     assert 0 < empirical_srec(a, net, 1001, RngStream(41)).pairs_used < 1001
 
 
+@pytest.mark.parametrize("count", [300, 2000])
+def test_pair_blocks_apply_one_pair_rule(count):
+    # _pair_blocks drops every degenerate pair itself, so each estimate
+    # counts the pairs it yields; a block that drops none yields views of
+    # its forward.
+    net = half_dead_net(40)
+    blocks = list(_pair_blocks(net, count, RngStream(41)))
+    kept = sum(len(d) for _, _, d in blocks)
+    assert 0 < kept < count
+    assert all(np.all(np.vecdot(d, d) > 1e-18) for _, _, d in blocks)
+    obj = block_objective("linear", 40)
+    assert empirical_srec(obj.model.matrix, net, count, RngStream(41)).pairs_used == kept
+    assert rsc_rss_estimate(obj, net, count, RngStream(41)).samples == kept
+    relu = random_net(31, k=6, hidden=(24,), n=40)
+    for x1, x2, d in _pair_blocks(relu, count, RngStream(41)):
+        assert x1.base is x2.base and x1.base is not None
+
+
 def test_estimates_refuse_a_constant_range_across_blocks():
     constant = random_generator(2, [4], 40, "relu", RngStream(5, spawn_key=(77,)),
                                 weight_scale=0.0, bias_scale=1.0)

@@ -27,7 +27,6 @@ from genprior.solvers import (
     _Cell,
     _LatentCell,
     _latent_descent,
-    _phase_cell,
     _projected_descent,
 )
 from conftest import planted_linear
@@ -117,8 +116,8 @@ def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
         elif solver == "phase_pgd":
             x0 = x_star + 0.1 * RngStream(seed, spawn_key=(3,)).standard_normal(
                 desk_net.output_dim)
-            cells.append(_phase_cell(np.abs(y), a, desk_net, x0, cfg.step_size,
-                                     seed, x_star))
+            cells.append(_Cell(Objective(MeasurementModel(a, "magnitude"), np.abs(y)),
+                               cfg.step_size, seed, x0, x_star))
             refs.append(phase_pgd(np.abs(y), a, desk_net, cfg, x0))
         else:
             obj = Objective(MeasurementModel(matrix=a, link="linear"), y)

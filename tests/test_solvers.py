@@ -20,7 +20,7 @@ from genprior import (
 )
 from genprior import objectives, solvers
 from genprior.objectives import sign_pm
-from genprior.solvers import _TraceBuilder, _check_basis, _thresh
+from genprior.solvers import _TraceBuilder, _thresh
 from conftest import identity_generator, planted_linear, relu_unit_net
 
 
@@ -298,7 +298,8 @@ def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
     for seed in (8, 9):
         x_star, a, y = phase_instance(desk_net, 48, seed=seed)
         cfg = desk_cfg(seed, x_star, eta=0.9, outer=6, inner=20)
-        cells.append(solvers._phase_cell(y, a, desk_net, x0, 0.9, seed, x_star))
+        cells.append(solvers._Cell(Objective(MeasurementModel(a, "magnitude"), y), 0.9,
+                                   seed, x0, x_star))
     phase_pgd(y, a, desk_net, cfg, x0)
     assert calls == ["phase_corrected"] * 7
     calls.clear()
@@ -376,36 +377,33 @@ def test_phase_init_many_samples_beat_median_single(desk_net):
 # --- hard thresholding in a basis ---------------------------------------
 
 
-def thresh(w, b, l):
-    """The myopic solver's threshold, with the checks it makes once per solve."""
-    return _thresh(w, *_check_basis(b, w.shape[0], l))
-
-
 def test_thresh_identity_basis_keeps_largest():
-    out = thresh(np.array([3.0, -5.0, 1.0]), np.eye(3), 1)
+    out = _thresh(np.array([3.0, -5.0, 1.0]), np.eye(3), 1)
     assert np.array_equal(out, np.array([0.0, -5.0, 0.0]))
 
 
 def test_thresh_full_sparsity_returns_unchanged():
     w = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(thresh(w, np.eye(3), 3), w)
-    assert np.array_equal(thresh(w, np.eye(3), 7), w)
+    assert np.array_equal(_thresh(w, np.eye(3), 3), w)
+    assert np.array_equal(_thresh(w, np.eye(3), 7), w)
 
 
 def test_thresh_tie_breaks_toward_lowest_index():
-    out = thresh(np.array([2.0, -2.0]), np.eye(2), 1)
+    out = _thresh(np.array([2.0, -2.0]), np.eye(2), 1)
     assert np.array_equal(out, np.array([2.0, 0.0]))
 
 
 def test_thresh_zero_sparsity_is_zero():
-    assert np.array_equal(thresh(np.ones(4), np.eye(4), 0), np.zeros(4))
+    assert np.array_equal(_thresh(np.ones(4), np.eye(4), 0), np.zeros(4))
 
 
 def test_thresh_rejects_non_orthonormal():
+    # The basis is checked once per solve, where myopic_eps_pgd takes it.
     b = np.eye(3)
     b[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        thresh(np.ones(3), b, 1)
+    obj = Objective(MeasurementModel(np.eye(3), "linear"), np.ones(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        myopic_eps_pgd(obj, identity_generator(3), b, 1, desk_cfg(0))
 
 
 # Signed zeros and ties: the product with the eye turns each -0.0 into +0.0,
@@ -418,7 +416,6 @@ SIGNED_W = np.array([-0.0, 3.0, -3.0, 0.0, -0.0, 2.0, -2.0, 3.0,
 @pytest.mark.parametrize("l", [0, 1, 8, 16, 17])
 def test_thresh_identity_has_the_bytes_of_the_eye(l):
     n = SIGNED_W.shape[0]
-    assert _check_basis(None, n, l) == (None, l)
     out = _thresh(SIGNED_W, None, l)
     assert out.tobytes() == _thresh(SIGNED_W, np.eye(n), l).tobytes()
     if l == 8:  # seven nonzeros, then w[0] = -0.0 is kept: as +0.0
@@ -443,7 +440,7 @@ def test_thresh_sparsity_bound_in_rotated_basis():
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     b = q * np.sign(np.diag(r))
     for l in range(9):
-        out = thresh(rng.standard_normal(8), b, l)
+        out = _thresh(rng.standard_normal(8), b, l)
         coeffs = b.T @ out
         assert np.sum(np.abs(coeffs) > 1e-10) <= l
 
@@ -583,8 +580,9 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
             if solver == "phase":
                 x0 = phase_init(y, a, desk_net, RngStream(seed, spawn_key=(904,)),
                                 strategy="best_of_samples", count=100)
-                cells.append(solvers._phase_cell(y, a, desk_net, x0, 0.9, seed,
-                                                 x_star))
+                cells.append(solvers._Cell(
+                    Objective(MeasurementModel(a, "magnitude"), y), 0.9, seed, x0,
+                    x_star))
             else:
                 rng = RngStream(seed, spawn_key=(905,))
                 z0 = rng.standard_normal(k)

@@ -28,6 +28,10 @@ from pathlib import Path
 # k=8 -> 32 -> 32 -> n=128 with 4 projection restarts (the bench's
 # sweep_small net).
 SMALL_NET = ("latent_dim=8", "hidden_dims=32,32", "output_dim=128", "restarts=4")
+# A one-unit relu net: a pair whose latents both leave the unit dead maps to
+# one point, so the estimates and the eta=auto probes drop degenerate pairs.
+DEAD_RELU = ("latent_dim=1", "hidden_dims=1", "output_dim=16", "m=8", "eta=auto",
+             "num_pairs=300")
 
 
 def _command(kind, *items, seed=None):
@@ -64,6 +68,10 @@ COMMANDS = {
                         ("linear", 530))},
     "diagnose-linear-513": _command(
         "diagnose", "problem=linear", "eta=auto", "num_pairs=513", seed=201),
+    "diagnose-dead-relu-300": _command("diagnose", *DEAD_RELU, seed=201),
+    "sweep-dead-relu": _command(
+        "sweep", *DEAD_RELU, "m_list=4,8", "seeds=1,2,3", "solvers=pgd,csgm",
+        "csgm_steps=200"),
     "solve-mismatch-random-ortho": _command(
         "solve", "problem=mismatch", "basis=random_ortho", "outer_steps=3", seed=3),
     "solve-linear-orthonormal": _command(

@@ -24,7 +24,7 @@ The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 Every command runs its cells one way.  A cell is one ``solvers._Cell``
 (an (m, seed) instance's objective, step size, seed and x*), built once
 before any solve, and each solver runs as one lockstep group over its
-cells: phase starts are made one cell at a time, then the solver steps
+cells: each cell that needs a start gets it first, then the solver steps
 every cell together (see ``solvers``).  ``solve`` and ``diagnose`` run
 one cell; a sweep runs one group per solver over each shard of its cells.
 
@@ -78,9 +78,9 @@ from .generator import (
 from .measurement import MeasurementModel, observe, observe_noisy
 from .numerics import (RngStream, _check_orthonormal, _combination, as_count,
                        blas_threads, gaussian_matrix)
-from .objectives import GRADIENT_SCALE, Objective
+from .objectives import GRADIENT_SCALE, Objective, sign_pm
 from .projection import ProjectionConfig
-from .solvers import _Cell, _LatentCell, _latent_descent, _projected_descent, phase_init
+from .solvers import _Cell, _latent_descent, _projected_descent, phase_init
 
 __all__ = ["main", "entrypoint", "ConfigError", "ExperimentConfig", "load_config"]
 
@@ -397,9 +397,7 @@ def build_instance(cfg, net, m, seed, basis=None):
         support = spike_rng.permutation(net.output_dim)[: cfg.sparsity]
         scale = cfg.spike_scale * np.linalg.norm(x_base) / np.sqrt(net.output_dim)
         coeffs = np.zeros(net.output_dim)
-        coeffs[support] = scale * np.where(
-            spike_rng.standard_normal(cfg.sparsity) >= 0, 1.0, -1.0
-        )
+        coeffs[support] = scale * sign_pm(spike_rng.standard_normal(cfg.sparsity))
         x_star = x_base + _combination(basis, coeffs)
     if not np.isfinite(HEADROOM * (x_star @ x_star)):
         raise _not_finite(f"x* at seed {seed}", keys)
@@ -468,13 +466,10 @@ def _solve_group(cfg, net, basis, solver, cells):
     """The traces of one solver on the given cells, stepped in lockstep;
     ``basis`` is the command's mismatch basis, which myopic thresholds
     in."""
-    if solver in BASELINES:
-        steps, rate, kind = ((cfg.csgm_steps, cfg.csgm_rate, "squared")
-                             if solver == "csgm" else
-                             (cfg.dpr_steps, cfg.dpr_rate, "magnitude"))
-        return _latent_descent(net, steps, rate, kind, [
-            _LatentCell(c.obj, RngStream(c.seed, spawn_key=(905,)), x_star=c.x_star)
-            for c in cells])
+    if solver == "csgm":
+        return _latent_descent(net, cfg.csgm_steps, cfg.csgm_rate, "squared", cells)
+    if solver == "dpr":
+        return _latent_descent(net, cfg.dpr_steps, cfg.dpr_rate, "magnitude", cells)
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts)
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None
@@ -485,7 +480,8 @@ def _run_group(cfg, net, basis, solver, cells, traced=False):
     """The summary rows of one solver's lockstep group over its cells,
     given the command's basis.
 
-    Phase starts are made one cell at a time; then the solver steps every
+    Each cell gets its start first: a ``phase_pgd`` point from stream 904,
+    a baseline's start latent from stream 905.  Then the solver steps every
     cell of the group in lockstep, with the bits each cell has on its own.
     The solver sees the cells' x* only when ``traced``: only ``trace.csv``
     reads the per-step error columns it costs.  Each row's final error has
@@ -498,6 +494,9 @@ def _run_group(cfg, net, basis, solver, cells, traced=False):
             c.obj.y, c.obj.model.matrix, net, RngStream(c.seed, spawn_key=(904,)),
             cfg.phase_init_strategy, cfg.phase_init_count, cfg.phase_delta0,
             c.x_star)) for c in cells]
+    elif solver in BASELINES:
+        cells = [c._replace(x0=RngStream(c.seed, spawn_key=(905,)).standard_normal(
+            net.latent_dim)) for c in cells]
     traces = _solve_group(cfg, net, basis, solver, cells if traced else
                           [c._replace(x_star=None) for c in cells])
     wall = time.perf_counter() - t0

@@ -8,8 +8,8 @@ therefore optimistic: adding pairs can only shrink the lower constants and
 grow the upper ones.
 
 Every range pair comes from ``_pair_blocks``, which refuses a range point
-that is not finite and drops a pair with ||x1 - x2|| <= 1e-9, so the
-estimates only compute their statistic.
+or ||x1 - x2||^2 that is not finite and drops a pair with ||x1 - x2|| <=
+1e-9, so the estimates compute their statistic and refuse a non-finite one.
 
 Curvature estimates pair the reported loss value with its exact gradient
 (the solvers' step direction divided by ``GRADIENT_SCALE``), so quadratic
@@ -82,14 +82,14 @@ class WindowReport:
 
 
 def _pair_blocks(net, count, rng):
-    """The usable ones of count sampled range pairs, as (x1, x2, x1 - x2) in
-    count // ``_PAIR_BLOCK`` near-equal blocks (one if count is smaller),
-    each with its own forward.  The latents are drawn interleaved in one
+    """The usable ones of count sampled range pairs, as (x1, x2, d, ||d||^2)
+    with d = x1 - x2, in count // ``_PAIR_BLOCK`` near-equal blocks (one if
+    count is smaller), each with its own forward.  The latents are drawn interleaved in one
     call, so pair i is the same whatever the total count (sample extremes
     are then monotone in the sample size for a fixed stream).  A non-finite
-    range point raises ValueError, as does a sample left with no pair once
-    those with ||d|| <= ``_DEGENERATE`` are dropped; a block that drops
-    none yields x1 and x2 as views of its forward."""
+    range point or ||d||^2 raises ValueError, as does a sample left with no
+    pair once those with ||d|| <= ``_DEGENERATE`` are dropped; a block that
+    drops none yields x1 and x2 as views of its forward."""
     zs = rng.standard_normal((2 * count, net.latent_dim))
     blocks = max(count // _PAIR_BLOCK, 1)
     edges = [count * i // blocks for i in range(blocks + 1)]
@@ -97,19 +97,23 @@ def _pair_blocks(net, count, rng):
     for lo, hi in zip(edges, edges[1:]):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             xs = forward(net, zs[2 * lo:2 * hi])
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("range points contain non-finite entries")
-        x1, x2 = xs[0::2], xs[1::2]
-        d = x1 - x2
-        keep = np.vecdot(d, d) > _DEGENERATE**2
+            x1, x2 = xs[0::2], xs[1::2]
+            d = x1 - x2
+            dd = np.vecdot(d, d)
+        if not np.all(np.isfinite(dd)):  # also whenever a range point is not finite
+            raise ValueError("range points contain non-finite entries"
+                             if not np.all(np.isfinite(xs)) else
+                             "range pair distances are not finite")
+        keep = dd > _DEGENERATE**2
         if not np.all(keep):
-            x1, x2, d = x1[keep], x2[keep], d[keep]
+            x1, x2, d, dd = x1[keep], x2[keep], d[keep], dd[keep]
         kept += len(d)
-        yield x1, x2, d
+        yield x1, x2, d, dd
     if not kept:
         raise ValueError("all sampled pairs are degenerate")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite ratio raises below
 def empirical_srec(a, net, num_pairs, rng):
     """Sample extremes of ||A(x1-x2)|| / ||x1-x2|| over range-point pairs."""
     a = as_matrix(a, "A", cols=net.output_dim)
@@ -118,11 +122,14 @@ def empirical_srec(a, net, num_pairs, rng):
     # depend on the BLAS thread count (a plain GEMM's do).
     ratios = np.concatenate([
         np.linalg.norm(_apply(a, d), axis=1) / np.linalg.norm(d, axis=1)
-        for _, _, d in _pair_blocks(net, num_pairs, rng)])
+        for _, _, d, _ in _pair_blocks(net, num_pairs, rng)])
+    if not np.all(np.isfinite(ratios**2)):
+        raise ValueError("S-REC ratios are not finite")
     return SrecEstimate(gamma=float(np.min(ratios**2)), rho=float(np.max(ratios)),
                         pairs_used=len(ratios))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite quotient raises below
 def rsc_rss_estimate(obj, net, num_pairs, rng):
     """Sample extremes of the Bregman curvature quotient over range pairs.
 
@@ -135,15 +142,17 @@ def rsc_rss_estimate(obj, net, num_pairs, rng):
     num_pairs = as_count(num_pairs, "num_pairs")
     a, kind = obj.model.matrix, obj.kind
     qs = []
-    for x, xp, d in _pair_blocks(net, num_pairs, rng):
+    for x, xp, d, dd in _pair_blocks(net, num_pairs, rng):
         # Stacked matrix-vector products: one GEMV per pair, so every row has
         # the bits of the per-pair product (a plain GEMM does not).
         f, c = _loss_terms(kind, _apply(a, x), obj.y, obj.phase)
         fp, _ = _loss_terms(kind, _apply(a, xp), obj.y, obj.phase)
         grad = _adjoint(kind, a, c) / GRADIENT_SCALE[kind]
         # d = x - x', so <grad, x' - x> = -<grad, d> (negation is exact).
-        qs.append(2.0 * (fp - f + np.vecdot(grad, d)) / np.vecdot(d, d))
+        qs.append(2.0 * (fp - f + np.vecdot(grad, d)) / dd)
     qs = np.concatenate(qs)
+    if not np.all(np.isfinite(qs)):
+        raise ValueError("curvature quotients are not finite")
     return RscRssEstimate(alpha=float(np.min(qs)), beta=float(np.max(qs)),
                           samples=len(qs))
 
@@ -184,7 +193,7 @@ def incoherence_estimate(net, b, num_samples, rng, sparsity=1):
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, n={n}]")
 
-    du = np.concatenate([d for _, _, d in _pair_blocks(net, num_samples, rng)])
+    du = np.concatenate([d for _, _, d, _ in _pair_blocks(net, num_samples, rng)])
 
     def sparse_draw():
         support = rng.permutation(n)[:sparsity]

@@ -27,17 +27,17 @@ projection that found no finite range point) holds the iterate and records
 ``proj_residual = NaN``.  The projection and the baselines descend in z
 through ``generator._descend``, where a diverging latent freezes.
 
-Both loops step a lockstep group of S cells (a sweep steps every (m, seed)
-cell of a solver together), take the group's shared settings as arguments
-and each cell's own settings in its cell, and each public solver is the
-one-cell case (every projected one built by ``_solve_one``).  In
-``_projected_descent`` every cell keeps its own measurements, gradient
-step, hold, phase, threshold and random stream, and the projections of one
-outer step run as one ``_project_cells`` block.
-``_latent_descent`` steps an (S, 1, k) latent block, measures each run of
-cells with equal m against its stacked (s, 1, m, n) sensing matrices, and
-freezes a diverged cell alone.  Stacked matrix-vector products give every
-cell the bits of its own run.
+Both loops step a lockstep group of S ``_Cell`` records (a sweep steps
+every (m, seed) cell of a solver together), take the group's shared
+settings as arguments and each cell's own settings in its cell, and each
+public solver is the one-cell case (every projected one built by
+``_solve_one``).  In ``_projected_descent`` every cell keeps its own
+measurements, gradient step, hold, phase, threshold and random stream, and
+the projections of one outer step run as one ``_project_cells`` block.
+``_latent_descent`` steps an (S, 1, k) latent block from the cells' x0,
+measures each run of cells with equal m against its stacked (s, 1, m, n)
+sensing matrices, and freezes a diverged cell alone.  Stacked
+matrix-vector products give every cell the bits of its own run.
 """
 
 from __future__ import annotations
@@ -181,9 +181,10 @@ class _TraceBuilder:
 
 
 class _Cell(NamedTuple):
-    """One solve of a projected-descent group: its objective, gradient step
-    and projection stream seed, a start point (None: 0) and an optional
-    ground truth for the trace."""
+    """One solve of a lockstep group: its objective, gradient step and
+    projection stream seed, a start point (a signal, None: 0; a baseline's
+    is its start latent) and an optional ground truth for the trace.  The
+    latent loop reads neither ``step_size`` nor ``seed``."""
 
     obj: Objective
     step_size: float
@@ -375,17 +376,6 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     return trace.x_hat, trace.extras["u"], trace.extras["v"], trace
 
 
-class _LatentCell(NamedTuple):
-    """One latent-descent baseline solve: the Objective holding its checked
-    y and A (its loss is the group's ``kind``), its own start stream, and
-    optional ground truth and start latent."""
-
-    obj: Objective
-    rng: RngStream
-    x_star: np.ndarray | None = None
-    z0: np.ndarray | None = None
-
-
 def _latent_descent(net, steps, rate, kind, cells):
     """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
     lockstep over a group of cells; returns one trace per cell.
@@ -399,7 +389,8 @@ def _latent_descent(net, steps, rate, kind, cells):
     have scale 1/2, so 2 A.T c is the exact signal-space gradient; it
     backpropagates through the net.  Each cell's Objective has checked its
     y and A (y >= 0 on the magnitude link); here A must have the net's n
-    columns and a z0 the net's k entries.
+    columns and each cell's x0, its start latent (drawn by the caller), the
+    net's k entries.
     """
     steps = as_count(steps, "steps")
     if not 0 < rate < np.inf:
@@ -407,8 +398,7 @@ def _latent_descent(net, steps, rate, kind, cells):
     ys = [cell.obj.y for cell in cells]
     mats = [as_matrix(cell.obj.model.matrix, "A", cols=net.output_dim)
             for cell in cells]
-    zs = [cell.rng.standard_normal(net.latent_dim) if cell.z0 is None
-          else as_vector(cell.z0, "z0", net.latent_dim).copy() for cell in cells]
+    zs = [as_vector(cell.x0, "z0", net.latent_dim) for cell in cells]
     cuts = [0] + [i for i in range(1, len(cells))
                   if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
     runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
@@ -434,8 +424,9 @@ def _latent_descent(net, steps, rate, kind, cells):
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     """Plain latent-space gradient descent on ||y - A G(z)||^2."""
     obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
+    z0 = rng.standard_normal(net.latent_dim) if z0 is None else z0
     (trace,) = _latent_descent(net, steps, rate, "squared",
-                               [_LatentCell(obj, rng, x_star, z0)])
+                               [_Cell(obj, rate, 0, z0, x_star)])
     return trace.x_hat, trace
 
 
@@ -445,6 +436,7 @@ def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
     The subgradient of |u| at 0 is taken as 0 (numpy sign convention).
     """
     obj = Objective(MeasurementModel(matrix=a, link="magnitude"), y)
+    z0 = rng.standard_normal(net.latent_dim) if z0 is None else z0
     (trace,) = _latent_descent(net, steps, rate, "magnitude",
-                               [_LatentCell(obj, rng, x_star, z0)])
+                               [_Cell(obj, rate, 0, z0, x_star)])
     return trace.x_hat, trace

@@ -38,7 +38,6 @@ from genprior.cli import main as cli_main
 from genprior.objectives import sign_pm
 from genprior.solvers import (
     _Cell,
-    _LatentCell,
     _latent_descent,
     _projected_descent,
 )
@@ -189,9 +188,9 @@ def test_criterion_4_m_sweep_trend():
             y = a @ x_star
             pgd_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), 0.7,
                                    seed, x_star=x_star))
-            csgm_cells.append(_LatentCell(Objective(MeasurementModel(a, "linear"), y),
-                                          RngStream(seed, spawn_key=(905,)),
-                                          x_star=x_star))
+            csgm_cells.append(_Cell(Objective(MeasurementModel(a, "linear"), y), 0.01,
+                                    seed, RngStream(seed, spawn_key=(905,))
+                                    .standard_normal(net.latent_dim), x_star))
 
     def medians(traces):
         errors = np.reshape([t.final_per_pixel_error for t in traces],

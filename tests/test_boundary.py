@@ -4,6 +4,7 @@ step: a count that is not an integer is never truncated, and an array of
 the wrong size never reaches numpy's matmul or the trace's error columns.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,3 +149,34 @@ OVERFLOW_NET = GeneratorNet((Layer([[1e308], [1.0]], [0.0, 0.0], "identity"),))
 def test_estimates_refuse_a_range_that_overflows(estimate):
     with pytest.raises(ValueError, match="^range points contain non-finite entries$"):
         estimate(OVERFLOW_NET)
+
+
+# Every range point of these nets is finite, but the pairs are far apart:
+# on the 1e200 net ||x1 - x2||^2 overflows; on the 1e150 net it does not,
+# but under A = 1e10 I the S-REC ratio's norm and the loss values do.  At
+# the parent each estimate returned NaN (or, for the S-REC, inf), with
+# overflow RuntimeWarnings, and incoherence_estimate returned 0.
+FAR_NET, WIDE_NET = (GeneratorNet((Layer([[s], [1.0]], [0.0, 0.0], "identity"),))
+                     for s in (1e200, 1e150))
+
+
+@pytest.mark.parametrize("estimate, message", [
+    (lambda: empirical_srec(np.eye(2), FAR_NET, 50, RngStream(0)),
+     "range pair distances are not finite"),
+    (lambda: rsc_rss_estimate(linear(np.eye(2), np.zeros(2)), FAR_NET, 50,
+                              RngStream(0)),
+     "range pair distances are not finite"),
+    (lambda: incoherence_estimate(FAR_NET, None, 50, RngStream(0)),
+     "range pair distances are not finite"),
+    (lambda: empirical_srec(1e10 * np.eye(2), WIDE_NET, 50, RngStream(0)),
+     "S-REC ratios are not finite"),
+    (lambda: rsc_rss_estimate(linear(1e10 * np.eye(2), np.zeros(2)), WIDE_NET, 50,
+                              RngStream(0)),
+     "curvature quotients are not finite"),
+], ids=["srec_distance", "rsc_rss_distance", "incoherence_distance", "srec_ratio",
+        "rsc_rss_quotient"])
+def test_estimates_refuse_a_statistic_that_overflows(estimate, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the case
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate()

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genprior import RngStream, cli, forward, load_weights, save_weights
+from genprior import (RngStream, cli, csgm_baseline, dpr_baseline, forward,
+                      load_weights, save_weights)
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from genprior.numerics import _check_orthonormal, blas_threads
 from genprior.solvers import _thresh
@@ -603,6 +604,34 @@ def test_unit_norm_latent_plants_a_unit_latent(lin_config):
     assert np.array_equal(x_star, forward(net, z / np.linalg.norm(z)))
     _, plain_x = cli.build_instance(load_config(lin_config), net, cfg.m, cfg.seed)
     assert np.array_equal(plain_x, forward(net, z))
+
+
+@pytest.mark.parametrize("problem, solver", [("linear", "csgm"), ("phase", "dpr")])
+def test_cli_baseline_starts_where_the_public_baseline_starts(problem, solver):
+    # The CLI draws a baseline cell's start latent from the cell's stream
+    # 905; the public baseline given that stream draws the same start, so
+    # every trace column has the same bytes.  A start from any other stream
+    # moves the first record.
+    cfg = load_config(None, TINY_NET + [f"problem={problem}", f"solver={solver}",
+                                        "csgm_steps=40", "dpr_steps=40"], seed=12)
+    net = cli.build_generator(cfg)
+    obj, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed)
+    cell = cli._cell(cfg, net, (solver,), cfg.seed, obj, x_star)
+    (row,) = cli._run_group(cfg, net, None, solver, [cell], traced=True)
+    baseline, steps, rate = ((csgm_baseline, cfg.csgm_steps, cfg.csgm_rate)
+                             if solver == "csgm" else
+                             (dpr_baseline, cfg.dpr_steps, cfg.dpr_rate))
+
+    def public(rng):
+        return baseline(obj.y, obj.model.matrix, net, steps, rate, rng,
+                        x_star=x_star)[1]
+
+    ref = public(RngStream(cfg.seed, spawn_key=(905,)))
+    for col in ("objective", "per_pixel_error", "sign_error", "proj_residual",
+                "phase_flips", "x_hat"):
+        assert getattr(row["trace"], col).tobytes() == getattr(ref, col).tobytes()
+    for other in (RngStream(cfg.seed), RngStream(cfg.seed, spawn_key=(904,))):
+        assert public(other).objective[0] != ref.objective[0]
 
 
 @pytest.mark.parametrize("restarts", [1, 4])

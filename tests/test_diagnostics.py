@@ -215,14 +215,14 @@ def test_pair_blocks_apply_one_pair_rule(count):
     # its forward.
     net = half_dead_net(40)
     blocks = list(_pair_blocks(net, count, RngStream(41)))
-    kept = sum(len(d) for _, _, d in blocks)
+    kept = sum(len(d) for _, _, d, _ in blocks)
     assert 0 < kept < count
-    assert all(np.all(np.vecdot(d, d) > 1e-18) for _, _, d in blocks)
+    assert all(np.all(np.vecdot(d, d) > 1e-18) for _, _, d, _ in blocks)
     obj = block_objective("linear", 40)
     assert empirical_srec(obj.model.matrix, net, count, RngStream(41)).pairs_used == kept
     assert rsc_rss_estimate(obj, net, count, RngStream(41)).samples == kept
     relu = random_net(31, k=6, hidden=(24,), n=40)
-    for x1, x2, d in _pair_blocks(relu, count, RngStream(41)):
+    for x1, x2, _, _ in _pair_blocks(relu, count, RngStream(41)):
         assert x1.base is x2.base and x1.base is not None
 
 
@@ -254,12 +254,13 @@ def test_pair_blocks_have_the_rows_of_one_forward(count, net):
     # may be left with a short remainder (257, 513 and 2049 would leave one
     # pair after blocks of 256).
     blocks = list(_pair_blocks(net, count, RngStream(43)))
-    assert all(len(d) >= min(count, _PAIR_BLOCK) for _, _, d in blocks)
-    x1, x2, d = (np.concatenate(parts) for parts in zip(*blocks))
+    assert all(len(d) >= min(count, _PAIR_BLOCK) for _, _, d, _ in blocks)
+    x1, x2, d, dd = (np.concatenate(parts) for parts in zip(*blocks))
     pts = forward(net, RngStream(43).standard_normal((2 * count, net.latent_dim)))
     assert x1.tobytes() == pts[0::2].tobytes()
     assert x2.tobytes() == pts[1::2].tobytes()
     assert d.tobytes() == (pts[0::2] - pts[1::2]).tobytes()
+    assert dd.tobytes() == np.vecdot(d, d).tobytes()
 
 
 @pytest.mark.parametrize("estimate", ["srec", "rsc_rss"])

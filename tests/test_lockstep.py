@@ -25,7 +25,6 @@ from genprior import (
 )
 from genprior.solvers import (
     _Cell,
-    _LatentCell,
     _latent_descent,
     _projected_descent,
 )
@@ -82,8 +81,9 @@ def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
         if i == 1:
             y = 1e155 * y
         link = "linear" if kind == "squared" else "magnitude"
-        cells.append(_LatentCell(Objective(MeasurementModel(a, link), y),
-                                 RngStream(seed), x_star=x_star))
+        cells.append(_Cell(Objective(MeasurementModel(a, link), y), 0.01, seed,
+                           RngStream(seed).standard_normal(desk_net.latent_dim),
+                           x_star))
         refs.append(baseline(y, a, desk_net, 60, 0.01, RngStream(seed),
                              x_star=x_star))
     traces = _latent_descent(desk_net, 60, 0.01, kind, cells)

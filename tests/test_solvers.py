@@ -559,6 +559,18 @@ def test_baseline_freezes_an_overflowed_latent(solver):
     assert np.array_equal(trace.objective, [1.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("solver", [csgm_baseline, dpr_baseline])
+def test_baseline_given_a_start_never_reads_its_rng(desk_net, solver):
+    # A given z0 is the whole start: the call needs no random stream.
+    _, x_star, a, y = planted_linear(desk_net, 32, seed=17)
+    z0 = RngStream(17).standard_normal(desk_net.latent_dim)
+    t1 = solver(np.abs(y), a, desk_net, 20, 0.01, None, x_star=x_star, z0=z0)[1]
+    t2 = solver(np.abs(y), a, desk_net, 20, 0.01, RngStream(3), x_star=x_star,
+                z0=z0)[1]
+    assert t1.objective.tobytes() == t2.objective.tobytes()
+    assert t1.x_hat.tobytes() == t2.x_hat.tobytes()
+
+
 def test_dpr_rejects_negative_observations(desk_net):
     a = np.eye(desk_net.output_dim)[:8]
     with pytest.raises(ValueError):
@@ -588,7 +600,7 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
                 z0 = rng.standard_normal(k)
                 z0 /= np.linalg.norm(z0)
                 obj = Objective(MeasurementModel(a, "magnitude"), y)
-                cells.append(solvers._LatentCell(obj, rng, x_star, z0))
+                cells.append(solvers._Cell(obj, 0.05, seed, z0, x_star))
         if solver == "phase":
             traces = solvers._projected_descent(
                 desk_net, cells, 50, ProjectionConfig(inner_steps=50, inner_rate=0.05))

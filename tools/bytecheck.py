@@ -44,6 +44,9 @@ def _command(kind, *items, seed=None):
 COMMANDS = {
     **{f"solve-{p}-101": _command("solve", f"problem={p}", seed=101)
        for p in ("linear", "sinusoid", "sigmoid", "phase", "mismatch")},
+    # The traced baselines: each trace.csv pins the start and every step.
+    "solve-csgm-101": _command("solve", "solver=csgm", seed=101),
+    "solve-dpr-101": _command("solve", "problem=phase", "solver=dpr", seed=101),
     "sweep-small-linear": _command(
         "sweep", *SMALL_NET, "problem=linear", "solvers=pgd,csgm",
         "m_list=20,40", "seeds=305,306", "csgm_steps=300", "eta=auto"),

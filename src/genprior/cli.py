@@ -22,11 +22,11 @@ same name.
 The default output directory comes from ``$GENPRIOR_OUT``, else ``./out``.
 
 Every command runs its cells one way.  A cell is one ``solvers._Cell``
-(an (m, seed) instance's objective, step size, seed and x*), built once
-before any solve, and each solver runs as one lockstep group over its
-cells: each cell that needs a start gets it first, then the solver steps
-every cell together (see ``solvers``).  ``solve`` and ``diagnose`` run
-one cell; a sweep runs one group per solver over each shard of its cells.
+(an (m, seed) instance's objective, ``resolve_eta``'s step size, seed and
+x*), built once before any solve; its link picks a baseline's loss.  Each
+solver runs as one lockstep group over its cells, once each cell that
+needs a start has it.  ``solve`` and ``diagnose`` run one cell; a sweep
+runs one group per solver over each shard of its cells.
 
 ``_run_forked`` deals a command's items round-robin into one shard per
 usable CPU (at most one per item).  Shard 0 runs in this process and the
@@ -62,7 +62,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -209,12 +209,6 @@ class ExperimentConfig:
         first of ``solver_list()`` (as they read ``m`` over ``m_list``)."""
         return self.solver or self.solver_list()[0]
 
-    def eta_value(self):
-        """Configured step size; problem-dependent default when unset."""
-        if self.eta is None:
-            return 0.9 if self.problem == "phase" else 0.5
-        return self.eta
-
     def seed_list(self):
         return self.seeds if self.seeds else (self.seed,)
 
@@ -348,8 +342,16 @@ def build_basis(cfg, n):
 
 
 def _orthogonal_draw(rng, n):
-    """Q of an n x n Gaussian draw's QR, its signs made canonical by R's."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    """Q of an n x n Gaussian draw's QR, its signs made canonical by R's.
+    The QR runs at one BLAS thread, whatever the process's count: its
+    blocked update's bits follow the thread count (see README, Determinism)."""
+    g = rng.standard_normal((n, n))
+    threads = blas_threads(1)
+    try:
+        q, r = np.linalg.qr(g)
+    finally:
+        if threads is not None:
+            blas_threads(threads)
     return q * np.sign(np.diag(r))
 
 
@@ -431,12 +433,14 @@ def _diagnostic_objective(obj):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a failed probe raises ConfigError
-def resolve_eta(cfg, obj, net, seed):
-    """Step size from config; 'auto' uses 1/beta of the objective's
-    potential (``_cell`` asks for it only for a projected solver)."""
-    eta = cfg.eta_value()
-    if eta != "auto":
-        return float(eta)
+def resolve_eta(cfg, obj, net, seed, solvers):
+    """A cell's step size for a command running ``solvers``: ``eta`` as given;
+    unset, or ``auto`` with only baselines (which never read it), the problem's
+    default (0.9 phase, else 0.5); else 1/beta from the stream-903 probe."""
+    if cfg.eta is None or (cfg.eta == "auto" and set(solvers) <= set(BASELINES)):
+        return 0.9 if cfg.problem == "phase" else 0.5
+    if cfg.eta != "auto":
+        return float(cfg.eta)
     obj = _diagnostic_objective(obj)
     probe = (f"eta=auto at seed {seed}: the curvature probe over num_pairs "
              f"({cfg.num_pairs}) range pairs")
@@ -454,12 +458,9 @@ def resolve_eta(cfg, obj, net, seed):
 
 
 def _cell(cfg, net, solvers, seed, obj, x_star):
-    """The cell of one planted instance, for a command that runs
-    ``solvers``: ``eta=auto`` probes the curvature only when one of them is
-    a projected solver, and otherwise reads as unset."""
-    if cfg.eta == "auto" and set(solvers) <= set(BASELINES):
-        cfg = replace(cfg, eta=None)
-    return _Cell(obj, resolve_eta(cfg, obj, net, seed), seed, x_star=x_star)
+    """The cell of one planted instance, with ``resolve_eta``'s step size for
+    ``solvers``; a baseline's link picks its loss in ``_latent_descent``."""
+    return _Cell(obj, resolve_eta(cfg, obj, net, seed, solvers), seed, x_star=x_star)
 
 
 def _solve_group(cfg, net, basis, solver, cells):
@@ -467,9 +468,9 @@ def _solve_group(cfg, net, basis, solver, cells):
     ``basis`` is the command's mismatch basis, which myopic thresholds
     in."""
     if solver == "csgm":
-        return _latent_descent(net, cfg.csgm_steps, cfg.csgm_rate, "squared", cells)
+        return _latent_descent(net, cfg.csgm_steps, cfg.csgm_rate, cells)
     if solver == "dpr":
-        return _latent_descent(net, cfg.dpr_steps, cfg.dpr_rate, "magnitude", cells)
+        return _latent_descent(net, cfg.dpr_steps, cfg.dpr_rate, cells)
     proj = ProjectionConfig(inner_steps=cfg.inner_steps, inner_rate=cfg.inner_rate,
                             restarts=cfg.restarts)
     sparse = (basis, cfg.sparsity) if solver == "myopic" else None

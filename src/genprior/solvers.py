@@ -16,8 +16,8 @@ what they hand that loop:
                       blocks step with the same gradient before their
                       respective projections.
 
-Two latent-space descent baselines, ``csgm_baseline`` (squared loss) and
-``dpr_baseline`` (magnitude loss), optimize over z directly.
+Two latent-space descent baselines, ``csgm_baseline`` and ``dpr_baseline``,
+optimize over z directly, on the loss their link picks in ``_LATENT_LOSS``.
 
 Every solver emits a :class:`SolveTrace` with one record per iterate
 (including the initial point) and is bitwise deterministic given its inputs
@@ -118,6 +118,8 @@ class SolveTrace:
 
 _TRACE_COLUMNS = ("objective", "per_pixel_error", "sign_error", "proj_residual",
                   "phase_flips")
+# The loss a latent baseline descends, by its cells' link: CSGM, DPR.
+_LATENT_LOSS = {"linear": "squared", "magnitude": "magnitude"}
 
 
 class _TraceBuilder:
@@ -376,9 +378,9 @@ def myopic_eps_pgd(obj, net, b, l, cfg):
     return trace.x_hat, trace.extras["u"], trace.extras["v"], trace
 
 
-def _latent_descent(net, steps, rate, kind, cells):
-    """Plain gradient descent over z on the loss ``kind`` of u = A G(z), in
-    lockstep over a group of cells; returns one trace per cell.
+def _latent_descent(net, steps, rate, cells):
+    """Gradient descent over z on the loss of u = A G(z) that the cells' link
+    picks in ``_LATENT_LOSS``, in lockstep; returns one trace per cell.
 
     The S cells step as one (S, 1, k) latent block through ``_descend``
     (a diverged cell freezes alone), one pass through the net per step; the
@@ -395,6 +397,10 @@ def _latent_descent(net, steps, rate, kind, cells):
     steps = as_count(steps, "steps")
     if not 0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
+    kinds = {_LATENT_LOSS.get(cell.obj.model.link) for cell in cells}
+    if len(kinds) != 1 or None in kinds:
+        raise ValueError("a latent group needs one link: linear or magnitude")
+    (kind,) = kinds
     ys = [cell.obj.y for cell in cells]
     mats = [as_matrix(cell.obj.model.matrix, "A", cols=net.output_dim)
             for cell in cells]
@@ -422,21 +428,21 @@ def _latent_descent(net, steps, rate, kind, cells):
 
 
 def csgm_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
-    """Plain latent-space gradient descent on ||y - A G(z)||^2."""
+    """Plain latent-space gradient descent on ||y - A G(z)||^2, the linear
+    link's loss in ``_LATENT_LOSS``."""
     obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
     z0 = rng.standard_normal(net.latent_dim) if z0 is None else z0
-    (trace,) = _latent_descent(net, steps, rate, "squared",
-                               [_Cell(obj, rate, 0, z0, x_star)])
+    (trace,) = _latent_descent(net, steps, rate, [_Cell(obj, rate, 0, z0, x_star)])
     return trace.x_hat, trace
 
 
 def dpr_baseline(y, a, net, steps, rate, rng, x_star=None, z0=None):
-    """Latent-space gradient descent on the magnitude loss ||y - |A G(z)|||^2.
+    """Latent-space gradient descent on the magnitude loss ||y - |A G(z)|||^2,
+    the magnitude link's loss in ``_LATENT_LOSS``.
 
     The subgradient of |u| at 0 is taken as 0 (numpy sign convention).
     """
     obj = Objective(MeasurementModel(matrix=a, link="magnitude"), y)
     z0 = rng.standard_normal(net.latent_dim) if z0 is None else z0
-    (trace,) = _latent_descent(net, steps, rate, "magnitude",
-                               [_Cell(obj, rate, 0, z0, x_star)])
+    (trace,) = _latent_descent(net, steps, rate, [_Cell(obj, rate, 0, z0, x_star)])
     return trace.x_hat, trace

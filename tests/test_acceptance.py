@@ -199,7 +199,7 @@ def test_criterion_4_m_sweep_trend():
 
     med_pgd = medians(_projected_descent(
         net, pgd_cells, 15, ProjectionConfig(inner_steps=200, inner_rate=0.05)))
-    med_csgm = medians(_latent_descent(net, 3000, 0.01, "squared", csgm_cells))
+    med_csgm = medians(_latent_descent(net, 3000, 0.01, csgm_cells))
     clamped = [max(med_pgd[m], ERROR_FLOOR) for m in ms]
     non_increasing = all(b <= a for a, b in zip(clamped, clamped[1:]))
     beats_csgm = med_pgd[200] < med_csgm[200]

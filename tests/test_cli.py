@@ -125,12 +125,36 @@ def test_default_out_dir_from_env(lin_config, monkeypatch):
     assert load_config(lin_config).out == "out"
 
 
-def test_eta_defaults_per_problem(tmp_path):
-    p = tmp_path / "c.txt"
-    p.write_text("problem = linear\n")
-    assert load_config(p).eta_value() == 0.5
-    p.write_text("problem = phase\n")
-    assert load_config(p).eta_value() == 0.9
+@pytest.mark.parametrize("problem", ["linear", "phase"])
+@pytest.mark.parametrize("solvers", [("pgd",), ("csgm",), ("pgd", "csgm")],
+                         ids=["pgd", "csgm", "pgd+csgm"])
+@pytest.mark.parametrize("eta", [None, "0.3", "auto"], ids=["unset", "0.3", "auto"])
+def test_eta_defaults_per_problem(tmp_path, monkeypatch, eta, solvers, problem):
+    # resolve_eta alone decides a cell's step size: eta as given; the
+    # problem's default when eta is unset, or when auto meets only
+    # baselines; and the curvature probe's 1/beta only for auto with a
+    # projected solver.
+    overrides = [f"problem={problem}", "latent_dim=4", "hidden_dims=16",
+                 "output_dim=32", "m=16", "num_pairs=40"]
+    cfg = load_config(overrides=overrides + ([] if eta is None else [f"eta={eta}"]),
+                      out=str(tmp_path))
+    net = cli.build_generator(cfg)
+    obj, _ = cli.build_instance(cfg, net, cfg.m, 5)
+    betas = []
+    probe = cli.diag.rsc_rss_estimate
+
+    def counted_probe(*args):
+        est = probe(*args)
+        betas.append(est.beta)
+        return est
+
+    monkeypatch.setattr(cli.diag, "rsc_rss_estimate", counted_probe)
+    got = cli.resolve_eta(cfg, obj, net, 5, solvers)
+    if eta == "auto" and "pgd" in solvers:
+        assert len(betas) == 1 and got == 1.0 / (0.5 * betas[0])
+    else:
+        assert betas == []
+        assert got == {"0.3": 0.3}.get(eta, 0.9 if problem == "phase" else 0.5)
 
 
 @pytest.mark.parametrize("key, raw", [
@@ -472,9 +496,9 @@ def test_sweep_builds_each_instance_once(lin_config, tmp_path, monkeypatch,
         built.append((m, seed))
         return build(cfg, net, m, seed, *rest)
 
-    def counted_resolve(cfg, obs, net, seed):
+    def counted_resolve(cfg, obs, net, seed, solvers):
         probed.append(seed)
-        return resolve(cfg, obs, net, seed)
+        return resolve(cfg, obs, net, seed, solvers)
 
     monkeypatch.setattr(cli, "build_instance", counted_build)
     monkeypatch.setattr(cli, "resolve_eta", counted_resolve)
@@ -909,6 +933,28 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+ORTHOGONAL_DRAW = """
+import hashlib
+from genprior import RngStream, cli
+from genprior.numerics import blas_threads
+q = cli._orthogonal_draw(RngStream(0, spawn_key=(902,)), 784)
+print(hashlib.sha1(q.tobytes()).hexdigest(), blas_threads())
+"""
+
+
+def test_orthogonal_draw_does_not_depend_on_blas_threads():
+    # LAPACK's blocked QR updates through a threaded GEMM, so Q's last
+    # digits followed the OpenBLAS thread count; the draw pins the QR to
+    # one thread and gives the process its count back.
+    digests = set()
+    for threads in ("1", "2"):
+        digest, after = run_python(ORTHOGONAL_DRAW, OPENBLAS_NUM_THREADS=threads,
+                                   OMP_NUM_THREADS=threads).split()
+        assert after in (threads, "None")
+        digests.add(digest)
+    assert len(digests) == 1
+
+
 def test_diagnose_bytes_do_not_depend_on_usable_cpus(lin_config, tmp_path,
                                                      monkeypatch):
     # With two usable CPUs the solve runs in a forked child beside the
@@ -1071,3 +1117,31 @@ def test_diagnose_ignores_sparsity_where_the_problem_has_no_spikes(tmp_path):
     report = diagnose_report(tmp_path / "d", "latent_dim=2", "hidden_dims=3",
                              "output_dim=4", "m=3")
     assert 0.0 <= float(report["mu_hat"]) <= 1.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--set", "m_list=20", "--set", "seeds=0,1", "--set", "inner_steps=10"),
+    ("diagnose", "--set", "num_pairs=20", "--set", "outer_steps=2"),
+], ids=["sweep", "diagnose"])
+def test_each_fork_leaves_the_parent_with_one_thread(lin_config, tmp_path,
+                                                     monkeypatch, argv):
+    # Python 3.12 and later warn on a fork when the parent, right after
+    # fork() returns, counts more than one OS thread in /proc/self/stat
+    # (field 20).  A two-shard sweep and a diagnose fork while numpy's
+    # OpenBLAS pool is alive; its fork handler stops the pool first, so the
+    # parent reads 1 at each fork.
+    counts = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            stat = Path("/proc/self/stat").read_text()
+            counts.append(int(stat.rsplit(")", 1)[1].split()[20 - 3]))
+        return pid
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    assert run_cli(*argv, "--config", str(lin_config), "--out", str(tmp_path)) == 0
+    assert counts and all(n == 1 for n in counts)

@@ -68,6 +68,18 @@ def cell(obj, cfg):
     return _Cell(obj, cfg.step_size, cfg.seed, x_star=cfg.ground_truth)
 
 
+@pytest.mark.parametrize("links", [("linear", "magnitude"), ("sigmoid",)],
+                         ids=["mixed", "sigmoid"])
+def test_latent_group_takes_its_loss_from_one_baseline_link(desk_net, links):
+    # The cells' link picks the latent loss, so a group that mixes links,
+    # or whose link has no latent baseline, is refused before any step.
+    cells = [_Cell(Objective(MeasurementModel(a, link), np.abs(y)), 0.01, seed,
+                   np.zeros(desk_net.latent_dim))
+             for link, (_, _, a, y), seed in zip(links, instances(desk_net), SEEDS)]
+    with pytest.raises(ValueError, match="one link: linear or magnitude"):
+        _latent_descent(desk_net, 5, 0.01, cells)
+
+
 @group_params("kind", ["squared", "magnitude"])
 def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
     # The middle cell's observations are so large that its loss overflows
@@ -86,7 +98,7 @@ def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
                            x_star))
         refs.append(baseline(y, a, desk_net, 60, 0.01, RngStream(seed),
                              x_star=x_star))
-    traces = _latent_descent(desk_net, 60, 0.01, kind, cells)
+    traces = _latent_descent(desk_net, 60, 0.01, cells)
     moved = [np.count_nonzero(np.diff(t.per_pixel_error)) for t in traces]
     assert moved[1] == 0 and np.all(np.isinf(traces[1].objective))
     assert moved[0] == moved[2] == 60

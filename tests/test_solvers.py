@@ -605,7 +605,7 @@ def test_phase_pgd_needs_fewer_measurements_than_dpr(desk_net):
             traces = solvers._projected_descent(
                 desk_net, cells, 50, ProjectionConfig(inner_steps=50, inner_rate=0.05))
         else:
-            traces = solvers._latent_descent(desk_net, 2500, 0.05, "magnitude", cells)
+            traces = solvers._latent_descent(desk_net, 2500, 0.05, cells)
         return float(np.median([tr.sign_error[-1] for tr in traces]))
 
     def first_m_reaching(solver):

@@ -133,12 +133,9 @@ class _TraceBuilder:
     (columns, cells, records) NaN buffer, and each trace column is a
     contiguous view of it: a latent baseline records thousands of steps,
     and one small array per value, or a copy per column, would hold several
-    times the memory.  Only the iterates of up to ``BLOCK`` steps wait, and
-    their error columns are computed once per block: eight ufunc calls on a
-    few rows per step cost more than their arithmetic.
+    times the memory.  ``add`` writes a step's error columns from its own
+    iterate, which no record keeps.
     """
-
-    BLOCK = 64
 
     def __init__(self, records, x_stars, n):
         self.cols = np.full((len(_TRACE_COLUMNS), len(x_stars), records), np.nan)
@@ -146,36 +143,25 @@ class _TraceBuilder:
         if any(x is not None for x in x_stars):
             self.x_star = np.stack([as_vector(x, "ground_truth", n) if x is not None
                                     else np.full(n, np.nan) for x in x_stars])
-            self.xs = np.empty((min(self.BLOCK, records), len(x_stars), n))
-        self.steps = self.done = 0
+        self.steps = 0
 
     def add(self, objective, x, proj_residual=None, phase_flips=None):
         t = self.steps
         self.cols[0, :, t] = np.ravel(objective)
         if proj_residual is not None:  # else both stay NaN, as in a latent loop
             self.cols[3, :, t], self.cols[4, :, t] = proj_residual, phase_flips
-        self.steps += 1
         if self.x_star is not None:
-            self.xs[t - self.done] = x.reshape(self.x_star.shape)
-            if self.steps - self.done == len(self.xs):
-                self._flush()
-
-    def _flush(self):
-        """Write the error columns of the waiting iterates."""
-        x = self.xs[:self.steps - self.done]
-        # Row-wise dot products have the bits of each row's own d @ d.
-        d, s = x - self.x_star, x + self.x_star
-        dd = np.vecdot(d, d)
-        span = slice(self.done, self.steps)
-        self.cols[1, :, span] = (dd / x.shape[-1]).T
-        self.cols[2, :, span] = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s))).T
-        self.done = self.steps
+            x = x.reshape(self.x_star.shape)
+            # Row-wise dot products have the bits of each row's own d @ d.
+            d, s = x - self.x_star, x + self.x_star
+            dd = np.vecdot(d, d)
+            self.cols[1, :, t] = dd / x.shape[-1]
+            self.cols[2, :, t] = np.minimum(np.sqrt(dd), np.sqrt(np.vecdot(s, s)))
+        self.steps += 1
 
     def build(self, x_hats, inner_updates, extras=None):
         """One SolveTrace per cell, from the cells' final iterates,
         inner-update counts and (optional) extras."""
-        if self.x_star is not None and self.done < self.steps:
-            self._flush()
         return [SolveTrace(x_hat=x_hat, inner_updates=inner,
                            extras=extras[i] if extras else {},
                            **dict(zip(_TRACE_COLUMNS, self.cols[:, i])))

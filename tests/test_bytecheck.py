@@ -1,6 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from genprior.numerics import blas_threads
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bytecheck", ROOT / "tools" / "bytecheck.py")
 bytecheck = importlib.util.module_from_spec(_spec)
@@ -48,19 +52,26 @@ def test_layout_mode_runs_one_command_in_each_layout(capsys):
 
 FAKE_CLI = """\
 import os, sys
+from genprior.numerics import blas_threads
 out = sys.argv[sys.argv.index("--out") + 1]
 with open(os.path.join(out, "layout.txt"), "w") as f:
-    f.write(f"{os.environ['OPENBLAS_NUM_THREADS']} {len(os.sched_getaffinity(0))}")
+    f.write(f"{blas_threads()} {len(os.sched_getaffinity(0))}")
 """
 
 
 def test_each_layout_sets_the_childs_threads_and_cpus(tmp_path, capsys):
-    # A tree whose command writes the thread count and the usable CPUs it
-    # was given: each layout's run sees its own, and the check names every
-    # layout whose file differs from the first's.
+    # A tree whose command writes OpenBLAS's own thread count and the usable
+    # CPUs it runs with: each layout's run sees its own (OpenBLAS caps its
+    # pool at the usable CPUs when it loads, so two threads on one CPU must
+    # be set after start), and the check names every layout whose file
+    # differs from the first's.
+    if blas_threads() is None:
+        pytest.skip("numpy has no OpenBLAS loaded")
     package = tmp_path / "tree" / "src" / "genprior"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
+    (package / "numerics.py").write_text(
+        (ROOT / "src" / "genprior" / "numerics.py").read_text())
     (package / "cli.py").write_text(FAKE_CLI)
     sides, _ = bytecheck.layout_sides(tmp_path / "tree")
     for i, (_, tree, (threads, cpus)) in enumerate(sides):

@@ -35,9 +35,9 @@ def desk_cfg(seed, x_star=None, eta=0.7, outer=15, inner=200, rate=0.05,
 
 @pytest.mark.parametrize("records", [1, 64, 150])
 def test_trace_builder_blocks_match_per_step_errors(records):
-    # The builder computes its error columns once per block of steps; every
-    # value must keep the bits of computing it from its own step's iterate.
-    # The second cell has no ground truth.
+    # Every error value must keep the bits of computing it from its own
+    # step's iterate, and be written by that step's ``add``.  The second
+    # cell has no ground truth.
     rng = RngStream(31)
     x_star = rng.standard_normal((3, 7))
     x_star[1] = np.nan
@@ -46,6 +46,11 @@ def test_trace_builder_blocks_match_per_step_errors(records):
     tb = _TraceBuilder(records, [x_star[0], None, x_star[2]], 7)
     for t in range(records):
         tb.add(objs[t], xs[t], proj_residual=[t, np.nan, -t], phase_flips=2.0)
+        d, s = xs[t] - x_star, xs[t] + x_star
+        np.testing.assert_array_equal(  # per_pixel_error, sign_error of record t
+            tb.cols[1:3, :, t],
+            [[d[i] @ d[i] / 7 for i in range(3)],
+             [min(np.sqrt(d[i] @ d[i]), np.sqrt(s[i] @ s[i])) for i in range(3)]])
     traces = tb.build(list(xs[-1]), [0] * 3)
     for i, trace in enumerate(traces):
         d, s = xs[:, i] - x_star[i], xs[:, i] + x_star[i]

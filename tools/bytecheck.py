@@ -15,8 +15,11 @@ matches, and 1 when a file differs, is missing on one side, or a command
 fails.
 
 ``--layouts`` runs every command of one tree at 1 and 2 OpenBLAS threads
-(``OPENBLAS_NUM_THREADS``) x 1 and 2 usable CPUs (the child's CPU
-affinity), and compares each layout with the 2-thread, 2-CPU run.  With
+x 1 and 2 usable CPUs (the child's CPU affinity), and compares each layout
+with the 2-thread, 2-CPU run.  OpenBLAS caps its pool at the usable CPUs
+when it loads, so ``OPENBLAS_NUM_THREADS`` alone would give one CPU one
+thread: the child sets the count again through the tree's
+``genprior.numerics.blas_threads`` before it runs the CLI.  With
 one usable CPU it runs the layouts it can, compares them with the first
 of them, and names the ones it left out.
 
@@ -111,20 +114,28 @@ def layout_name(layout):
     return f"{threads} thread{'s' * (threads > 1)}, {cpus} CPU{'s' * (cpus > 1)}"
 
 
+# The CLI's entry for a layout's child: argv[1] is the OpenBLAS thread
+# count, set after numpy has loaded OpenBLAS.
+_LAYOUT_MAIN = ("import runpy, sys; from genprior.numerics import blas_threads; "
+                "blas_threads(int(sys.argv.pop(1))); "
+                "runpy.run_module('genprior.cli', run_name='__main__', alter_sys=True)")
+
+
 def run(tree, argv, out, layout=None):
     """The masked output files of one command on one tree, run in the given
     (threads, cpus) layout or this process's, or the failure of the
     command as a string."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    pin = None
+    main, pin = ["-m", "genprior.cli"], None
     if layout is not None:
         threads, cpus = layout
         env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        main = ["-c", _LAYOUT_MAIN, str(threads)]
         chosen = sorted(os.sched_getaffinity(0))[:cpus]
 
         def pin():
             os.sched_setaffinity(0, chosen)
-    proc = subprocess.run([sys.executable, "-m", "genprior.cli", *argv,
+    proc = subprocess.run([sys.executable, *main, *argv,
                            "--out", str(out)], env=env, capture_output=True,
                           text=True, check=False, preexec_fn=pin)
     if proc.returncode != 0:

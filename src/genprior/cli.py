@@ -331,11 +331,12 @@ def build_generator(cfg):
 
 
 def build_basis(cfg, n):
-    """The n x n orthonormal basis that mismatch spikes are sparse in: None
-    for the identity, which is never built, or a checked random draw that
-    depends on ``weight_seed`` alone.  A command builds it once, after the
-    generator has fixed n."""
-    if cfg.basis == "identity":
+    """The n x n orthonormal basis that mismatch spikes are sparse in: a
+    checked random draw that depends on ``weight_seed`` alone for
+    ``basis=random_ortho``, else None (the identity, never built; no other
+    problem reads a basis).  A command builds it once, after the generator
+    has fixed n."""
+    if cfg.problem != "mismatch" or cfg.basis == "identity":
         return None
     rng = RngStream(cfg.weight_seed, spawn_key=(902,))
     return _check_orthonormal(_orthogonal_draw(rng, n))
@@ -353,12 +354,6 @@ def _orthogonal_draw(rng, n):
         if threads is not None:
             blas_threads(threads)
     return q * np.sign(np.diag(r))
-
-
-def _command_basis(cfg, net):
-    """The basis a command passes down: ``build_basis`` for mismatch, else
-    None (no other problem reads one)."""
-    return build_basis(cfg, net.output_dim) if cfg.problem == "mismatch" else None
 
 
 def _generator_keys(cfg):
@@ -457,12 +452,6 @@ def resolve_eta(cfg, obj, net, seed, solvers):
     return eta
 
 
-def _cell(cfg, net, solvers, seed, obj, x_star):
-    """The cell of one planted instance, with ``resolve_eta``'s step size for
-    ``solvers``; a baseline's link picks its loss in ``_latent_descent``."""
-    return _Cell(obj, resolve_eta(cfg, obj, net, seed, solvers), seed, x_star=x_star)
-
-
 def _solve_group(cfg, net, basis, solver, cells):
     """The traces of one solver on the given cells, stepped in lockstep;
     ``basis`` is the command's mismatch basis, which myopic thresholds
@@ -478,8 +467,10 @@ def _solve_group(cfg, net, basis, solver, cells):
 
 
 def _run_group(cfg, net, basis, solver, cells, traced=False):
-    """The summary rows of one solver's lockstep group over its cells,
-    given the command's basis.
+    """The rows of one solver's lockstep group over its cells, given the
+    command's basis: each holds ``summary.txt``'s keys in its order, and
+    the cell's trace under ``trace`` only when ``traced`` (a sweep's traces
+    would pile up in memory).
 
     Each cell gets its start first: a ``phase_pgd`` point from stream 904,
     a baseline's start latent from stream 905.  Then the solver steps every
@@ -509,16 +500,16 @@ def _run_group(cfg, net, basis, solver, cells, traced=False):
         except ValueError:
             alpha_fit = float("nan")
         rows.append({
+            "solver": solver,
             "m": c.obj.model.num_measurements,
             "seed": c.seed,
-            "solver": solver,
-            "trace": trace,
             "eta": c.step_size,
-            "final_per_pixel_error": float(np.vecdot(d, d) / d.shape[0]),
             "final_objective": trace.final_objective,
+            "final_per_pixel_error": float(np.vecdot(d, d) / d.shape[0]),
             "alpha_fit": alpha_fit,
             "total_inner_updates": trace.inner_updates,
             "wall_time_s": wall,
+            **({"trace": trace} if traced else {}),
         })
     return rows
 
@@ -600,17 +591,16 @@ def cmd_gen(cfg):
 
 def cmd_solve(cfg):
     out, net = _setup(cfg, (cfg.m,))
-    basis = _command_basis(cfg, net)
+    basis = build_basis(cfg, net.output_dim)
     solver = cfg.single_solver()
-    cell = _cell(cfg, net, (solver,), cfg.seed,
-                 *build_instance(cfg, net, cfg.m, cfg.seed, basis))
+    obj, x_star = build_instance(cfg, net, cfg.m, cfg.seed, basis)
+    cell = _Cell(obj, resolve_eta(cfg, obj, net, cfg.seed, (solver,)), cfg.seed,
+                 x_star=x_star)
     (row,) = _run_group(cfg, net, basis, solver, [cell], traced=True)
-    trace = row["trace"]
+    trace = row.pop("trace")
     trace_path = out / "trace.csv"
     write_trace_csv(trace_path, trace)
-    summary = {"problem": cfg.problem, **{k: row[k] for k in (
-        "solver", "m", "seed", "eta", "final_objective", "final_per_pixel_error",
-        "alpha_fit", "total_inner_updates", "wall_time_s")}}
+    summary = {"problem": cfg.problem, **row}
     side = math.isqrt(net.output_dim)
     if cfg.image and side * side == net.output_dim:
         lo, hi = write_pgm(out / "x_hat.pgm", trace.x_hat)
@@ -633,15 +623,6 @@ def _usable_cpus():
     if sys.platform != "linux":
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _sweep_shard(cfg, net, basis, solvers, cells):
-    """The summary rows of every solver's lockstep group over one shard's
-    cells.  Each row keeps a cell's summary, not its trace: the traces of a
-    whole sweep would pile up in memory."""
-    return [{k: row[k] for k in (*RESULT_COLUMNS, "wall_time_s")}
-            for solver in solvers
-            for row in _run_group(cfg, net, basis, solver, cells)]
 
 
 def _run_forked(fn, items):
@@ -713,16 +694,17 @@ def _run_forked(fn, items):
 
 def cmd_sweep(cfg):
     out, net = _setup(cfg, cfg.m_values())
-    basis = _command_basis(cfg, net)
+    basis = build_basis(cfg, net.output_dim)
     solvers = cfg.solver_list()
     pairs = [(m, seed) for m in cfg.m_values() for seed in cfg.seed_list()]
     instances = [build_instance(cfg, net, m, seed, basis) for m, seed in pairs]
-    cells = [_cell(cfg, net, solvers, seed, *instance)
-             for (_, seed), instance in zip(pairs, instances)]
+    cells = [_Cell(obj, resolve_eta(cfg, obj, net, seed, solvers), seed, x_star=x_star)
+             for (_, seed), (obj, x_star) in zip(pairs, instances)]
     # Cells are independent, so any split keeps their bytes.  The round-robin
     # deal balances the shards and keeps runs of equal m together.
-    results = _run_forked(lambda shard: _sweep_shard(cfg, net, basis, solvers, shard),
-                          cells)
+    results = _run_forked(lambda shard: [
+        row for solver in solvers
+        for row in _run_group(cfg, net, basis, solver, shard)], cells)
     results.sort(key=lambda r: (r["m"], r["seed"], solvers.index(r["solver"])))
 
     rows = [[r[c] for c in RESULT_COLUMNS] for r in results]
@@ -753,7 +735,7 @@ def cmd_sweep(cfg):
 
 def cmd_diagnose(cfg):
     out, net = _setup(cfg, (cfg.m,))
-    basis = _command_basis(cfg, net)
+    basis = build_basis(cfg, net.output_dim)
     obj, x_star = build_instance(cfg, net, cfg.m, cfg.seed, basis)
     rng = RngStream(cfg.seed, spawn_key=(907,))
 
@@ -776,15 +758,14 @@ def cmd_diagnose(cfg):
 
     def solve():
         solver = cfg.single_solver()
-        cell = _cell(cfg, net, (solver,), cfg.seed, obj, x_star)
-        (row,) = _run_group(cfg, net, basis, solver, [cell])
-        return {k: row[k] for k in ("eta", "solver", "alpha_fit",
-                                    "final_per_pixel_error")}
+        cell = _Cell(obj, resolve_eta(cfg, obj, net, cfg.seed, (solver,)), cfg.seed,
+                     x_star=x_star)
+        return _run_group(cfg, net, basis, solver, [cell])[0]
 
     # The estimates never read the solve: with a second CPU the solve runs
     # in a forked child, and the estimates stay in this process.
-    (srec, est, mu), cell = _run_forked(lambda shard: [part() for part in shard],
-                                        [estimates, solve])
+    (srec, est, mu), row = _run_forked(lambda shard: [part() for part in shard],
+                                       [estimates, solve])
 
     report = {}
     report["gamma_hat"] = srec.gamma
@@ -800,14 +781,14 @@ def cmd_diagnose(cfg):
     if cfg.problem == "mismatch":
         report["predicted_mismatch_factor"] = diag.contraction_bound_mismatch(est, mu)
 
-    window = diag.step_size_window_check(srec, cell["eta"])
-    report["eta"] = cell["eta"]
+    window = diag.step_size_window_check(srec, row["eta"])
+    report["eta"] = row["eta"]
     report["eta_in_window"] = window.in_window
     report["rho_sq_below_inv_eta"] = window.rho_sq_ok
     report["window_predicted_factor"] = window.predicted_factor
-    report["solver"] = cell["solver"]
-    report["fitted_alpha"] = cell["alpha_fit"]
-    report["final_per_pixel_error"] = cell["final_per_pixel_error"]
+    report["solver"] = row["solver"]
+    report["fitted_alpha"] = row["alpha_fit"]
+    report["final_per_pixel_error"] = row["final_per_pixel_error"]
 
     for k, v in report.items():
         print(f"{k} = {_fmt(v)}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import forward
-from .numerics import _check_orthonormal, _combination, as_count, as_matrix
+from .numerics import _check_orthonormal, _combination, as_count, as_matrix, as_real
 from .objectives import GRADIENT_SCALE, _adjoint, _apply, _loss_terms
 
 __all__ = [
@@ -220,8 +220,7 @@ def step_size_window_check(srec, eta):
     """
     if srec.gamma <= 0:
         raise ValueError("window check needs gamma > 0")
-    if not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
+    eta = as_real(eta, "eta", low=0, strict=True)
     lo, hi = 1.0 / (2.0 * srec.gamma), 1.0 / srec.gamma
     eta_gamma = eta * srec.gamma
     return WindowReport(

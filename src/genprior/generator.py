@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_count, as_matrix, as_vector
+from .numerics import as_count, as_matrix, as_real, as_vector
 
 __all__ = [
     "Layer",
@@ -254,6 +254,8 @@ def random_generator(k, hidden_dims, n, activation, rng, weight_scale=1.0,
                                   for h in hidden_dims] + [as_count(n, "n")])
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
+    weight_scale = as_real(weight_scale, "weight_scale")
+    bias_scale = as_real(bias_scale, "bias_scale")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         w = rng.standard_normal((fan_out, fan_in))

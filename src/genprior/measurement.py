@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_real, as_vector
 
 __all__ = ["LINKS", "MeasurementModel", "observe", "observe_noisy"]
 
@@ -70,8 +70,7 @@ def observe(model, x):
 
 def observe_noisy(model, x, noise_std, rng):
     """Measurements with additive i.i.d. Gaussian(0, noise_std^2) noise."""
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    noise_std = as_real(noise_std, "noise_std", low=0)
     y = observe(model, x)
     if noise_std == 0:
         return y

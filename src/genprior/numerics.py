@@ -8,6 +8,9 @@ Conventions used throughout the package:
   caller error and is rejected at the API boundary,
 * counts (steps, samples, dimensions, seeds) are integers: a float, even
   2.0, is refused by :func:`as_count`, never truncated,
+* real scalars (rates, scales, variances) are finite reals at or above
+  their bound (:func:`as_real`): a string, None, NaN or an infinity is
+  refused where it enters, not carried into the arrays it scales,
 * an array is checked against the length (:func:`as_vector`) or width
   (:func:`as_matrix`) it must match where it enters, not where numpy
   would first trip over it.
@@ -25,6 +28,8 @@ numpy loaded, so processes that share the CPUs need not oversubscribe them.
 from __future__ import annotations
 
 import ctypes
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -33,6 +38,7 @@ __all__ = [
     "RngStream",
     "blas_threads",
     "as_count",
+    "as_real",
     "as_vector",
     "as_matrix",
     "gaussian_matrix",
@@ -88,6 +94,23 @@ def as_count(v, name, low=1):
     return v
 
 
+def as_real(v, name, low=-math.inf, strict=False):
+    """``v``, unchanged, when it is a finite real >= ``low`` (> ``low`` when
+    ``strict``, as for a rate).  Python and numpy reals pass with their
+    bits; a string, None, NaN or an infinity raises ValueError."""
+    try:
+        ok = (isinstance(v, numbers.Real) and math.isfinite(v)
+              and (v > low if strict else v >= low))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        need = ("finite" if low == -math.inf else
+                f"{'positive' if strict else 'nonnegative'} and finite" if low == 0
+                else f"finite and {'>' if strict else '>='} {low}")
+        raise ValueError(f"{name} must be {need}, got {v!r}")
+    return v
+
+
 def as_vector(x, name="vector", length=None):
     """Coerce to a finite 1-D float64 array of ``length`` entries when
     given, rejecting bad shapes/values."""
@@ -124,8 +147,7 @@ def gaussian_matrix(m, n, variance, rng):
     expectation.
     """
     m, n = as_count(m, "m"), as_count(n, "n")
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
+    variance = as_real(variance, "variance", low=0)
     g = rng.standard_normal((m, n))
     g *= np.sqrt(variance)  # in place: the bits of sqrt(variance) * g
     return g

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import _descend
-from .numerics import as_count
+from .numerics import as_count, as_real
 
 __all__ = ["ProjectionConfig"]
 
@@ -46,8 +46,7 @@ class ProjectionConfig:
     def __post_init__(self):
         as_count(self.inner_steps, "inner_steps")
         as_count(self.restarts, "restarts")
-        if not 0 < self.inner_rate < np.inf:
-            raise ValueError("inner_rate must be positive and finite")
+        as_real(self.inner_rate, "inner_rate", low=0, strict=True)
 
 
 def _start_block(cfg, k, rng, warm):

@@ -50,7 +50,7 @@ import numpy as np
 from .generator import _descend, forward
 from .measurement import MeasurementModel
 from .numerics import (RngStream, _check_orthonormal, _combination, _coordinates,
-                       as_count, as_matrix, as_vector)
+                       as_count, as_matrix, as_real, as_vector)
 from .objectives import (
     Objective,
     _adjoint,
@@ -83,8 +83,7 @@ class SolverConfig:
 
     def __post_init__(self):
         as_count(self.outer_steps, "outer_steps")
-        if not 0 < self.step_size < np.inf:
-            raise ValueError("step_size must be positive and finite")
+        as_real(self.step_size, "step_size", low=0, strict=True)
 
 
 @dataclass
@@ -306,6 +305,7 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
         if x_star is None or delta0 is None:
             raise ValueError("oracle_perturb needs x_star and delta0")
         x_star = as_vector(x_star, "x_star", net.output_dim)
+        delta0 = as_real(delta0, "delta0", low=0)
         u = rng.standard_normal(x_star.shape[0])
         u /= np.linalg.norm(u)
         return x_star + delta0 * np.linalg.norm(x_star) * u
@@ -381,8 +381,7 @@ def _latent_descent(net, steps, rate, cells):
     net's k entries.
     """
     steps = as_count(steps, "steps")
-    if not 0 < rate < np.inf:
-        raise ValueError("rate must be positive and finite")
+    rate = as_real(rate, "rate", low=0, strict=True)
     kinds = {_LATENT_LOSS.get(cell.obj.model.link) for cell in cells}
     if len(kinds) != 1 or None in kinds:
         raise ValueError("a latent group needs one link: linear or magnitude")

@@ -1,7 +1,8 @@
-"""Every public entry point refuses a malformed count, length, width or
-magnitude with a ValueError that names the argument, before any descent
-step: a count that is not an integer is never truncated, and an array of
-the wrong size never reaches numpy's matmul or the trace's error columns.
+"""Every public entry point refuses a malformed count, length, width,
+magnitude or real scalar with a ValueError that names the argument, before
+any descent step: a count that is not an integer is never truncated, an
+array of the wrong size never reaches numpy's matmul or the trace's error
+columns, and a real that is not finite never scales an output.
 """
 
 import warnings
@@ -18,6 +19,7 @@ from genprior import (
     ProjectionConfig,
     RngStream,
     SolverConfig,
+    SrecEstimate,
     csgm_baseline,
     dpr_baseline,
     empirical_srec,
@@ -26,14 +28,16 @@ from genprior import (
     gaussian_matrix,
     incoherence_estimate,
     myopic_eps_pgd,
+    observe_noisy,
     pgd_linear,
     phase_init,
     projection,
     random_generator,
     rsc_rss_estimate,
     solvers,
+    step_size_window_check,
 )
-from genprior.numerics import blas_threads
+from genprior.numerics import as_real, blas_threads
 from conftest import random_net
 
 K, N, M = 3, 12, 8
@@ -118,6 +122,33 @@ CASES = [
     # Magnitudes: at the parent a magnitude Objective took a negative y.
     ("negative_magnitude", "observations y",
      lambda p: Objective(MeasurementModel(p.a, "magnitude"), -p.ym)),
+    # Reals: at the parent a string or None rate or scale died with
+    # TypeError, a NaN variance, noise level or start radius came back as
+    # non-finite arrays, and a negative start radius was taken.
+    ("step_size", "step_size", lambda p: SolverConfig(step_size="0.5")),
+    ("inner_rate", "inner_rate", lambda p: ProjectionConfig(inner_rate=None)),
+    ("csgm_rate", "rate",
+     lambda p: csgm_baseline(p.y, p.a, p.net, 3, "0.1", RngStream(0))),
+    ("window_eta", "eta",
+     lambda p: step_size_window_check(SrecEstimate(gamma=1.0, rho=0.5, pairs_used=10),
+                                      "0.5")),
+    ("noise_std", "noise_std",
+     lambda p: observe_noisy(MeasurementModel(p.a, "linear"), p.x, "0.1",
+                             RngStream(0))),
+    ("noise_std_nan", "noise_std",
+     lambda p: observe_noisy(MeasurementModel(p.a, "linear"), p.x, np.nan,
+                             RngStream(0))),
+    ("weight_scale", "weight_scale",
+     lambda p: random_generator(K, (10,), N, "relu", RngStream(0), weight_scale="1")),
+    ("bias_scale", "bias_scale",
+     lambda p: random_generator(K, (10,), N, "relu", RngStream(0), bias_scale="1")),
+    ("variance_nan", "variance", lambda p: gaussian_matrix(2, 3, np.nan, RngStream(0))),
+    ("delta0_nan", "delta0",
+     lambda p: phase_init(p.ym, p.a, p.net, RngStream(0), "oracle_perturb",
+                          delta0=np.nan, x_star=p.x)),
+    ("delta0_negative", "delta0",
+     lambda p: phase_init(p.ym, p.a, p.net, RngStream(0), "oracle_perturb",
+                          delta0=-1.0, x_star=p.x)),
 ]
 
 
@@ -131,6 +162,15 @@ def test_bad_argument_raises_value_error_naming_it(monkeypatch, match, call):
     monkeypatch.setattr(solvers, "_descend", no_descent)
     with pytest.raises(ValueError, match=match):
         call(instance())
+
+
+def test_a_real_passes_its_rule_unchanged():
+    # Python and numpy reals keep their bits; an int beyond the float range
+    # is refused like any other real that is not finite.
+    for v in (0.1, np.float64(0.1), 5e-324, 3, np.float64(1e308)):
+        assert as_real(v, "v", low=0, strict=True) is v
+    with pytest.raises(ValueError, match="^v must be finite, got 1000"):
+        as_real(10**400, "v")
 
 
 # G(z) = (1e308 z, z) overflows for |z| > 1.8, so some of 100 sampled range

@@ -19,7 +19,7 @@ from genprior import (RngStream, cli, csgm_baseline, dpr_baseline, forward,
                       load_weights, save_weights)
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from genprior.numerics import _check_orthonormal, blas_threads
-from genprior.solvers import _thresh
+from genprior.solvers import _Cell, _thresh
 from conftest import identity_generator
 
 LIN_CONFIG = """\
@@ -556,11 +556,14 @@ def test_mismatch_solve_in_random_ortho_basis(tmp_path):
     strip = [" ".join(kv for kv in (out / "summary.txt").read_text().split()
                       if not kv.startswith("wall_time_s=")) for out in outs]
     assert strip[0] == strip[1]
-    cfg = load_config(None, ["basis=random_ortho"], seed=5)
+    cfg = load_config(None, ["problem=mismatch", "basis=random_ortho"], seed=5)
     basis = cli.build_basis(cfg, 36)
     assert np.array_equal(_check_orthonormal(basis), basis)
     assert not np.allclose(basis, np.eye(36))
     assert np.array_equal(basis, cli.build_basis(cfg, 36))
+    # No other problem reads a basis, so none is built for it.
+    linear = load_config(None, ["basis=random_ortho"], seed=5)
+    assert cli.build_basis(linear, 36) is None
 
 
 def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
@@ -571,7 +574,7 @@ def test_build_instance_without_a_basis_builds_the_commands_basis(lin_config):
     net = cli.build_generator(cfg)
     (alone, alone_x), (given, given_x) = (
         cli.build_instance(cfg, net, cfg.m, cfg.seed, *basis)
-        for basis in ((), (cli._command_basis(cfg, net),)))
+        for basis in ((), (cli.build_basis(cfg, net.output_dim),)))
     assert np.array_equal(alone.y, given.y)
     assert np.array_equal(alone_x, given_x)
     assert np.array_equal(alone.model.matrix, given.model.matrix)
@@ -587,7 +590,7 @@ def test_identity_mismatch_instance_has_the_bytes_of_the_eye():
     cfg = load_config(None, ["problem=mismatch"])
     net = cli.build_generator(cfg)
     n = net.output_dim
-    assert cli.build_basis(cfg, n) is None and cli._command_basis(cfg, net) is None
+    assert cli.build_basis(cfg, n) is None
     _, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed)
     root = RngStream(cfg.seed)
     x_base = forward(net, root.derive(0).standard_normal(net.latent_dim))
@@ -609,7 +612,7 @@ def test_identity_mismatch_setup_allocates_no_basis_matrix():
     n = net.output_dim
     tracemalloc.start()
     try:
-        basis = cli._command_basis(cfg, net)
+        basis = cli.build_basis(cfg, n)
         _, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed, basis)
         _thresh(x_star, basis, cfg.sparsity)
         peak = tracemalloc.get_traced_memory()[1]
@@ -640,7 +643,8 @@ def test_cli_baseline_starts_where_the_public_baseline_starts(problem, solver):
                                         "csgm_steps=40", "dpr_steps=40"], seed=12)
     net = cli.build_generator(cfg)
     obj, x_star = cli.build_instance(cfg, net, cfg.m, cfg.seed)
-    cell = cli._cell(cfg, net, (solver,), cfg.seed, obj, x_star)
+    cell = _Cell(obj, cli.resolve_eta(cfg, obj, net, cfg.seed, (solver,)), cfg.seed,
+                 x_star=x_star)
     (row,) = cli._run_group(cfg, net, None, solver, [cell], traced=True)
     baseline, steps, rate = ((csgm_baseline, cfg.csgm_steps, cfg.csgm_rate)
                              if solver == "csgm" else
@@ -656,6 +660,36 @@ def test_cli_baseline_starts_where_the_public_baseline_starts(problem, solver):
         assert getattr(row["trace"], col).tobytes() == getattr(ref, col).tobytes()
     for other in (RngStream(cfg.seed), RngStream(cfg.seed, spawn_key=(904,))):
         assert public(other).objective[0] != ref.objective[0]
+
+
+@pytest.mark.parametrize("problem, solver", [("linear", "pgd"), ("phase", "dpr")])
+def test_run_group_rows_hold_the_summary_keys_in_order(tmp_path, problem, solver):
+    # Every command writes the rows _run_group returns: summary.txt is
+    # `problem` and then a row's keys in the row's order.  Only a traced row
+    # holds its trace, so a sweep never keeps its cells' traces.
+    sets = TINY_NET + [f"problem={problem}", f"solver={solver}", "dpr_steps=20",
+                       "image=false"]
+    assert run_cli("solve", "--out", str(tmp_path), "--seed", "3",
+                   *[a for s in sets for a in ("--set", s)]) == 0
+    summary = dict(kv.split("=", 1)
+                   for kv in (tmp_path / "summary.txt").read_text().split())
+    assert list(summary) == ["problem", "solver", "m", "seed", "eta", "final_objective",
+                             "final_per_pixel_error", "alpha_fit",
+                             "total_inner_updates", "wall_time_s"]
+    cfg = load_config(None, sets, seed=3)
+    net = cli.build_generator(cfg)
+    cells = []
+    for seed in (3, 4):
+        obj, x_star = cli.build_instance(cfg, net, cfg.m, seed)
+        cells.append(_Cell(obj, cli.resolve_eta(cfg, obj, net, seed, (solver,)), seed,
+                           x_star=x_star))
+    rows = cli._run_group(cfg, net, None, solver, cells)
+    (traced,) = cli._run_group(cfg, net, None, solver, cells[:1], traced=True)
+    for row in rows:
+        assert list(row) == list(summary)[1:]
+    assert list(traced) == [*list(summary)[1:], "trace"]
+    for key in list(summary)[1:-1]:
+        assert cli._fmt(rows[0][key]) == cli._fmt(traced[key]) == summary[key]
 
 
 @pytest.mark.parametrize("restarts", [1, 4])

@@ -59,6 +59,11 @@ COMMANDS = {
     # The traced baselines: each trace.csv pins the start and every step.
     "solve-csgm-101": _command("solve", "solver=csgm", seed=101),
     "solve-dpr-101": _command("solve", "problem=phase", "solver=dpr", seed=101),
+    # The oracle phase start and the noisy observations.
+    "solve-phase-oracle-101": _command(
+        "solve", "problem=phase", "phase_init_strategy=oracle_perturb", seed=101),
+    "solve-linear-noisy-101": _command(
+        "solve", "problem=linear", "noise_std=0.1", seed=101),
     "sweep-small-linear": _command(
         "sweep", *SMALL_NET, "problem=linear", "solvers=pgd,csgm",
         "m_list=20,40", "seeds=305,306", "csgm_steps=300", "eta=auto"),

@@ -11,11 +11,13 @@ Configs are flat ``key = value`` text files ('#' starts a comment).  Every
 key is declared once, with its default and the values it accepts, as a
 field of ``ExperimentConfig``; unknown keys are rejected with the offending
 file and line.  Every rule is checked before any instance is built: each
-key against its declaration and the cross-key rules when the config loads,
-the rules that need the signal length once the generator is built.  An
-instance that overflows (its weights, x*, y or oracle phase start), or an
-``eta=auto`` probe that finds no usable pair, raises ``ConfigError`` before
-any solve; so do ``diagnose``'s estimates when they find no usable pair.
+key against its declaration and the cross-key rules when an
+``ExperimentConfig`` is built (by ``load_config``, directly or by
+``dataclasses.replace``), the rules that need the signal length once the
+generator is built.  An instance that overflows (its weights, x*, y or
+oracle phase start), or an ``eta=auto`` probe that finds no usable pair,
+raises ``ConfigError`` before any solve; so do ``diagnose``'s estimates
+when they find no usable pair.
 Any key can be overridden on the command line with ``--set key=value``;
 ``--seed``, ``--out`` and ``--workers`` are shorthands for the keys of the
 same name.
@@ -77,7 +79,7 @@ from .generator import (
 )
 from .measurement import MeasurementModel, observe, observe_noisy
 from .numerics import (RngStream, _check_orthonormal, _combination, as_count,
-                       blas_threads, gaussian_matrix)
+                       as_real, blas_threads, gaussian_matrix)
 from .objectives import GRADIENT_SCALE, Objective, sign_pm
 from .projection import ProjectionConfig
 from .solvers import _Cell, _latent_descent, _projected_descent, phase_init
@@ -141,9 +143,9 @@ def _parse_eta(s):
 
 def _key(default, parse=None, choices=None, low=None, strict=False, unique=False):
     """A config key with a parser other than type(default), a closed set of
-    allowed values, a lower bound (``> low`` when ``strict``, else ``>=
-    low``) or no repeated entries; a tuple key's choices and bound hold for
-    each entry."""
+    allowed values, a lower bound (``>= low``, or ``> low`` for a real key
+    when ``strict``) or no repeated entries; a tuple key's choices and bound
+    hold for each entry."""
     return field(default=default, metadata=dict(
         parse=parse, choices=choices, low=low, strict=strict, unique=unique))
 
@@ -156,21 +158,23 @@ class ExperimentConfig:
     Defaults follow the reference experimental protocol: eta 0.5 (0.9 for
     phase problems), 15 outer and 200 inner steps.  Keys without a
     ``_key`` declaration parse with the type of their default and accept
-    any finite value.
+    any finite value (``eta`` also None, unset, or ``"auto"``).  A config
+    checks its keys, through ``as_count`` and ``as_real``, and the rules
+    that tie keys together when it is built.
     """
 
     problem: str = _key("linear", choices=PROBLEMS)
-    latent_dim: int = _key(20, low=0, strict=True)
-    hidden_dims: tuple = _key((200,), _parse_int_list, low=0, strict=True)
-    output_dim: int = _key(784, low=0, strict=True)
+    latent_dim: int = _key(20, low=1)
+    hidden_dims: tuple = _key((200,), _parse_int_list, low=1)
+    output_dim: int = _key(784, low=1)
     activation: str = _key("relu", choices=("relu", "tanh", "identity"))
     weight_scale: float = 1.0
     bias_scale: float = 0.0
     weight_seed: int = _key(0, low=0)
     weights_path: str = ""
     weights_out: str = "generator.gpw"
-    m: int = _key(100, low=0, strict=True)
-    m_list: tuple = _key((), _parse_int_list, low=0, strict=True, unique=True)
+    m: int = _key(100, low=1)
+    m_list: tuple = _key((), _parse_int_list, low=1, unique=True)
     matrix_kind: str = _key("gaussian", choices=("gaussian", "orthonormal"))
     solver: str = _key("", choices=("", *SOLVERS))
     solvers: tuple = _key((), _parse_str_list, choices=SOLVERS, unique=True)
@@ -199,6 +203,35 @@ class ExperimentConfig:
     out: str = ""
     workers: int = _key(1, low=1)  # unused: a sweep shards over the usable CPUs
 
+    def __post_init__(self):
+        for f in fields(self):
+            v, meta = getattr(self, f.name), f.metadata
+            choices, low = meta.get("choices"), meta.get("low", -math.inf)
+            name = f"{f.name} entries" if isinstance(v, tuple) else f.name
+            for e in v if isinstance(v, tuple) else (v,):
+                if choices and e not in choices:
+                    raise ConfigError(f"{name} must be one of {choices}, got {e!r}")
+                try:
+                    if type(f.default) is int or meta.get("parse") is _parse_int_list:
+                        as_count(e, name, low)
+                    elif (type(f.default) is float
+                          or f.name == "eta" and e is not None and e != "auto"):
+                        as_real(e, name, low, meta.get("strict", False))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+            if meta.get("unique") and len(set(v)) < len(v):
+                raise ConfigError(f"{f.name} has duplicate entries: {v!r}")
+        # Additive noise on |Ax| makes negative magnitudes, which phase_pgd
+        # rejects; there is no noisy magnitude model.
+        if self.problem == "phase" and self.noise_std > 0:
+            raise ConfigError(f"noise_std must be 0 for problem 'phase', "
+                              f"got {self.noise_std!r}")
+        for s in (self.single_solver(), *self.solver_list()):
+            if s not in SOLVERS_FOR_PROBLEM[self.problem]:
+                raise ConfigError(f"solver {s!r} does not apply to problem "
+                                  f"{self.problem!r} (choose from "
+                                  f"{SOLVERS_FOR_PROBLEM[self.problem]})")
+
     def solver_list(self):
         """The solvers a sweep runs: ``solvers``, else ``solver``, else the
         problem's default."""
@@ -224,50 +257,6 @@ def _parse(key, raw):
     return (f.metadata.get("parse") or type(f.default))(raw)
 
 
-# The rules that tie keys together: each maps a config to the message of
-# the rule it breaks, or to None.
-_CROSS_RULES = (
-    # Additive noise on |Ax| makes negative magnitudes, which phase_pgd
-    # rejects; there is no noisy magnitude model.
-    lambda c: (f"noise_std must be 0 for problem 'phase', got {c.noise_std!r}"
-               if c.problem == "phase" and c.noise_std > 0 else None),
-    lambda c: next((f"solver {s!r} does not apply to problem {c.problem!r} "
-                    f"(choose from {SOLVERS_FOR_PROBLEM[c.problem]})"
-                    for s in (c.single_solver(), *c.solver_list())
-                    if s not in SOLVERS_FOR_PROBLEM[c.problem]), None),
-)
-
-
-def _validate(cfg):
-    """cfg, once every key holds its declaration and every cross-key rule
-    holds; ``_setup`` checks the rules that need the signal length."""
-    for f in fields(cfg):
-        v, meta = getattr(cfg, f.name), f.metadata
-        choices, low, strict = meta.get("choices"), meta.get("low"), meta.get("strict")
-        name = f"{f.name} entries" if isinstance(v, tuple) else f.name
-        integer = type(f.default) is int or meta.get("parse") is _parse_int_list
-        for e in v if isinstance(v, tuple) else (v,):
-            if choices and e not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {e!r}")
-            if integer:
-                try:
-                    as_count(e, name, low=-math.inf)  # the bound is checked below
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-            if isinstance(e, float) and not math.isfinite(e):
-                raise ConfigError(f"{name} must be finite, got {e!r}")
-            if (low is not None and isinstance(e, (int, float))
-                    and not (e > low if strict else e >= low)):
-                raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}, "
-                                  f"got {e!r}")
-        if meta.get("unique") and len(set(v)) < len(v):
-            raise ConfigError(f"{f.name} has duplicate entries: {v!r}")
-    for rule in _CROSS_RULES:
-        if message := rule(cfg):
-            raise ConfigError(message)
-    return cfg
-
-
 def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
     """Assemble an ExperimentConfig from file, --set overrides and flags."""
     values = {}
@@ -284,7 +273,7 @@ def load_config(path=None, overrides=(), seed=None, out=None, workers=None):
     flags = {"seed": seed, "out": out, "workers": workers}
     values.update((key, v) for key, v in flags.items() if v is not None)
     values["out"] = str(values.get("out") or os.environ.get("GENPRIOR_OUT", "out"))
-    return _validate(ExperimentConfig(**values))
+    return ExperimentConfig(**values)
 
 
 def _read_override(item):
@@ -406,7 +395,10 @@ def build_instance(cfg, net, m, seed, basis=None):
     model = MeasurementModel(matrix=a, link=PROBLEM_LINK[cfg.problem])
     if cfg.noise_std > 0:
         keys.append("noise_std")
-        y = observe_noisy(model, x_star, cfg.noise_std, root.derive(3))
+        try:
+            y = observe_noisy(model, x_star, cfg.noise_std, root.derive(3))
+        except ValueError:  # the noise overflowed y
+            raise _not_finite(f"y at m={m}, seed {seed}", keys) from None
     else:
         y = observe(model, x_star)
     if not np.isfinite(HEADROOM * (y @ y)):

@@ -163,9 +163,8 @@ def convergence_rate(trace, floor):
     exp(slope of log F versus iteration).  Raises if fewer than 3 records
     sit above the floor.
     """
+    floor = as_real(floor, "floor", low=0)
     f = trace.objective
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
     t = np.arange(f.shape[0], dtype=np.float64)
     mask = (f > floor) & (f > 0) & np.isfinite(f)
     used = int(np.sum(mask))
@@ -218,11 +217,10 @@ def step_size_window_check(srec, eta):
     whether rho^2 < 1/eta, the condition that makes the remaining proof term
     nonpositive.
     """
-    if srec.gamma <= 0:
-        raise ValueError("window check needs gamma > 0")
+    gamma = as_real(srec.gamma, "gamma", low=0, strict=True)
     eta = as_real(eta, "eta", low=0, strict=True)
-    lo, hi = 1.0 / (2.0 * srec.gamma), 1.0 / srec.gamma
-    eta_gamma = eta * srec.gamma
+    lo, hi = 1.0 / (2.0 * gamma), 1.0 / gamma
+    eta_gamma = eta * gamma
     return WindowReport(
         in_window=bool(lo < eta < hi),
         predicted_factor=float(1.0 / eta_gamma - 1.0) if eta_gamma else float("inf"),
@@ -253,8 +251,9 @@ def contraction_bound_mismatch(est, mu):
     reported for inspection only; it can leave (0, 1) when the incoherence
     is too large for the regime the analysis assumes.
     """
-    if not 0 <= mu < 1:
-        raise ValueError("mu must be in [0, 1)")
+    mu = as_real(mu, "mu", low=0)
+    if mu >= 1:
+        raise ValueError(f"mu must be in [0, 1), got {mu!r}")
     ratio = est.ratio
     num = 2.0 - ratio * (1.0 - 2.5 * mu) / (1.0 - mu)
     den = 1.0 - (ratio / 2.0) * mu / (1.0 - mu)

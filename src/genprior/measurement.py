@@ -69,9 +69,15 @@ def observe(model, x):
 
 
 def observe_noisy(model, x, noise_std, rng):
-    """Measurements with additive i.i.d. Gaussian(0, noise_std^2) noise."""
+    """Measurements with additive i.i.d. Gaussian(0, noise_std^2) noise;
+    raises ValueError when the noise overflows them."""
     noise_std = as_real(noise_std, "noise_std", low=0)
     y = observe(model, x)
     if noise_std == 0:
         return y
-    return y + noise_std * rng.standard_normal(model.num_measurements)
+    with np.errstate(over="ignore"):  # refused just below
+        y = y + noise_std * rng.standard_normal(model.num_measurements)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"noise_std {noise_std!r} gives measurements that are "
+                         f"not finite")
+    return y

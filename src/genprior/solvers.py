@@ -308,7 +308,11 @@ def phase_init(y, a, net, rng, strategy="best_of_samples", count=100,
         delta0 = as_real(delta0, "delta0", low=0)
         u = rng.standard_normal(x_star.shape[0])
         u /= np.linalg.norm(u)
-        return x_star + delta0 * np.linalg.norm(x_star) * u
+        with np.errstate(over="ignore"):  # refused just below
+            x0 = x_star + delta0 * np.linalg.norm(x_star) * u
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"delta0 {delta0!r} gives a start that is not finite")
+        return x0
     if strategy == "best_of_samples":
         count = as_count(count, "count")
         best_x, best_loss = None, np.inf

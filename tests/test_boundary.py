@@ -18,8 +18,11 @@ from genprior import (
     Objective,
     ProjectionConfig,
     RngStream,
+    RscRssEstimate,
     SolverConfig,
     SrecEstimate,
+    contraction_bound_mismatch,
+    convergence_rate,
     csgm_baseline,
     dpr_baseline,
     empirical_srec,
@@ -149,6 +152,25 @@ CASES = [
     ("delta0_negative", "delta0",
      lambda p: phase_init(p.ym, p.a, p.net, RngStream(0), "oracle_perturb",
                           delta0=-1.0, x_star=p.x)),
+    # Finite reals whose output overflows: the noisy measurements and the
+    # oracle start used to come back with infinite entries, after an
+    # overflow RuntimeWarning.
+    ("noise_std_overflow", "^noise_std",
+     lambda p: observe_noisy(MeasurementModel(np.eye(100), "linear"), np.ones(100),
+                             1e308, RngStream(0))),
+    ("delta0_overflow", "^delta0",
+     lambda p: phase_init(p.ym, p.a, p.net, RngStream(0), "oracle_perturb",
+                          delta0=1e308, x_star=10 * p.x)),
+    # The diagnostics' scalars: a NaN floor used to be reported as too few
+    # records above it, a string mu died with TypeError, and a NaN gamma
+    # gave a NaN predicted factor.
+    ("floor_nan", "^floor",
+     lambda p: convergence_rate(SimpleNamespace(objective=np.geomspace(1, 1e-6, 8)),
+                                np.nan)),
+    ("mu", "^mu",
+     lambda p: contraction_bound_mismatch(RscRssEstimate(1.0, 1.5, 10), "0.1")),
+    ("window_gamma_nan", "^gamma",
+     lambda p: step_size_window_check(SrecEstimate(np.nan, 1.0, 5), 0.5)),
 ]
 
 

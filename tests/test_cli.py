@@ -9,7 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from genprior import (RngStream, cli, csgm_baseline, dpr_baseline, forward,
                       load_weights, save_weights)
 from genprior.cli import SOLVERS_FOR_PROBLEM, ConfigError, load_config, main
 from genprior.numerics import _check_orthonormal, blas_threads
+from genprior.projection import ProjectionConfig
 from genprior.solvers import _Cell, _thresh
 from conftest import identity_generator
 
@@ -196,7 +197,33 @@ def test_config_refuses_a_non_integer_count():
     for key, value in (("m", 2.5), ("m", 50.0), ("hidden_dims", (200.5,)),
                        ("seeds", (1, 2.0))):
         with pytest.raises(ConfigError, match=f"{key}( entries)? must be an integer"):
-            cli._validate(cli.ExperimentConfig(**{key: value}))
+            cli.ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: cli.ExperimentConfig(inner_rate="0.1"), "^inner_rate must be"),
+    (lambda: cli.ExperimentConfig(noise_std=None), "^noise_std must be"),
+    (lambda: cli.ExperimentConfig(weight_scale="2"), "^weight_scale must be"),
+    (lambda: cli.ExperimentConfig(eta="0.3"), "^eta must be"),
+    (lambda: replace(load_config(None), m=0), "^need m >= 1, got 0$"),
+], ids=["inner_rate", "noise_std", "weight_scale", "eta", "replace"])
+def test_a_config_checks_itself_however_it_is_built(build, match):
+    # Only load_config used to check a config: each of these was built, a
+    # string inner_rate then failed inside ProjectionConfig once the
+    # instance was built, a None noise_std inside build_instance, and a
+    # string eta ran.
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
+def test_the_config_and_the_library_refuse_a_real_with_one_message():
+    # The config used to write its own: "inner_rate must be finite, got nan".
+    with pytest.raises(ValueError) as lib:
+        ProjectionConfig(inner_rate=float("nan"))
+    with pytest.raises(ConfigError) as cfg:
+        load_config(None, ["inner_rate=nan"])
+    assert (str(cfg.value) == str(lib.value)
+            == "inner_rate must be positive and finite, got nan")
 
 
 def test_phase_with_noise_is_rejected_at_the_config_boundary():

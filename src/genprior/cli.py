@@ -159,8 +159,8 @@ class ExperimentConfig:
     phase problems), 15 outer and 200 inner steps.  Keys without a
     ``_key`` declaration parse with the type of their default and accept
     any finite value (``eta`` also None, unset, or ``"auto"``).  A config
-    checks its keys, through ``as_count`` and ``as_real``, and the rules
-    that tie keys together when it is built.
+    checks its keys (the type of a bool, str or tuple key, ``as_count`` and
+    ``as_real``) and the rules that tie keys together when it is built.
     """
 
     problem: str = _key("linear", choices=PROBLEMS)
@@ -205,16 +205,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v, meta = getattr(self, f.name), f.metadata
+            v, meta, kind = getattr(self, f.name), f.metadata, type(f.default)
             choices, low = meta.get("choices"), meta.get("low", -math.inf)
+            if kind in (bool, str, tuple) and not isinstance(v, kind):
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, got {v!r}")
             name = f"{f.name} entries" if isinstance(v, tuple) else f.name
             for e in v if isinstance(v, tuple) else (v,):
                 if choices and e not in choices:
                     raise ConfigError(f"{name} must be one of {choices}, got {e!r}")
                 try:
-                    if type(f.default) is int or meta.get("parse") is _parse_int_list:
+                    if kind is int or meta.get("parse") is _parse_int_list:
                         as_count(e, name, low)
-                    elif (type(f.default) is float
+                    elif (kind is float
                           or f.name == "eta" and e is not None and e != "auto"):
                         as_real(e, name, low, meta.get("strict", False))
                 except ValueError as exc:

@@ -84,9 +84,10 @@ class RngStream:
 
 def as_count(v, name, low=1):
     """``v`` as a Python int >= ``low``.  Python and numpy integers pass; a
-    float (even 2.0) or a string raises ValueError rather than truncate."""
+    bool, a float (even 2.0) or a string raises ValueError rather than
+    truncate."""
     try:
-        v = operator.index(v)
+        v = operator.index(None if isinstance(v, bool) else v)  # bool: an int type
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {v!r}") from None
     if v < low:
@@ -97,10 +98,10 @@ def as_count(v, name, low=1):
 def as_real(v, name, low=-math.inf, strict=False):
     """``v``, unchanged, when it is a finite real >= ``low`` (> ``low`` when
     ``strict``, as for a rate).  Python and numpy reals pass with their
-    bits; a string, None, NaN or an infinity raises ValueError."""
+    bits; a bool, a string, None, NaN or an infinity raises ValueError."""
     try:
-        ok = (isinstance(v, numbers.Real) and math.isfinite(v)
-              and (v > low if strict else v >= low))
+        ok = (isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v) and (v > low if strict else v >= low))
     except OverflowError:  # an int beyond the float range
         ok = False
     if not ok:

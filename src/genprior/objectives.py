@@ -98,11 +98,6 @@ def sign_pm(u):
     return np.where(np.asarray(u) >= 0.0, 1.0, -1.0)
 
 
-def _bound_phase(phase, u):
-    """The phase of a phase_corrected loss at u: pinned, else sign_pm(u)."""
-    return sign_pm(u) if phase is None else phase
-
-
 def _loss_terms(kind, u, y, phase=None):
     """(F, c) for measurement rows u of shape (m,) or (batch, m): the loss
     of each row and its cotangent, shaped like u.
@@ -120,7 +115,7 @@ def _loss_terms(kind, u, y, phase=None):
         d = u + np.sin(u) - y
         return np.vecdot(d, d), (1.0 + np.cos(u)) * d
     if kind == "phase_corrected":
-        d = u - y * _bound_phase(phase, u)
+        d = u - y * (sign_pm(u) if phase is None else phase)
         return np.vecdot(d, d), d
     if kind == "magnitude":
         d = np.abs(u) - y

@@ -29,15 +29,11 @@ through ``generator._descend``, where a diverging latent freezes.
 
 Both loops step a lockstep group of S ``_Cell`` records (a sweep steps
 every (m, seed) cell of a solver together), take the group's shared
-settings as arguments and each cell's own settings in its cell, and each
-public solver is the one-cell case (every projected one built by
-``_solve_one``).  In ``_projected_descent`` every cell keeps its own
-measurements, gradient step, hold, phase, threshold and random stream, and
-the projections of one outer step run as one ``_project_cells`` block.
-``_latent_descent`` steps an (S, 1, k) latent block from the cells' x0,
-measures each run of cells with equal m against its stacked (s, 1, m, n)
-sensing matrices, and freezes a diverged cell alone.  Stacked
-matrix-vector products give every cell the bits of its own run.
+settings as arguments and each cell's own in its cell; each public solver
+is the one-cell case.  Both measure their (S, 1, n) points through one
+block, ``_measurement``: u = A x, the loss and A.T c, once per run of
+cells with equal m against the run's stacked (s, 1, m, n) matrices, so
+every cell has the bits of its own run and a diverged cell stops alone.
 """
 
 from __future__ import annotations
@@ -51,13 +47,7 @@ from .generator import _descend, forward
 from .measurement import MeasurementModel
 from .numerics import (RngStream, _check_orthonormal, _combination, _coordinates,
                        as_count, as_matrix, as_real, as_vector)
-from .objectives import (
-    Objective,
-    _adjoint,
-    _apply,
-    _bound_phase,
-    _loss_terms,
-)
+from .objectives import KIND_FOR_LINK, Objective, _adjoint, _apply, _loss_terms, sign_pm
 from .projection import ProjectionConfig, _project_cells
 
 __all__ = [
@@ -180,72 +170,110 @@ class _Cell(NamedTuple):
     x_star: np.ndarray | None = None
 
 
+def _stacked(arrays):
+    """(s, 1, ...) block of ``arrays``; one array's is a view, not a copy."""
+    return arrays[0][None, None] if len(arrays) == 1 else np.stack(arrays)[:, None]
+
+
+def _measurement(cells, n, losses, scale=1.0):
+    """The one measurement block of a lockstep group: ``measure(x)`` maps
+    the cells' (S, 1, n) points to each cell's loss (S, 1), its gradient
+    A.T (scale * c) (S, 1, n) and each run's bound phase.
+
+    The cells must share one link of ``losses`` (link: loss kind) and have
+    n columns of A.  Each run of consecutive cells with equal m and equal
+    pinning (phase given or None) stacks its A, y and phase once; a
+    phase_corrected run without one binds p = sign_pm(A x).  Stacked
+    matrix-vector products give every cell its own A @ x and A.T @ c bits.
+    """
+    kinds = {losses.get(cell.obj.model.link) for cell in cells}
+    if len(kinds) != 1 or None in kinds:
+        raise ValueError(f"a group needs one link: {' or '.join(losses)}")
+    (kind,) = kinds
+    mats = [as_matrix(cell.obj.model.matrix, "A", cols=n) for cell in cells]
+    keys = [(a.shape[0], cell.obj.phase is None) for a, cell in zip(mats, cells)]
+    cuts = [0] + [i for i in range(1, len(cells)) if keys[i] != keys[i - 1]]
+    runs = [(slice(lo, hi), _stacked(mats[lo:hi]),
+             _stacked([cell.obj.y for cell in cells[lo:hi]]),
+             None if keys[lo][1] else _stacked([c.obj.phase for c in cells[lo:hi]]))
+            for lo, hi in zip(cuts, cuts[1:] + [len(cells)])]
+
+    def measure(x):
+        parts = []
+        for rows, a, y, p in runs:
+            u = _apply(a, x[rows])
+            if p is None and kind == "phase_corrected":
+                p = sign_pm(u)
+            loss, c = _loss_terms(kind, u, y, p)
+            parts.append((loss, _adjoint(kind, a, scale * c), p))
+        loss, grad, phases = zip(*parts)
+        if len(parts) == 1:
+            return loss[0], grad[0], phases
+        return np.concatenate(loss), np.concatenate(grad), phases
+
+    return measure
+
+
 def _projected_descent(net, cells, outer_steps, proj, sparse=None):
     """The one outer loop, x <- P(x - eta * gradient(x)), over a group of
     cells in lockstep; returns one trace per cell.
 
-    The cells share ``outer_steps`` and the ProjectionConfig ``proj``.
-    Each cell starts from its x0 (default 0) and keeps its own gradient
-    step, hold, phase, threshold, RngStream and warm latent; the
-    projections of one outer step run as one ``_project_cells`` block, so
-    every cell has the bits of running alone.  One u = A x per
-    iterate gives its loss F, the cotangent of the next step and its phase
-    flips.  P projects onto Range(G); with ``sparse = (B, l)`` the feasible
-    set is Range(G) + {l-sparse in B}, each iterate is split as x = u + v,
-    and both blocks step with the same gradient before u is projected and v
-    is hard-thresholded (the extras hold the final blocks).  A cell whose
-    gradient step or projection is not finite holds its iterate and records
-    proj_residual = NaN.
+    The cells share ``outer_steps``, the ProjectionConfig ``proj`` and one
+    loss kind.  Their iterates are one (S, 1, n) block from each x0
+    (default 0); one ``_measurement`` per iterate gives each loss F, the
+    gradient and the phase flips, and ``x - eta * gradient`` steps the
+    block with each cell's eta.  Each cell keeps its own hold, phase,
+    threshold, RngStream and warm latent; one ``_project_cells`` block runs
+    an outer step's projections, so every cell has the bits of running
+    alone.  With ``sparse = (B, l)`` the feasible set is Range(G) +
+    {l-sparse in B}: x = u + v, both blocks take the same step, u is
+    projected and v hard-thresholded (the extras hold the final blocks).  A
+    cell whose step or projection is not finite holds its iterate and
+    records proj_residual = NaN.
     """
-    n = net.output_dim
-    for c in cells:
-        as_matrix(c.obj.model.matrix, "A", cols=n)
-    us = [np.zeros(n) if c.x0 is None else c.x0 for c in cells]
-    vs = None if sparse is None else [np.zeros(n) for _ in cells]
-    z_prev = [None] * len(cells)
+    n, count = net.output_dim, len(cells)
+    measure = _measurement(cells, n, KIND_FOR_LINK)
+    us = np.stack([np.zeros(n) if c.x0 is None else c.x0 for c in cells])[:, None]
+    vs = None if sparse is None else np.zeros_like(us)
+    eta = np.array([c.step_size for c in cells])[:, None, None]
+    z_prev = [None] * count
     rngs = [RngStream(c.seed) for c in cells]
     tb = _TraceBuilder(outer_steps + 1, [c.x_star for c in cells], n)
-    phases = [None] * len(cells)  # each phase_corrected cell's phase at its iterate
-    flips = [np.nan] * len(cells)
-    inner = [0] * len(cells)
-    residual = [np.nan] * len(cells)
+    phases, flips = None, np.nan  # the phases bound at the last iterate
+    inner = [0] * count
+    residual = np.full(count, np.nan)
     for t in range(outer_steps + 1):
-        xs = us if vs is None else [u + v for u, v in zip(us, vs)]
-        losses, moves = [], []  # moves: (cell, w_u, w_v) of each finite step
-        for i, c in enumerate(cells):
-            o, p = c.obj, None
-            u = o.model.matrix @ xs[i]
-            if o.kind == "phase_corrected":
-                p = _bound_phase(o.phase, u)
-                flips[i] = 0.0 if phases[i] is None else float(np.sum(p != phases[i]))
-                phases[i] = p
-            f, cot = _loss_terms(o.kind, u, o.y, p)
-            losses.append(f)
-            if t == outer_steps:
-                continue
-            # An overflowing step is held by the finiteness check below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = c.step_size * _adjoint(o.kind, o.model.matrix, cot)
-                wu = us[i] - step
-                wv = None if vs is None else vs[i] - step
-            if np.all(np.isfinite(wu)) and (wv is None or np.all(np.isfinite(wv))):
-                inner[i] += proj.restarts * proj.inner_steps
-                moves.append((i, wu, wv))
-        tb.add(losses, np.stack(xs), proj_residual=residual, phase_flips=flips)
+        xs = us if vs is None else us + vs
+        # A diverging cell overflows here; the finiteness mask below holds it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, grads, bound = measure(xs)
+            step = eta * grads
+            wu = us - step
+            wv = None if vs is None else vs - step
+        if bound[0] is not None:  # phase_corrected: count the flips
+            flips = 0.0 if phases is None else np.concatenate(
+                [np.sum(p != q, axis=(1, 2)) for p, q in zip(bound, phases)])
+            phases = bound
+        tb.add(losses, xs, proj_residual=residual, phase_flips=flips)
         if t == outer_steps:
             break
-        residual = [np.nan] * len(cells)  # stays NaN on a held (diverged) step
+        moves = np.flatnonzero(np.isfinite(wu).all(axis=(1, 2)) & (
+            wv is None or np.isfinite(wv).all(axis=(1, 2))))
+        for i in moves:
+            inner[i] += proj.restarts * proj.inner_steps
+        residual = np.full(count, np.nan)  # stays NaN on a held (diverged) step
         block = _project_cells(
-            net, [wu for _, wu, _ in moves], proj, [rngs[i] for i, _, _ in moves],
-            [z_prev[i] for i, _, _ in moves]) if moves else ((), (), ())
-        for (i, _, wv), z, gx, res in zip(moves, *block):
+            net, wu[moves, 0], proj, [rngs[i] for i in moves],
+            [z_prev[i] for i in moves]) if moves.size else ((), (), ())
+        for i, z, gx, res in zip(moves, *block):
             if not np.isfinite(res):
                 continue  # no finite range point: hold the iterate
-            us[i], z_prev[i], residual[i] = gx, z, res
-            if wv is not None:
-                vs[i] = _thresh(wv, *sparse)
-    extras = None if vs is None else [{"u": u, "v": v} for u, v in zip(us, vs)]
-    return tb.build(xs, inner, extras)
+            us[i, 0], z_prev[i], residual[i] = gx, z, res
+            if vs is not None:
+                vs[i, 0] = _thresh(wv[i, 0], *sparse)
+    extras = None if vs is None else [{"u": u, "v": v}
+                                      for u, v in zip(us[:, 0], vs[:, 0])]
+    return tb.build(xs[:, 0], inner, extras)
 
 
 def _solve_one(net, cfg, obj, x0=None, sparse=None):
@@ -372,47 +400,20 @@ def _latent_descent(net, steps, rate, cells):
     """Gradient descent over z on the loss of u = A G(z) that the cells' link
     picks in ``_LATENT_LOSS``, in lockstep; returns one trace per cell.
 
-    The S cells step as one (S, 1, k) latent block through ``_descend``
-    (a diverged cell freezes alone), one pass through the net per step; the
-    measurement half (A G(z), the loss and A.T c) runs once per run of
-    consecutive cells with equal m, against that run's stacked (s, 1, m, n)
-    sensing matrices.  Stacked matrix-vector products, so every cell has
-    the bits of its own descent.  Both baseline losses
-    have scale 1/2, so 2 A.T c is the exact signal-space gradient; it
-    backpropagates through the net.  Each cell's Objective has checked its
-    y and A (y >= 0 on the magnitude link); here A must have the net's n
-    columns and each cell's x0, its start latent (drawn by the caller), the
-    net's k entries.
+    The S cells step as one (S, 1, k) latent block through ``_descend`` (a
+    diverged cell freezes alone): one pass through the net and one
+    ``_measurement`` per step.  Both baseline losses have scale 1/2, so it
+    measures A.T (2 c), the exact signal-space gradient, which
+    backpropagates through the net.  Each cell's x0 is its start latent
+    (drawn by the caller), with the net's k entries.
     """
     steps = as_count(steps, "steps")
     rate = as_real(rate, "rate", low=0, strict=True)
-    kinds = {_LATENT_LOSS.get(cell.obj.model.link) for cell in cells}
-    if len(kinds) != 1 or None in kinds:
-        raise ValueError("a latent group needs one link: linear or magnitude")
-    (kind,) = kinds
-    ys = [cell.obj.y for cell in cells]
-    mats = [as_matrix(cell.obj.model.matrix, "A", cols=net.output_dim)
-            for cell in cells]
+    measure = _measurement(cells, net.output_dim, _LATENT_LOSS, scale=2.0)
     zs = [as_vector(cell.x0, "z0", net.latent_dim) for cell in cells]
-    cuts = [0] + [i for i in range(1, len(cells))
-                  if mats[i].shape[0] != mats[i - 1].shape[0]] + [len(cells)]
-    runs = [(slice(lo, hi), np.stack(mats[lo:hi])[:, None],
-             np.stack(ys[lo:hi])[:, None]) for lo, hi in zip(cuts, cuts[1:])]
-
-    def measure(gx):
-        """Each cell's loss and signal-space gradient, one stacked product
-        per run of equal m."""
-        parts = []
-        for rows, a, y in runs:
-            loss, c = _loss_terms(kind, _apply(a, gx[rows]), y)
-            parts.append((loss, _adjoint(kind, a, 2.0 * c)))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
     tb = _TraceBuilder(steps + 1, [cell.x_star for cell in cells], net.output_dim)
-    _, gx = _descend(net, np.stack(zs)[:, None], steps, rate, measure,
-                     lambda loss, z, gx: tb.add(loss, gx))
+    _, gx = _descend(net, np.stack(zs)[:, None], steps, rate,
+                     lambda gx: measure(gx)[:2], lambda loss, z, gx: tb.add(loss, gx))
     return tb.build(gx.reshape(len(cells), -1), [steps] * len(cells))
 
 

@@ -171,6 +171,18 @@ CASES = [
      lambda p: contraction_bound_mismatch(RscRssEstimate(1.0, 1.5, 10), "0.1")),
     ("window_gamma_nan", "^gamma",
      lambda p: step_size_window_check(SrecEstimate(np.nan, 1.0, 5), 0.5)),
+    # A Python bool is an int and a Real to Python: True used to run as one
+    # outer step, one inner step, one pair or a step size of 1.
+    ("outer_steps_bool", "^outer_steps must be an integer, got True$",
+     lambda p: pgd_linear(p.y, p.a, p.net, cfg(outer=True))),
+    ("inner_steps_bool", "^inner_steps must be an integer",
+     lambda p: ProjectionConfig(inner_steps=True)),
+    ("srec_num_pairs_bool", "^num_pairs must be an integer",
+     lambda p: empirical_srec(p.a, p.net, True, RngStream(0))),
+    ("step_size_bool", "^step_size must be positive and finite, got True$",
+     lambda p: SolverConfig(step_size=True)),
+    ("csgm_rate_bool", "^rate must be",
+     lambda p: csgm_baseline(p.y, p.a, p.net, 3, True, RngStream(0))),
 ]
 
 

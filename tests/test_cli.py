@@ -206,12 +206,29 @@ def test_config_refuses_a_non_integer_count():
     (lambda: cli.ExperimentConfig(weight_scale="2"), "^weight_scale must be"),
     (lambda: cli.ExperimentConfig(eta="0.3"), "^eta must be"),
     (lambda: replace(load_config(None), m=0), "^need m >= 1, got 0$"),
-], ids=["inner_rate", "noise_std", "weight_scale", "eta", "replace"])
+    (lambda: cli.ExperimentConfig(m=True), "^m must be an integer, got True$"),
+    (lambda: cli.ExperimentConfig(seeds=(1, False)),
+     "^seeds entries must be an integer, got False$"),
+    (lambda: cli.ExperimentConfig(noise_std=True), "^noise_std must be"),
+    (lambda: cli.ExperimentConfig(image="false"), "^image must be a bool, got 'false'$"),
+    (lambda: cli.ExperimentConfig(unit_norm_latent="no"),
+     "^unit_norm_latent must be a bool, got 'no'$"),
+    (lambda: cli.ExperimentConfig(weights_path=3), "^weights_path must be a str, got 3$"),
+    (lambda: cli.ExperimentConfig(hidden_dims=200),
+     "^hidden_dims must be a tuple, got 200$"),
+    (lambda: cli.ExperimentConfig(seeds=5), "^seeds must be a tuple, got 5$"),
+    (lambda: cli.ExperimentConfig(solvers="pgd"), "^solvers must be a tuple, got 'pgd'$"),
+], ids=["inner_rate", "noise_std", "weight_scale", "eta", "replace", "m_bool",
+        "seeds_bool", "noise_std_bool", "image_str", "unit_norm_latent_str",
+        "weights_path_int", "hidden_dims_int", "seeds_int", "solvers_str"])
 def test_a_config_checks_itself_however_it_is_built(build, match):
     # Only load_config used to check a config: each of these was built, a
     # string inner_rate then failed inside ProjectionConfig once the
     # instance was built, a None noise_std inside build_instance, and a
-    # string eta ran.
+    # string eta ran.  A bool count or real was kept as it was, a string
+    # "false" or "no" for a bool key was truthy, an int hidden_dims failed
+    # in build_generator, an int seeds with a bare TypeError, and the
+    # string solvers "pgd" was read as the solvers 'p', 'g' and 'd'.
     with pytest.raises(ConfigError, match=match):
         build()
 

@@ -1,11 +1,12 @@
 """Lockstep groups against one cell at a time.
 
 A sweep steps every (m, seed) cell of a solver as one group: the baselines
-as one (S, 1, k) latent block, measured once per run of cells with equal
-m, the projected solvers with one projection block per outer step.  Every
-cell of a group must have the bits of its own single-cell run, also when
-the cells have different m and when another cell of the group diverges
-and is held.
+as one (S, 1, k) latent block, the projected solvers as one (S, 1, n)
+iterate block with one projection block per outer step.  Both measure
+their block once per run of cells with equal m, in ``_measurement``.
+Every cell of a group must have the bits of its own single-cell run, also
+when the cells have different m and when another cell of the group
+diverges and is held.
 """
 
 import numpy as np
@@ -19,14 +20,19 @@ from genprior import (
     SolverConfig,
     csgm_baseline,
     dpr_baseline,
+    eps_pgd,
     myopic_eps_pgd,
+    observe,
     pgd_linear,
     phase_pgd,
 )
+from genprior.objectives import _loss_terms, sign_pm
 from genprior.solvers import (
     _Cell,
     _latent_descent,
+    _measurement,
     _projected_descent,
+    _stacked,
 )
 from conftest import planted_linear
 
@@ -111,7 +117,8 @@ def test_latent_group_holds_a_diverging_cell_alone(desk_net, kind, ms):
 
 
 @group_params("restarts", [1, 3])
-@pytest.mark.parametrize("solver", ["pgd_linear", "phase_pgd", "myopic_eps_pgd"])
+@pytest.mark.parametrize("solver", ["pgd_linear", "phase_pgd", "myopic_eps_pgd",
+                                    "eps_pgd_sigmoid", "eps_pgd_sinusoid"])
 def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
                                                           restarts, ms):
     # eta = 1e300 on the middle cell keeps its gradient step finite, but no
@@ -131,6 +138,13 @@ def test_projected_group_holds_a_cell_without_range_point(desk_net, solver,
             cells.append(_Cell(Objective(MeasurementModel(a, "magnitude"), np.abs(y)),
                                cfg.step_size, seed, x0, x_star))
             refs.append(phase_pgd(np.abs(y), a, desk_net, cfg, x0))
+        elif solver.startswith("eps_pgd"):
+            # sim_sigmoid divides by its own run's m, which only a mixed-m
+            # group checks.
+            model = MeasurementModel(a, solver.rsplit("_", 1)[1])
+            obj = Objective(model, observe(model, x_star))
+            cells.append(cell(obj, cfg))
+            refs.append(eps_pgd(obj, desk_net, cfg))
         else:
             obj = Objective(MeasurementModel(matrix=a, link="linear"), y)
             basis = np.eye(desk_net.output_dim)
@@ -165,3 +179,69 @@ def test_projected_group_skips_a_cell_whose_step_overflows(desk_net):
     assert traces[1].inner_updates == 0
     for trace, (x_ref, ref) in zip(traces, refs):
         assert_same_run(trace, ref, x_ref)
+
+
+# Each loss kind and a link measured with it: ``{link: kind}`` is the table
+# ``_measurement`` takes (KIND_FOR_LINK in the projected loop, _LATENT_LOSS
+# in the baselines').
+LINK_OF_KIND = {"squared": "linear", "sim_sigmoid": "sigmoid",
+                "sinusoid_l2": "sinusoid", "phase_corrected": "magnitude",
+                "magnitude": "magnitude"}
+
+
+@pytest.mark.parametrize("kind", list(LINK_OF_KIND))
+def test_measurement_gives_each_cell_the_bits_of_its_own_products(desk_net, kind):
+    # Runs of equal m (and, for phase_corrected, equal pinning) are stacked
+    # once; each cell's loss, gradient A.T (scale * c) and bound phase must
+    # have the bits of its own A @ x, _loss_terms and A.T @ c.
+    link, n = LINK_OF_KIND[kind], desk_net.output_dim
+    ms, pins = (24, 24, 36, 36, 24), (False, True, True, False, False)
+    rng = RngStream(7)
+    cells = []
+    for i, (m, pin) in enumerate(zip(ms, pins)):
+        _, _, a, y = planted_linear(desk_net, m, 50 + i)
+        pinned = pin and kind == "phase_corrected"
+        phase = sign_pm(rng.standard_normal(m)) if pinned else None
+        cells.append(_Cell(Objective(MeasurementModel(a, link), np.abs(y), phase),
+                           0.5, i))
+    x = rng.standard_normal((len(cells), 1, n))
+    for scale in (1.0, 2.0):
+        loss, grad, phases = _measurement(cells, n, {link: kind}, scale)(x)
+        assert loss.shape == (len(cells), 1) and grad.shape == x.shape
+        if kind == "phase_corrected":
+            assert len(phases) == 5  # cut at each change of m or of pinning
+            bound = [row for p in phases for row in p]
+        else:
+            assert len(phases) == 3 and all(p is None for p in phases)
+        for i, c in enumerate(cells):
+            a = c.obj.model.matrix
+            u = a @ x[i, 0]
+            p = c.obj.phase
+            if p is None and kind == "phase_corrected":
+                p = sign_pm(u)
+            f, cot = _loss_terms(kind, u, c.obj.y, p)
+            g = a.T @ (scale * cot)
+            if kind == "sim_sigmoid":
+                g = g / a.shape[0]
+            assert loss[i, 0].tobytes() == f.tobytes()
+            assert grad[i, 0].tobytes() == g.tobytes()
+            if kind == "phase_corrected":
+                assert bound[i][0].tobytes() == p.tobytes()
+    # A one-cell run's block is a view of its matrix, not a second copy.
+    a = cells[0].obj.model.matrix
+    assert np.shares_memory(_stacked([a]), a)
+
+
+def test_projected_group_refuses_mixed_loss_kinds(desk_net, monkeypatch):
+    # A cell is never measured with another cell's loss: a group that
+    # mixes links is refused before any step.
+    def no_projection(*args):
+        raise AssertionError("a projection ran")
+
+    monkeypatch.setattr("genprior.solvers._project_cells", no_projection)
+    (_, _, a, y), (_, x_star, b, _) = instances(desk_net)[:2]
+    sigmoid = MeasurementModel(b, "sigmoid")
+    cells = [_Cell(Objective(MeasurementModel(a, "linear"), y), 0.5, 40),
+             _Cell(Objective(sigmoid, observe(sigmoid, x_star)), 0.5, 41)]
+    with pytest.raises(ValueError, match="^a group needs one link: "):
+        _projected_descent(desk_net, cells, 3, ProjectionConfig())

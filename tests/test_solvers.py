@@ -285,10 +285,9 @@ def test_phase_flip_column_counts_changes(desk_net):
     assert np.all(flips >= 0.0) and np.all(flips <= a.shape[0])
 
 
-def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
-    # One u = A x per iterate gives its loss, the next gradient step and its
-    # phase flips: outer_steps + 1 loss evaluations per cell, alone or in a
-    # lockstep group.
+def _phase_loss_calls(desk_net, monkeypatch, ms):
+    # Loss evaluations of phase_pgd on the first cell alone, then of one
+    # lockstep group of cells with the given measurement counts.
     calls = []
     loss_terms = objectives._loss_terms
 
@@ -300,16 +299,33 @@ def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
         monkeypatch.setattr(module, "_loss_terms", counted)
     x0 = np.zeros(desk_net.output_dim)
     cells = []
-    for seed in (8, 9):
-        x_star, a, y = phase_instance(desk_net, 48, seed=seed)
+    for seed, m in zip((8, 9), ms):
+        x_star, a, y = phase_instance(desk_net, m, seed=seed)
         cfg = desk_cfg(seed, x_star, eta=0.9, outer=6, inner=20)
         cells.append(solvers._Cell(Objective(MeasurementModel(a, "magnitude"), y), 0.9,
                                    seed, x0, x_star))
     phase_pgd(y, a, desk_net, cfg, x0)
-    assert calls == ["phase_corrected"] * 7
+    alone = list(calls)
     calls.clear()
     solvers._projected_descent(desk_net, cells, cfg.outer_steps, cfg.projection)
-    assert calls == ["phase_corrected"] * 2 * 7
+    return alone, list(calls)
+
+
+def test_phase_pgd_measures_each_iterate_once(desk_net, monkeypatch):
+    # One u = A x per iterate gives its loss, the next gradient step and its
+    # phase flips: outer_steps + 1 loss evaluations per cell alone, and per
+    # lockstep group of cells with equal m.
+    alone, group = _phase_loss_calls(desk_net, monkeypatch, (48, 48))
+    assert alone == ["phase_corrected"] * 7
+    assert group == ["phase_corrected"] * 7
+
+
+def test_phase_pgd_measures_each_iterate_once_per_m_run(desk_net, monkeypatch):
+    # Cells with different m stack in separate runs, one evaluation per
+    # iterate for each run.
+    alone, group = _phase_loss_calls(desk_net, monkeypatch, (48, 40))
+    assert alone == ["phase_corrected"] * 7
+    assert group == ["phase_corrected"] * 2 * 7
 
 
 # --- phase_init ---------------------------------------------------------

@@ -70,6 +70,10 @@ COMMANDS = {
     "sweep-small-phase": _command(
         "sweep", *SMALL_NET, "problem=phase", "solvers=phase_pgd,dpr",
         "m_list=40,80", "seeds=301,302", "dpr_steps=300"),
+    # Every projected loss kind in a mixed-m group of three seeds.
+    **{f"sweep-small-{p}": _command(
+        "sweep", *SMALL_NET, f"problem={p}", "m_list=20,40", "seeds=305,306,307")
+       for p in ("sigmoid", "sinusoid")},
     "sweep-small-mismatch": _command(
         "sweep", *SMALL_NET, "problem=mismatch", "solvers=myopic", "m_list=40,80",
         "seeds=301,302"),
